@@ -16,17 +16,35 @@ traces.  See ``docs/performance.md``.
 
 from __future__ import annotations
 
-import weakref
-
 from .batch import BlockKernel, active_numpy, numpy_version
 from .enumerate import MaskAllocationEnumerator
 from .evaluator import CompiledEvaluator, Verdict, compiled_evaluator
 from .spec import CompiledSpec, EcsInfo, OptionRec
 
-#: One CompiledSpec per live specification object.  Weak keys: the
-#: compiled tables die with the specification; nothing here is ever
-#: pickled (process-pool workers rebuild their own in the initializer).
-_COMPILED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+class _InternTable:
+    """One CompiledSpec per live specification object, kept on the
+    specification itself (like its possible-allocation expression).
+
+    The compiled tables reference their specification, so the two form
+    one cycle that a single garbage collection frees once the caller
+    drops the specification.  (A weakly keyed dictionary cannot do
+    that: its value would keep its own key alive.)  ``pop`` drops an
+    entry early.  Specifications never pickle their compiled tables;
+    process-pool workers rebuild their own in the initializer.
+    """
+
+    def get(self, spec) -> "CompiledSpec | None":
+        return spec._compiled
+
+    def __setitem__(self, spec, compiled: CompiledSpec) -> None:
+        spec._compiled = compiled
+
+    def pop(self, spec, default=None):
+        compiled, spec._compiled = spec._compiled, None
+        return default if compiled is None else compiled
+
+
+_COMPILED = _InternTable()
 
 
 def compiled_spec_for(spec) -> CompiledSpec:

@@ -392,6 +392,44 @@ def _iter_band_blocks(
 
 
 # ---------------------------------------------------------------------------
+# Block pre-filters
+# ---------------------------------------------------------------------------
+
+
+def _filter_rows(
+    kernel: BlockKernel, masks, use_filter: bool, prune_comm: bool
+):
+    """``(possible, comm_pruned, alive)`` arrays for a block of masks.
+
+    Row restriction mirrors the scalar loop's short-circuiting:
+    communication pruning is only computed for rows that pass the
+    possible filter (all rows when the filter is off); ``alive`` rows
+    pass both.  Other rows hold unread defaults.
+    """
+    np = _np
+    n = len(masks)
+    possible = kernel.possible(masks) if use_filter else np.ones(n, dtype=bool)
+    alive = possible
+    comm = np.zeros(n, dtype=bool)
+    if prune_comm:
+        rows = np.nonzero(alive)[0]
+        if len(rows):
+            comm[rows] = kernel.comm_pruned(kernel.usable(masks[rows]))
+        alive = alive & ~comm
+    return possible, comm, alive
+
+
+def _estimate_rows(kernel: BlockKernel, masks, alive, weighted: bool):
+    """Flexibility estimates of the ``alive`` rows (others read 0.0)."""
+    np = _np
+    estimates = np.zeros(len(masks), dtype=np.float64)
+    rows = np.nonzero(alive)[0]
+    if len(rows):
+        estimates[rows] = kernel.estimates(masks[rows], weighted)
+    return estimates
+
+
+# ---------------------------------------------------------------------------
 # Block exploration context
 # ---------------------------------------------------------------------------
 
@@ -399,13 +437,16 @@ def _iter_band_blocks(
 class BlockContext:
     """Blocked candidate stream + pre-filter state for one EXPLORE run.
 
-    Two consumption modes, both byte-identical to the scalar loop:
+    Two ways to drive the exploration state
+    (:class:`repro.core.explorer.ExploreState`), both byte-identical to
+    the scalar loop:
 
-    * :meth:`run_fast` — the whole incumbent-dependent replay over
-      block arrays (used when nothing observes per-candidate events);
-    * :meth:`candidates` + the evaluator facade — a drop-in
-      ``(cost, units)`` stream whose per-candidate check answers are
-      served from the block arrays, for traced/observed runs.
+    * :meth:`run_fast` — vectorized scans skip to the next candidate
+      whose estimate beats the incumbent (used when nothing observes
+      per-candidate events);
+    * :meth:`candidates` — ``(cost, extras)`` pairs, each with a probe
+      answering the pre-filter checks from the block arrays, for
+      traced/observed runs.
     """
 
     def __init__(
@@ -442,11 +483,6 @@ class BlockContext:
         self.materialized = (
             len(extra_names) <= _materialize_max_bits()
         )
-        # Eventful-mode cursor: the last yielded candidate's answers.
-        self.cur_units: Optional[FrozenSet[str]] = None
-        self.cur_possible = True
-        self.cur_comm = False
-        self.cur_estimate = 0.0
 
     # -- plumbing -------------------------------------------------------
     def _charge(self, phase: str, seconds: float) -> None:
@@ -467,42 +503,22 @@ class BlockContext:
         )
 
     def _checks(self, full_masks):
-        """(possible, comm_pruned, estimate) arrays for a block.
-
-        Row restriction mirrors the scalar loop's short-circuiting:
-        communication pruning is only computed for rows that pass the
-        possible filter (all rows when the filter is off), estimates
-        only for rows that pass both — other rows hold unread defaults.
-        """
-        np = _np
-        kernel = self.kernel
+        """``(possible, comm_pruned, alive, estimate)`` arrays for a
+        block (see :func:`_filter_rows`), charged to the ``filter`` and
+        ``estimate`` phases."""
         t0 = self.clock()
-        n = len(full_masks)
-        if self.use_possible_filter:
-            possible = kernel.possible(full_masks)
-            alive = possible
-        else:
-            possible = np.ones(n, dtype=bool)
-            alive = possible
-        comm = np.zeros(n, dtype=bool)
-        if self.prune_comm:
-            rows = np.nonzero(alive)[0]
-            if len(rows):
-                comm[rows] = kernel.comm_pruned(
-                    kernel.usable(full_masks[rows])
-                )
-            alive = alive & ~comm
+        possible, comm, alive = _filter_rows(
+            self.kernel, full_masks, self.use_possible_filter, self.prune_comm
+        )
         self._charge("filter", self.clock() - t0)
-        estimates = np.zeros(n, dtype=np.float64)
-        if self.use_estimation:
-            t0 = self.clock()
-            rows = np.nonzero(alive)[0]
-            if len(rows):
-                estimates[rows] = kernel.estimates(
-                    full_masks[rows], self.evaluator.weighted
-                )
-            self._charge("estimate", self.clock() - t0)
-        return possible, comm, estimates
+        if not self.use_estimation:
+            return possible, comm, alive, _np.zeros(len(full_masks))
+        t0 = self.clock()
+        estimates = _estimate_rows(
+            self.kernel, full_masks, alive, self.evaluator.weighted
+        )
+        self._charge("estimate", self.clock() - t0)
+        return possible, comm, alive, estimates
 
     def _materialise_units(self, extras_mask: int) -> FrozenSet[str]:
         """The candidate's unit set, with the mask handed off by
@@ -513,55 +529,52 @@ class BlockContext:
         return units
 
     # -- eventful mode --------------------------------------------------
-    def candidates(self) -> Iterator[Tuple[float, FrozenSet[str]]]:
-        """The scalar enumerator's ``(cost, extras)`` stream, with the
-        per-candidate check answers staged for the evaluator facade."""
+    def candidates(
+        self,
+    ) -> Iterator[Tuple[Tuple[float, FrozenSet[str]], "_RowProbe"]]:
+        """The scalar enumerator's ``(cost, extras)`` stream, each
+        candidate paired with a probe answering its pre-filter checks
+        from the block arrays."""
+        cs = self.cs
+        names_of = cs.names_of
+        evaluator = self.evaluator
         for ecosts, emasks in self._blocks():
-            full = emasks | self.required_mask
-            possible, comm, estimates = self._checks(full)
-            cs = self.cs
-            names_of = cs.names_of
-            for i in range(len(ecosts)):
-                extras_mask = int(emasks[i])
-                extras = names_of(extras_mask)
-                cs._enum_memo = (extras, extras_mask)
-                self.cur_units = extras
-                self.cur_possible = bool(possible[i])
-                self.cur_comm = bool(comm[i])
-                self.cur_estimate = float(estimates[i])
-                yield float(ecosts[i]), extras
-
-    def facade(self):
-        """An evaluator view answering the pre-filter checks from the
-        staged block results (identity-matched; anything else falls
-        through to the scalar evaluator)."""
-        return _BlockFacade(self.evaluator, self)
+            possible, comm, _, estimates = self._checks(
+                emasks | self.required_mask
+            )
+            for cost, mask, ok, pruned, estimate in zip(
+                ecosts.tolist(),
+                emasks.tolist(),
+                possible.tolist(),
+                comm.tolist(),
+                estimates.tolist(),
+            ):
+                extras = names_of(mask)
+                cs._enum_memo = (extras, mask)
+                probe = _RowProbe(evaluator, ok, pruned, estimate)
+                yield (cost, extras), probe
 
     # -- fast mode ------------------------------------------------------
-    def run_fast(
-        self,
-        stats,
-        points: List,
-        solver_counter: List[int],
-        f_cur: float,
-        f_max: float,
-        max_cost: Optional[float],
-        emitter=None,
-    ) -> float:
-        """The serial EXPLORE loop over whole blocks (no per-candidate
-        observers: no tracer, no audit, inactive progress emitter, no
-        ``keep_ties``/``max_candidates``).
+    def run_fast(self, state) -> None:
+        """Drive an :class:`~repro.core.explorer.ExploreState` over whole
+        blocks (no per-candidate observers: no tracer, inactive progress
+        emitter, no ``keep_ties``/``max_candidates``).
 
-        Mutates ``stats``/``points``/``solver_counter`` exactly as the
-        scalar loop would and returns the final incumbent flexibility.
+        A vectorized scan finds the next survivor whose estimate beats
+        ``f_cur``; the rows skipped on the way are charged to the
+        statistics in bulk, exactly as the scalar loop would count them,
+        and the survivor is bound through the state.
         """
         np = _np
+        stats = state.stats
+        f_max = state.f_max
+        max_cost = state.max_cost
         evaluator = self.evaluator
         use_filter = self.use_possible_filter
         use_comm = self.prune_comm
         use_est = self.use_estimation
         for ecosts, emasks in self._blocks():
-            if f_cur >= f_max:
+            if state.f_cur >= f_max:
                 break
             limit = len(ecosts)
             tot = self.required_cost + ecosts
@@ -574,8 +587,7 @@ class BlockContext:
                     if limit == 0:
                         break
             full = emasks[:limit] | self.required_mask
-            possible, comm, estimates = self._checks(full)
-            alive = possible & ~comm if use_comm else possible
+            possible, comm, alive, estimates = self._checks(full)
             # Rows [0, counted) have been charged to the statistics.
             counted = 0
 
@@ -604,7 +616,7 @@ class BlockContext:
             while position < len(survivors):
                 if use_est:
                     passing = np.nonzero(
-                        estimates[survivors[position:]] > f_cur
+                        estimates[survivors[position:]] > state.f_cur
                     )[0]
                     if not len(passing):
                         break
@@ -612,82 +624,52 @@ class BlockContext:
                 row = int(survivors[position])
                 position += 1
                 count_to(row + 1)
-                stats.estimate_exceeded += 1
-                units = self._materialise_units(int(emasks[row]))
-                implementation = evaluator.evaluate(
-                    units, solver_counter=solver_counter
+                state.bind(
+                    float(tot[row]),
+                    self._materialise_units(int(emasks[row])),
+                    float(estimates[row]) if use_est else None,
+                    evaluator,
                 )
-                if implementation is None:
-                    continue
-                stats.feasible_implementations += 1
-                if implementation.flexibility > f_cur:
-                    points.append(implementation)
-                    f_cur = implementation.flexibility
-                    if emitter is not None:
-                        emitter.incumbent(
-                            implementation.cost,
-                            implementation.flexibility,
-                            implementation.units,
-                            stats.candidates_enumerated,
-                            stats.estimate_exceeded,
-                        )
-                    logger.debug(
-                        "incumbent: cost=%g flexibility=%g after %d "
-                        "candidates",
-                        implementation.cost,
-                        implementation.flexibility,
-                        stats.candidates_enumerated,
-                    )
-                    if f_cur >= f_max:
-                        # The scalar loop breaks at the *next* candidate
-                        # before counting it.
-                        stopped = True
-                        break
+                if state.f_cur >= f_max:
+                    # The scalar loop breaks at the *next* candidate
+                    # before counting it.
+                    stopped = True
+                    break
             if not stopped:
                 count_to(limit)
             if stopped or over_budget:
                 break
-        return f_cur
 
 
-class _BlockFacade:
-    """Evaluator view for eventful block runs: answers the three
-    pre-filter checks from the staged block results when the query is
-    for the candidate the stream just yielded (identity match), and
-    delegates everything else — including all evaluations — to the
-    scalar evaluator."""
+class _RowProbe:
+    """One block row seen through the evaluator protocol: the three
+    pre-filter answers come from the block arrays, evaluations go to
+    the scalar evaluator."""
 
-    __slots__ = ("_inner", "_ctx")
+    __slots__ = ("_evaluator", "_possible", "_comm", "_estimate")
 
-    def __init__(self, inner, ctx: BlockContext) -> None:
-        self._inner = inner
-        self._ctx = ctx
+    def __init__(self, evaluator, possible, comm, estimate) -> None:
+        self._evaluator = evaluator
+        self._possible = possible
+        self._comm = comm
+        self._estimate = estimate
 
     def possible(self, units) -> bool:
-        ctx = self._ctx
-        if units is ctx.cur_units:
-            return ctx.cur_possible
-        return self._inner.possible(units)
+        return self._possible
 
     def comm_pruned(self, units) -> bool:
-        ctx = self._ctx
-        if units is ctx.cur_units:
-            return ctx.cur_comm
-        return self._inner.comm_pruned(units)
+        return self._comm
 
     def estimate(self, units) -> float:
-        ctx = self._ctx
-        if units is ctx.cur_units:
-            return ctx.cur_estimate
-        return self._inner.estimate(units)
+        return self._estimate
 
     def evaluate(self, units, solver_counter=None, detail=None):
-        return self._inner.evaluate(
+        return self._evaluator.evaluate(
             units, solver_counter=solver_counter, detail=detail
         )
 
     def infeasibility_reason(self, units) -> str:
-        return self._inner.infeasibility_reason(units)
+        return self._evaluator.infeasibility_reason(units)
 
 
 def make_block_context(
@@ -740,10 +722,10 @@ def batch_outcomes(
     """Vectorized :func:`repro.parallel.worker.evaluate_candidate` over
     one dispatched batch, or ``None`` when the kernel cannot run.
 
-    The pre-filter checks run as one block; candidates that survive
+    The pre-filter checks run as one block; the worker's own pipeline
+    then reads them through a row probe, and candidates that survive
     speculation fall through to the scalar evaluator (memoised binding
-    verdicts), replicating the worker's short-circuit order field for
-    field.
+    verdicts).
     """
     np = active_numpy()
     if np is None or not unit_sets:
@@ -751,63 +733,36 @@ def batch_outcomes(
     cs = evaluator.cs
     if not 0 < cs.unit_count <= 64:
         return None
-    from ..parallel.worker import CandidateOutcome
+    from ..parallel.worker import evaluate_candidate
 
     kernel = kernel_for(cs)
     mask_ints = [cs.mask_of(units) for units in unit_sets]
     masks = np.array(mask_ints, dtype=np.uint64)
-    n = len(masks)
-    if params.use_possible_filter:
-        possible = kernel.possible(masks)
-        alive = possible
-    else:
-        possible = np.ones(n, dtype=bool)
-        alive = possible
-    comm = np.zeros(n, dtype=bool)
-    if params.prune_comm:
-        rows = np.nonzero(alive)[0]
-        if len(rows):
-            comm[rows] = kernel.comm_pruned(kernel.usable(masks[rows]))
-        alive = alive & ~comm
-    estimates = np.zeros(n, dtype=np.float64)
+    possible, comm, alive = _filter_rows(
+        kernel, masks, params.use_possible_filter, params.prune_comm
+    )
     if params.use_estimation:
-        rows = np.nonzero(alive)[0]
-        if len(rows):
-            estimates[rows] = kernel.estimates(
-                masks[rows], evaluator.weighted
-            )
+        estimates = _estimate_rows(kernel, masks, alive, evaluator.weighted)
+    else:
+        estimates = np.zeros(len(masks))
     outcomes: List[object] = []
-    for i, units in enumerate(unit_sets):
-        out = CandidateOutcome()
-        if params.use_possible_filter:
-            out.possible = bool(possible[i])
-            if not out.possible:
-                outcomes.append(out)
-                continue
-        if params.prune_comm:
-            out.comm_pruned = bool(comm[i])
-            if out.comm_pruned:
-                outcomes.append(out)
-                continue
-        if params.use_estimation:
-            out.estimate = float(estimates[i])
-            speculate = out.estimate > f_entry or (
-                params.keep_ties and out.estimate == f_entry
+    for units, mask, ok, pruned, estimate in zip(
+        unit_sets,
+        mask_ints,
+        possible.tolist(),
+        comm.tolist(),
+        estimates.tolist(),
+    ):
+        # Handed off by identity: the evaluator skips re-encoding.
+        cs._enum_memo = (units, mask)
+        outcomes.append(
+            evaluate_candidate(
+                _RowProbe(evaluator, ok, pruned, estimate),
+                params,
+                units,
+                f_entry,
             )
-            if not speculate:
-                outcomes.append(out)
-                continue
-        counter = [0]
-        cs._enum_memo = (units, mask_ints[i])
-        implementation = evaluator.evaluate(units, solver_counter=counter)
-        out.evaluated = True
-        out.solver_calls = counter[0]
-        if implementation is not None:
-            out.feasible = True
-            out.flexibility = implementation.flexibility
-            out.clusters = implementation.clusters
-            out.coverage = implementation.coverage
-        outcomes.append(out)
+        )
     return outcomes
 
 

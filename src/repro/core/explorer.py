@@ -15,15 +15,22 @@ semantics implemented here is: attempt an implementation when the
 *estimate* exceeds the best implemented flexibility, and record it when
 the *achieved* flexibility does.
 
-The loop body is shared with the parallel batched explorer
-(:mod:`repro.parallel`), selected through ``explore(parallel=...)``:
-the batched path fans candidate evaluation out to a worker pool and
-replays the results in the serial candidate order, reproducing this
-module's pruning decisions, statistics and tie-breaking exactly.
+The decision rule is written once, in :class:`ExploreState`: it owns
+the incumbent, ties, the stop rules, the statistics and all emission
+to the progress emitter, tracer and profiler.  Every way of running
+EXPLORE is a driver that only supplies candidates in cost order and a
+probe answering the rule's questions — the serial loop below (the
+evaluator itself), the block kernel of :mod:`repro.compiled.batch`
+(its arrays), the batched replay of :mod:`repro.parallel` and the
+shard merge of :mod:`repro.distributed` (recorded outcomes), and the
+upgrade search of :mod:`repro.core.incremental`.  Their pruning
+decisions, statistics and tie-breaking therefore agree by
+construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from typing import FrozenSet, Iterable, List, NamedTuple, Optional
@@ -42,9 +49,10 @@ from .evaluation import (
     charge_cache_counters,
     make_evaluator,
 )
+from ..trace import tracer as taxonomy
 from .pareto import final_front
 from .progress import ProgressEmitter
-from .result import ExplorationResult, ExplorationStats
+from .result import ExplorationResult, ExplorationStats, OptimalityGap
 
 logger = logging.getLogger(__name__)
 
@@ -210,17 +218,355 @@ def _charged_enumeration(stream, sinks):
     clock = time.perf_counter
     while True:
         t0 = clock()
-        try:
-            item = next(iterator)
-        except StopIteration:
-            dt = clock() - t0
-            for sink in sinks:
-                sink.charge("enumerate", dt)
-            return
+        item = next(iterator, None)
         dt = clock() - t0
         for sink in sinks:
             sink.charge("enumerate", dt)
+        if item is None:
+            return
         yield item
+
+
+class ExploreState:
+    """EXPLORE's decision rule, written once for every driver.
+
+    The state owns everything that depends on the incumbent: ``f_cur``,
+    the discovered ``points``, tie handling, the stop rules, every
+    :class:`ExplorationStats` counter and all emission to the progress
+    emitter, the tracer and the profiler.  A driver only supplies the
+    candidates, in cost order, each with a *probe*: any object with the
+    evaluator protocol ``possible`` / ``comm_pruned`` / ``estimate`` /
+    ``evaluate`` / ``infeasibility_reason``.  The serial loop passes
+    the evaluator itself; the batched replay and the shard merge pass
+    an :class:`~repro.parallel.worker.OutcomeProbe` over recorded
+    outcomes; the block kernel passes a view of its arrays.
+
+    Per candidate, a driver calls :meth:`admit` (the flexibility and
+    cost bounds, checked before the candidate is counted) and then
+    :meth:`step` (count it and decide it); either returning ``False``
+    ends the run.  The block kernel's fast mode counts the rows it
+    skips itself and calls :meth:`bind` for each survivor.
+    Driver-specific stops (anytime budgets, the shard gap) go through
+    :meth:`stop`; :meth:`finish` builds the result.
+
+    ``timed`` — the probe computes in this process, so its estimate
+    and evaluate calls are charged to the tracer/profiler phases and
+    evaluations carry wall-clock; replay drivers, whose work happened
+    elsewhere, leave it off.  ``evaluator`` — the run's engine, whose
+    memo/warm counter deltas from here on are charged to the statistics.
+    ``name`` labels the run's log records (the specification name).
+    """
+
+    def __init__(
+        self,
+        f_max: float,
+        design_space_size: int,
+        *,
+        name: str = "",
+        max_cost: Optional[float] = None,
+        max_candidates: Optional[int] = None,
+        use_possible_filter: bool = True,
+        prune_comm: bool = True,
+        use_estimation: bool = True,
+        keep_ties: bool = False,
+        emitter: Optional[ProgressEmitter] = None,
+        tracer=None,
+        profiler=None,
+        timed: bool = False,
+        evaluator=None,
+        f_cur: float = 0.0,
+        points: Optional[List] = None,
+        cursor: int = 0,
+    ) -> None:
+        self.name = name
+        self.f_max = f_max
+        self.f_cur = f_cur
+        self.points: List = [] if points is None else points
+        self.stats = ExplorationStats()
+        self.stats.design_space_size = design_space_size
+        self.max_cost = max_cost
+        self.max_candidates = max_candidates
+        self.use_possible_filter = use_possible_filter
+        self.prune_comm = prune_comm
+        self.use_estimation = use_estimation
+        self.keep_ties = keep_ties
+        self.emitter = emitter or ProgressEmitter(None)
+        self.tracer = tracer
+        self.audit = tracer is not None and tracer.audit
+        self.sinks = tuple(s for s in (tracer, profiler) if s is not None)
+        self.timed = timed and bool(self.sinks)
+        self.evaluator = evaluator
+        self.cache_base = cache_counter_snapshot(evaluator)
+        self.started = time.perf_counter()
+        self.emitter.start(design_space_size, f_max)
+        if tracer is not None:
+            tracer.start(design_space_size, f_max, cursor=cursor)
+
+    def charge(self, phase: str, seconds: float) -> None:
+        """Charge wall-clock seconds to a phase of every sink."""
+        for sink in self.sinks:
+            sink.charge(phase, seconds)
+
+    def stop(self, reason: str, **fields) -> None:
+        """Record the rule that ended the enumeration early."""
+        if self.tracer is not None:
+            self.tracer.stop(
+                reason, **fields, candidates=self.stats.candidates_enumerated
+            )
+
+    def admit(self, cost: float) -> bool:
+        """The bounds checked before a candidate is counted: the global
+        flexibility bound (with ties kept, candidates of the maximal
+        point's own cost still pass) and ``max_cost``."""
+        if self.f_cur >= self.f_max:
+            points = self.points
+            if not self.keep_ties or not points or cost > points[-1].cost:
+                self.stop(
+                    taxonomy.FLEXIBILITY_BOUND_REACHED,
+                    cost=cost,
+                    f_max=self.f_max,
+                )
+                return False
+        if self.max_cost is not None and cost > self.max_cost:
+            self.stop(taxonomy.COST_BOUND, cost=cost, max_cost=self.max_cost)
+            return False
+        return True
+
+    def step(self, cost: float, units: FrozenSet[str], probe) -> bool:
+        """Count one admitted candidate and decide it: prune it by the
+        possible-allocation equation, useless communication or the
+        estimate, or bind it (:meth:`bind`).  ``False`` when
+        ``max_candidates`` ends the run at this candidate."""
+        stats = self.stats
+        stats.candidates_enumerated += 1
+        self.emitter.candidate(
+            stats.candidates_enumerated,
+            stats.estimate_exceeded,
+            stats.feasible_implementations,
+            self.f_cur,
+        )
+        if (
+            self.max_candidates is not None
+            and stats.candidates_enumerated > self.max_candidates
+        ):
+            self.stop(
+                taxonomy.MAX_CANDIDATES,
+                cost=cost,
+                max_candidates=self.max_candidates,
+            )
+            return False
+        if self.use_possible_filter:
+            if not probe.possible(units):
+                if self.audit:
+                    self.tracer.prune(
+                        taxonomy.IMPOSSIBLE_ALLOCATION, cost, units
+                    )
+                return True
+            stats.possible_allocations += 1
+        if self.prune_comm and probe.comm_pruned(units):
+            stats.pruned_comm += 1
+            if self.audit:
+                self.tracer.prune(taxonomy.USELESS_COMM, cost, units)
+            return True
+        estimate = None
+        if self.use_estimation:
+            stats.estimates_computed += 1
+            if self.timed:
+                t0 = time.perf_counter()
+                estimate = probe.estimate(units)
+                self.charge("estimate", time.perf_counter() - t0)
+            else:
+                estimate = probe.estimate(units)
+            f_cur = self.f_cur
+            if estimate < f_cur or (estimate == f_cur and not self.keep_ties):
+                reason = taxonomy.ESTIMATE_BELOW_INCUMBENT
+            elif (
+                self.keep_ties
+                and estimate == f_cur
+                and self.points
+                and cost > self.points[-1].cost
+            ):
+                # same flexibility at higher cost is dominated
+                reason = taxonomy.TIE_HIGHER_COST
+            else:
+                reason = None
+            if reason is not None:
+                if self.audit:
+                    self.tracer.prune(
+                        reason, cost, units, estimate=estimate, incumbent=f_cur
+                    )
+                return True
+        self.bind(cost, units, estimate, probe)
+        return True
+
+    def bind(
+        self,
+        cost: float,
+        units: FrozenSet[str],
+        estimate: Optional[float],
+        probe,
+    ) -> None:
+        """Evaluate a candidate that passed the pruning and record it:
+        a new incumbent, an equal-cost tie (``keep_ties``), or a prune."""
+        stats = self.stats
+        stats.estimate_exceeded += 1
+        tracer = self.tracer
+        solver_calls = [0]
+        t0 = t1 = detail = None
+        if self.timed:
+            detail = {}
+            t0 = time.perf_counter()
+            implementation = probe.evaluate(
+                units, solver_counter=solver_calls, detail=detail
+            )
+            t1 = time.perf_counter()
+            self.charge("evaluate", t1 - t0)
+            self.charge("binding", detail.get("binding_seconds", 0.0))
+            if detail.get("timing_checks"):
+                self.charge("timing", detail["timing_seconds"])
+        else:
+            implementation = probe.evaluate(units, solver_counter=solver_calls)
+        # Charged at the step (not summed at the end) so that mid-run
+        # checkpoints journal the exact replay-time counter.
+        stats.solver_invocations += solver_calls[0]
+        f_cur = self.f_cur
+        if tracer is not None:
+            tracer.evaluate(
+                cost,
+                units,
+                estimate,
+                solver_calls[0],
+                implementation is not None,
+                implementation.flexibility
+                if implementation is not None
+                else 0.0,
+                f_cur,
+                t0=t0,
+                t1=t1,
+                diag=detail,
+            )
+        if implementation is None:
+            if self.audit:
+                tracer.prune(
+                    probe.infeasibility_reason(units),
+                    cost,
+                    units,
+                    estimate=estimate,
+                    incumbent=f_cur,
+                )
+            return
+        stats.feasible_implementations += 1
+        points = self.points
+        if implementation.flexibility > f_cur:
+            self.f_cur = implementation.flexibility
+        elif not (
+            self.keep_ties
+            and points
+            and implementation.flexibility == f_cur
+            and implementation.cost == points[-1].cost
+            and implementation.units != points[-1].units
+        ):
+            if self.audit:
+                tracer.prune(
+                    taxonomy.NOT_IMPROVING,
+                    cost,
+                    units,
+                    estimate=estimate,
+                    achieved=implementation.flexibility,
+                    incumbent=f_cur,
+                )
+            return
+        points.append(implementation)
+        self.emitter.incumbent(
+            implementation.cost,
+            implementation.flexibility,
+            implementation.units,
+            stats.candidates_enumerated,
+            stats.estimate_exceeded,
+        )
+        if tracer is not None:
+            tracer.incumbent(
+                implementation.cost,
+                implementation.flexibility,
+                implementation.units,
+                stats.candidates_enumerated,
+                stats.estimate_exceeded,
+            )
+        logger.debug(
+            "incumbent: cost=%g flexibility=%g after %d candidates",
+            implementation.cost,
+            implementation.flexibility,
+            stats.candidates_enumerated,
+        )
+
+    def finish(
+        self, truncation: Optional[OptimalityGap] = None
+    ) -> ExplorationResult:
+        """The final dominance pass, end events and the result;
+        ``truncation`` is the gap of a run a budget or a shard gap cut
+        short (``None`` for a complete run)."""
+        points = self.points
+        # Cost-ordered discovery with strictly increasing flexibility
+        # makes the points mutually non-dominated except for one corner
+        # case: a same-cost candidate later in the tie order may achieve
+        # strictly more flexibility (see :func:`final_front`).
+        t0 = time.perf_counter()
+        front = final_front(points)
+        self.charge("pareto", time.perf_counter() - t0)
+        tracer = self.tracer
+        # Dominated-point audit records belong to a run's *final*
+        # dominance pass; a preempted service slice (truncation
+        # suppressed) re-runs this pass every slice and must not
+        # re-record them.
+        if (
+            self.audit
+            and len(front) < len(points)
+            and (truncation is None or tracer.record_truncation)
+        ):
+            survivors = {id(p) for p in front}
+            for p in points:
+                if id(p) not in survivors:
+                    tracer.prune(
+                        taxonomy.DOMINATED,
+                        p.cost,
+                        p.units,
+                        flexibility=p.flexibility,
+                    )
+        stats = self.stats
+        charge_cache_counters(stats, self.evaluator, self.cache_base)
+        stats.elapsed_seconds = time.perf_counter() - self.started
+        completed = truncation is None
+        reason = None if completed else truncation.reason
+        logger.info(
+            "explore end: spec=%s candidates=%d evaluations=%d points=%d "
+            "completed=%s elapsed=%.3fs",
+            self.name,
+            stats.candidates_enumerated,
+            stats.estimate_exceeded,
+            len(front),
+            completed,
+            stats.elapsed_seconds,
+        )
+        self.emitter.end(
+            completed,
+            reason,
+            stats.candidates_enumerated,
+            stats.estimate_exceeded,
+            len(front),
+        )
+        if tracer is not None:
+            tracer.end(
+                completed,
+                reason,
+                stats.candidates_enumerated,
+                stats.estimate_exceeded,
+                stats.feasible_implementations,
+                len(front),
+                [list(p.point) for p in front],
+            )
+        return ExplorationResult(
+            front, stats, self.f_max, completed=completed, gap=truncation
+        )
 
 
 def explore(
@@ -462,7 +808,6 @@ def explore(
         timing_mode=timing_mode,
         warm_store=warm_path,
     )
-    cache_base = cache_counter_snapshot(evaluator)
     setup = prepare_exploration(
         spec,
         require_units,
@@ -472,36 +817,18 @@ def explore(
         evaluator=evaluator,
     )
     required = setup.required
-    started = time.perf_counter()
-    stats = ExplorationStats()
-    stats.design_space_size = 1 << len(setup.extra_names)
-    f_max = setup.f_max
-    f_cur = 0.0
-    points = []
-    solver_counter = [0]
-    audit = tracer is not None and tracer.audit
     # Telemetry rides the tracer's phase seam (duck-typed: Telemetry
     # and PhaseProfiler both expose ``.profiler``); kept import-free so
     # the core never depends on repro.telemetry.
     profiler = getattr(telemetry, "profiler", None)
-    emitter.start(stats.design_space_size, f_max)
-    if tracer is not None:
-        tracer.start(stats.design_space_size, f_max)
-    logger.info(
-        "explore start: spec=%s design_space=%d f_max=%g serial",
-        spec.name,
-        stats.design_space_size,
-        f_max,
-    )
 
     # Batch-vectorized block kernel (repro.compiled.batch): when the
     # engine offers it and numpy is available, candidate enumeration
     # and the incumbent-independent pre-filters run over uint64 blocks.
     # With no per-candidate observers the whole replay runs blocked
-    # (run_fast); otherwise the loop below consumes the block stream
-    # with per-candidate answers staged behind the evaluator facade.
+    # (run_fast); otherwise the loop below consumes the block stream,
+    # each candidate with a probe answering from the block arrays.
     # Results are byte-identical either way (differentially tested).
-    loop_eval = evaluator
     block_factory = getattr(evaluator, "block_context", None)
     block = None
     if block_factory is not None:
@@ -515,275 +842,54 @@ def explore(
             use_estimation=use_estimation,
             sinks=(tracer, profiler),
         )
-    if (
+    fast = (
         block is not None
         and tracer is None
         and not emitter.active
         and not keep_ties
         and max_candidates is None
-    ):
-        f_cur = block.run_fast(
-            stats, points, solver_counter, f_cur, f_max, max_cost
-        )
-        stream = ()
-    elif block is not None:
-        stream = block.candidates()
-        loop_eval = block.facade()
-    else:
-        stream = evaluator.enumerator(
-            setup.extra_names, include_empty=bool(required)
-        )
-        if tracer is not None or profiler is not None:
-            stream = _charged_enumeration(stream, (tracer, profiler))
-
-    for extra_cost, extras in stream:
-        cost = setup.required_cost + extra_cost
-        # Preserve the enumerator's frozenset identity when nothing is
-        # required — the compiled engine keys its units->mask handoff
-        # memo on it (a union would copy and defeat the memo).
-        units = required | extras if required else extras
-        if f_cur >= f_max:
-            # With ties kept, continue through candidates of the same
-            # cost as the maximal point before stopping.
-            if not keep_ties or not points or cost > points[-1].cost:
-                if tracer is not None:
-                    tracer.stop(
-                        "flexibility_bound_reached",
-                        cost=cost,
-                        f_max=f_max,
-                        candidates=stats.candidates_enumerated,
-                    )
-                break
-        if max_cost is not None and cost > max_cost:
-            if tracer is not None:
-                tracer.stop(
-                    "cost_bound",
-                    cost=cost,
-                    max_cost=max_cost,
-                    candidates=stats.candidates_enumerated,
-                )
-            break
-        stats.candidates_enumerated += 1
-        emitter.candidate(
-            stats.candidates_enumerated,
-            stats.estimate_exceeded,
-            stats.feasible_implementations,
-            f_cur,
-        )
-        if (
-            max_candidates is not None
-            and stats.candidates_enumerated > max_candidates
-        ):
-            if tracer is not None:
-                tracer.stop(
-                    "max_candidates",
-                    cost=cost,
-                    max_candidates=max_candidates,
-                    candidates=stats.candidates_enumerated,
-                )
-            break
-        if use_possible_filter:
-            if not loop_eval.possible(units):
-                if audit:
-                    tracer.prune("impossible_allocation", cost, units)
-                continue
-            stats.possible_allocations += 1
-        if prune_comm and loop_eval.comm_pruned(units):
-            stats.pruned_comm += 1
-            if audit:
-                tracer.prune("useless_comm", cost, units)
-            continue
-        estimate = None
-        if use_estimation:
-            stats.estimates_computed += 1
-            if tracer is None and profiler is None:
-                estimate = loop_eval.estimate(units)
-            else:
-                t_est = time.perf_counter()
-                estimate = loop_eval.estimate(units)
-                dt_est = time.perf_counter() - t_est
-                if tracer is not None:
-                    tracer.charge("estimate", dt_est)
-                if profiler is not None:
-                    profiler.charge("estimate", dt_est)
-            if estimate < f_cur or (estimate == f_cur and not keep_ties):
-                if audit:
-                    tracer.prune(
-                        "estimate_below_incumbent",
-                        cost,
-                        units,
-                        estimate=estimate,
-                        incumbent=f_cur,
-                    )
-                continue
-            if (
-                keep_ties
-                and estimate == f_cur
-                and points
-                and cost > points[-1].cost
-            ):
-                # same flexibility at higher cost is dominated
-                if audit:
-                    tracer.prune(
-                        "tie_higher_cost",
-                        cost,
-                        units,
-                        estimate=estimate,
-                        incumbent=f_cur,
-                    )
-                continue
-        stats.estimate_exceeded += 1
-        if tracer is None and profiler is None:
-            implementation = loop_eval.evaluate(
-                units, solver_counter=solver_counter
-            )
-        else:
-            calls_before = solver_counter[0]
-            detail: dict = {}
-            t0 = time.perf_counter()
-            implementation = loop_eval.evaluate(
-                units, solver_counter=solver_counter, detail=detail
-            )
-            t1 = time.perf_counter()
-            for sink in (tracer, profiler):
-                if sink is None:
-                    continue
-                sink.charge("evaluate", t1 - t0)
-                sink.charge("binding", detail.get("binding_seconds", 0.0))
-                if detail.get("timing_checks"):
-                    sink.charge("timing", detail["timing_seconds"])
-            if tracer is not None:
-                tracer.evaluate(
-                    cost,
-                    units,
-                    estimate,
-                    solver_counter[0] - calls_before,
-                    implementation is not None,
-                    implementation.flexibility
-                    if implementation is not None
-                    else 0.0,
-                    f_cur,
-                    t0=t0,
-                    t1=t1,
-                    diag=detail,
-                )
-        if implementation is None:
-            if audit:
-                tracer.prune(
-                    loop_eval.infeasibility_reason(units),
-                    cost,
-                    units,
-                    estimate=estimate,
-                    incumbent=f_cur,
-                )
-            continue
-        stats.feasible_implementations += 1
-        if implementation.flexibility > f_cur:
-            points.append(implementation)
-            f_cur = implementation.flexibility
-            emitter.incumbent(
-                implementation.cost,
-                implementation.flexibility,
-                implementation.units,
-                stats.candidates_enumerated,
-                stats.estimate_exceeded,
-            )
-            if tracer is not None:
-                tracer.incumbent(
-                    implementation.cost,
-                    implementation.flexibility,
-                    implementation.units,
-                    stats.candidates_enumerated,
-                    stats.estimate_exceeded,
-                )
-            logger.debug(
-                "incumbent: cost=%g flexibility=%g after %d candidates",
-                implementation.cost,
-                implementation.flexibility,
-                stats.candidates_enumerated,
-            )
-        elif (
-            keep_ties
-            and points
-            and implementation.flexibility == f_cur
-            and implementation.cost == points[-1].cost
-            and implementation.units != points[-1].units
-        ):
-            points.append(implementation)
-            emitter.incumbent(
-                implementation.cost,
-                implementation.flexibility,
-                implementation.units,
-                stats.candidates_enumerated,
-                stats.estimate_exceeded,
-            )
-            if tracer is not None:
-                tracer.incumbent(
-                    implementation.cost,
-                    implementation.flexibility,
-                    implementation.units,
-                    stats.candidates_enumerated,
-                    stats.estimate_exceeded,
-                )
-        elif audit:
-            tracer.prune(
-                "not_improving",
-                cost,
-                units,
-                estimate=estimate,
-                achieved=implementation.flexibility,
-                incumbent=f_cur,
-            )
-
-    # Cost-ordered discovery with strictly increasing flexibility makes
-    # the points mutually non-dominated except for one corner case: a
-    # same-cost candidate later in the tie order may achieve strictly
-    # more flexibility.  A final linear dominance pass removes such
-    # points (see :func:`repro.core.pareto.final_front`).
-    if tracer is None and profiler is None:
-        kept = final_front(points)
-    else:
-        t_pareto = time.perf_counter()
-        kept = final_front(points)
-        dt_pareto = time.perf_counter() - t_pareto
-        for sink in (tracer, profiler):
-            if sink is not None:
-                sink.charge("pareto", dt_pareto)
-    if audit and len(kept) < len(points):
-        survivors = {id(p) for p in kept}
-        for p in points:
-            if id(p) not in survivors:
-                tracer.prune(
-                    "dominated", p.cost, p.units, flexibility=p.flexibility
-                )
-    points = kept
-    stats.solver_invocations = solver_counter[0]
-    charge_cache_counters(stats, evaluator, cache_base)
-    stats.elapsed_seconds = time.perf_counter() - started
-    emitter.end(
-        True,
-        None,
-        stats.candidates_enumerated,
-        stats.estimate_exceeded,
-        len(points),
     )
-    if tracer is not None:
-        tracer.end(
-            True,
-            None,
-            stats.candidates_enumerated,
-            stats.estimate_exceeded,
-            stats.feasible_implementations,
-            len(points),
-            [list(p.point) for p in points],
-        )
+    state = ExploreState(
+        setup.f_max,
+        1 << len(setup.extra_names),
+        name=spec.name,
+        max_cost=max_cost,
+        max_candidates=max_candidates,
+        use_possible_filter=use_possible_filter,
+        prune_comm=prune_comm,
+        use_estimation=use_estimation,
+        keep_ties=keep_ties,
+        emitter=emitter,
+        tracer=tracer,
+        profiler=profiler,
+        timed=not fast,
+        evaluator=evaluator,
+    )
     logger.info(
-        "explore end: spec=%s candidates=%d evaluations=%d points=%d "
-        "elapsed=%.3fs",
+        "explore start: spec=%s design_space=%d f_max=%g serial",
         spec.name,
-        stats.candidates_enumerated,
-        stats.estimate_exceeded,
-        len(points),
-        stats.elapsed_seconds,
+        state.stats.design_space_size,
+        state.f_max,
     )
-    return ExplorationResult(points, stats, f_max)
+    if fast:
+        block.run_fast(state)
+    else:
+        if block is not None:
+            stream = block.candidates()
+        else:
+            stream = evaluator.enumerator(
+                setup.extra_names, include_empty=bool(required)
+            )
+            if tracer is not None or profiler is not None:
+                stream = _charged_enumeration(stream, (tracer, profiler))
+            stream = zip(stream, itertools.repeat(evaluator))
+        required_cost = setup.required_cost
+        for (extra_cost, extras), probe in stream:
+            cost = required_cost + extra_cost
+            # Preserve the enumerator's frozenset identity when nothing
+            # is required — the compiled engine keys its units->mask
+            # handoff memo on it (a union would copy and defeat it).
+            units = required | extras if required else extras
+            if not (state.admit(cost) and state.step(cost, units, probe)):
+                break
+    return state.finish()

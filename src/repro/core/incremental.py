@@ -16,7 +16,6 @@ explicitly).
 
 from __future__ import annotations
 
-import time
 from typing import FrozenSet, Iterable, List, Optional
 
 from ..binding import Allocation, Binding, is_feasible_binding
@@ -24,10 +23,9 @@ from ..errors import ExplorationError
 from ..activation import flatten
 from ..spec import SpecificationGraph
 from ..timing import PAPER_UTILIZATION_BOUND
-from .candidates import AllocationEnumerator, has_useless_comm
-from .estimate import estimate_flexibility, spec_max_flexibility
-from .evaluation import evaluate_allocation
-from .pareto import dominates
+from .estimate import spec_max_flexibility
+from .evaluation import ReferenceEvaluator
+from .explorer import ExploreState
 from .result import ExplorationResult, ExplorationStats, Implementation
 
 
@@ -81,15 +79,14 @@ def explore_upgrades(
     Raises :class:`~repro.errors.ExplorationError` when the base
     allocation itself supports no feasible implementation.
     """
-    started = time.perf_counter()
     base_set = frozenset(spec.units.unit(u).name for u in base_units)
-    base = evaluate_allocation(
+    evaluator = ReferenceEvaluator(
         spec,
-        base_set,
         util_bound=util_bound,
         check_utilization=check_utilization,
         weighted=weighted,
     )
+    base = evaluator.evaluate(base_set)
     if base is None:
         raise ExplorationError(
             f"base allocation {sorted(base_set)!r} has no feasible "
@@ -103,52 +100,28 @@ def explore_upgrades(
             "specification has zero-cost units outside the base; pass "
             "max_extra_cost to bound the enumeration"
         )
-
-    stats = ExplorationStats()
-    stats.design_space_size = 1 << len(remaining)
-    f_max = spec_max_flexibility(spec, weighted)
-    f_cur = base.flexibility
-    points: List[Implementation] = [base]
-    solver_counter = [0]
-
-    for extra_cost, extras in AllocationEnumerator(spec, remaining):
-        if f_cur >= f_max:
+    # EXPLORE over the supersets of the base, in order of extra cost,
+    # with the base as the first incumbent.
+    state = ExploreState(
+        spec_max_flexibility(spec, weighted),
+        1 << len(remaining),
+        name=spec.name,
+        max_cost=max_extra_cost,
+        use_possible_filter=False,
+        prune_comm=prune_comm,
+        f_cur=base.flexibility,
+        points=[base],
+    )
+    for extra_cost, extras in evaluator.enumerator(remaining):
+        if not (
+            state.admit(extra_cost)
+            and state.step(extra_cost, base_set | extras, evaluator)
+        ):
             break
-        if max_extra_cost is not None and extra_cost > max_extra_cost:
-            break
-        stats.candidates_enumerated += 1
-        units = base_set | extras
-        if prune_comm and has_useless_comm(spec, units):
-            stats.pruned_comm += 1
-            continue
-        stats.estimates_computed += 1
-        estimate = estimate_flexibility(spec, units, weighted)
-        if estimate <= f_cur:
-            continue
-        stats.estimate_exceeded += 1
-        implementation = evaluate_allocation(
-            spec,
-            units,
-            util_bound=util_bound,
-            check_utilization=check_utilization,
-            weighted=weighted,
-            solver_counter=solver_counter,
-        )
-        if implementation is None:
-            continue
-        stats.feasible_implementations += 1
-        if implementation.flexibility > f_cur:
-            points.append(implementation)
-            f_cur = implementation.flexibility
-
-    points = [
-        p
-        for p in points
-        if not any(dominates(q.point, p.point) for q in points)
-    ]
-    stats.solver_invocations = solver_counter[0]
-    stats.elapsed_seconds = time.perf_counter() - started
-    return UpgradeResult(base, points, stats, f_max)
+    result = state.finish()
+    return UpgradeResult(
+        base, result.points, result.stats, result.max_flexibility_bound
+    )
 
 
 def upgrade_preserves_base(

@@ -602,7 +602,6 @@ def explore_sharded(
     heartbeat_seconds: Optional[float] = HEARTBEAT_SECONDS_DEFAULT,
     heartbeat_timeout: float = HEARTBEAT_TIMEOUT_DEFAULT,
     breakers=None,
-    trace: Optional[list] = None,
     progress=None,
     progress_every: Optional[int] = None,
     tracer=None,
@@ -647,7 +646,7 @@ def explore_sharded(
         address stops receiving shards until its cool-down probe
         succeeds — pass a shared registry to carry breaker state (and
         its metrics export) across runs.
-    trace, progress, progress_every, tracer:
+    progress, progress_every, tracer:
         Observability of the *merged* (global) exploration, identical
         in meaning to the ``explore()`` parameters.
     telemetry:
@@ -727,7 +726,6 @@ def explore_sharded(
     merged = merge_shard_checkpoints(
         [o.journal_path for o in outcomes if not o.lost],
         lost_shards=[o.shard for o in outcomes if o.lost],
-        trace=trace,
         progress=progress,
         progress_every=progress_every,
         tracer=tracer,

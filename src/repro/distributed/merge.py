@@ -6,9 +6,12 @@ journaling one :class:`~repro.parallel.worker.CandidateOutcome` per
 distinct canonical signature it consumes.  The merge replays the
 *global* candidate enumeration — the same deterministic cost order the
 single-host loop walks — looking every incumbent-independent outcome
-up in the shard journals instead of recomputing it, and making every
+up in the shard journals instead of recomputing it.  Every
 incumbent-dependent decision (estimate pruning, tie handling, Pareto
-recording, early stops) with the single-host code shape.  The merged
+recording, early stops) is made by the single-host rule itself,
+:class:`~repro.core.explorer.ExploreState`, fed an
+:class:`~repro.parallel.worker.OutcomeProbe` per candidate; the merge
+adds only the journal lookup and the shard-gap stop.  The merged
 front, statistics, progress events and logical trace are therefore
 byte-identical to the uninterrupted single-host run — the property the
 differential tests in ``tests/test_distributed.py`` enforce over the
@@ -49,7 +52,6 @@ gap against the full run (tested).
 from __future__ import annotations
 
 import json
-import time
 from typing import (
     Any,
     Dict,
@@ -61,7 +63,12 @@ from typing import (
     Tuple,
 )
 
-from ..core.explorer import prepare_exploration, validate_explore_options
+from ..core.evaluation import make_evaluator
+from ..core.explorer import (
+    ExploreState,
+    prepare_exploration,
+    validate_explore_options,
+)
 from ..core.pareto import final_front
 from ..core.progress import ProgressEmitter
 from ..core.result import (
@@ -72,7 +79,7 @@ from ..core.result import (
 from ..errors import CheckpointError, ExplorationError
 from ..parallel.cache import EvaluationCache
 from ..parallel.signature import canonical_signature
-from ..parallel.worker import CandidateOutcome, EvalParams
+from ..parallel.worker import CandidateOutcome, OutcomeProbe
 from ..spec import SpecificationGraph
 from ..timing import PAPER_UTILIZATION_BOUND
 from .partition import Shard, owner_index, validate_partition
@@ -201,7 +208,6 @@ def merge_shard_runs(
     require_units: Optional[Iterable[str]] = None,
     forbid_units: Optional[Iterable[str]] = None,
     engine: Optional[str] = None,
-    trace: Optional[list] = None,
     progress=None,
     progress_every: Optional[int] = None,
     tracer=None,
@@ -227,19 +233,15 @@ def merge_shard_runs(
     for run in by_index:
         run._seen = 0
     emitter = ProgressEmitter(progress, progress_every)
-    params = EvalParams(
+    evaluator = make_evaluator(
+        spec,
+        engine,
         util_bound=util_bound,
         check_utilization=check_utilization,
         weighted=weighted,
         backend=backend,
         timing_mode=timing_mode,
-        use_possible_filter=use_possible_filter,
-        use_estimation=use_estimation,
-        prune_comm=prune_comm,
-        keep_ties=keep_ties,
-        engine=engine,
     )
-    evaluator = params.evaluator(spec)
     setup = prepare_exploration(
         spec, require_units, forbid_units, max_cost, weighted,
         evaluator=evaluator,
@@ -247,46 +249,26 @@ def merge_shard_runs(
     for run in by_index:
         run.shard.validate_for(setup.extra_names)
     required = setup.required
-    started = time.perf_counter()
-    stats = ExplorationStats()
-    stats.design_space_size = 1 << len(setup.extra_names)
-    f_max = setup.f_max
-    f_cur = 0.0
-    points: List = []
-    audit = tracer is not None and tracer.audit
-    emitter.start(stats.design_space_size, f_max)
-    if tracer is not None:
-        tracer.start(stats.design_space_size, f_max)
-
-    def note(kind: str, **fields) -> None:
-        if trace is not None:
-            fields["kind"] = kind
-            trace.append(fields)
-
+    state = ExploreState(
+        setup.f_max,
+        1 << len(setup.extra_names),
+        name=spec.name,
+        max_cost=max_cost,
+        use_possible_filter=use_possible_filter,
+        prune_comm=prune_comm,
+        use_estimation=use_estimation,
+        keep_ties=keep_ties,
+        emitter=emitter,
+        tracer=tracer,
+    )
+    probe = OutcomeProbe(evaluator, spec.units)
     truncation: Optional[OptimalityGap] = None
     # --- the single-host replay, outcomes looked up in shard journals
     for extra_cost, extras in evaluator.enumerator(
         setup.extra_names, include_empty=bool(required)
     ):
         cost = setup.required_cost + extra_cost
-        if f_cur >= f_max:
-            if not keep_ties or not points or cost > points[-1].cost:
-                if tracer is not None:
-                    tracer.stop(
-                        "flexibility_bound_reached",
-                        cost=cost,
-                        f_max=f_max,
-                        candidates=stats.candidates_enumerated,
-                    )
-                break
-        if max_cost is not None and cost > max_cost:
-            if tracer is not None:
-                tracer.stop(
-                    "cost_bound",
-                    cost=cost,
-                    max_cost=max_cost,
-                    candidates=stats.candidates_enumerated,
-                )
+        if not state.admit(cost):
             break
         owner = owner_index(ordered, cost, extras)
         run = by_index[owner]
@@ -297,213 +279,24 @@ def merge_shard_runs(
             # other unfinished shard) costs at least `cost`.
             truncation = OptimalityGap(
                 next_cost_bound=cost,
-                flexibility_bound=f_max,
-                achieved_flexibility=f_cur,
+                flexibility_bound=state.f_max,
+                achieved_flexibility=state.f_cur,
                 reason=SHARD_GAP_REASON,
             )
-            if tracer is not None:
-                tracer.stop(
-                    SHARD_GAP_REASON,
-                    shard=owner,
-                    next_cost_bound=cost,
-                    candidates=stats.candidates_enumerated,
-                )
+            state.stop(SHARD_GAP_REASON, shard=owner, next_cost_bound=cost)
             break
-        stats.candidates_enumerated += 1
-        emitter.candidate(
-            stats.candidates_enumerated,
-            stats.estimate_exceeded,
-            stats.feasible_implementations,
-            f_cur,
-        )
         units = required | extras if required else extras
-        signature = canonical_signature(spec, units)
-        outcome = _lookup(by_index, owner, signature)
-        if outcome is None:
+        probe.outcome = _lookup(
+            by_index, owner, canonical_signature(spec, units)
+        )
+        if probe.outcome is None:
             raise ExplorationError(
                 f"internal: shard {owner} journal has no outcome for a "
                 f"candidate it owns (units {sorted(units)!r}); the "
                 f"journals do not belong to this partition/specification"
             )
-        if use_possible_filter:
-            if not outcome.possible:
-                if audit:
-                    tracer.prune("impossible_allocation", cost, units)
-                continue
-            stats.possible_allocations += 1
-        if prune_comm and outcome.comm_pruned:
-            stats.pruned_comm += 1
-            if audit:
-                tracer.prune("useless_comm", cost, units)
-            continue
-        if use_estimation:
-            stats.estimates_computed += 1
-            estimate = outcome.estimate
-            if estimate < f_cur or (estimate == f_cur and not keep_ties):
-                note(
-                    "estimate_pruned",
-                    cost=cost,
-                    units=units,
-                    estimate=estimate,
-                    incumbent=f_cur,
-                )
-                if audit:
-                    tracer.prune(
-                        "estimate_below_incumbent",
-                        cost,
-                        units,
-                        estimate=estimate,
-                        incumbent=f_cur,
-                    )
-                continue
-            if (
-                keep_ties
-                and estimate == f_cur
-                and points
-                and cost > points[-1].cost
-            ):
-                note(
-                    "tie_cost_pruned",
-                    cost=cost,
-                    units=units,
-                    estimate=estimate,
-                    incumbent=f_cur,
-                )
-                if audit:
-                    tracer.prune(
-                        "tie_higher_cost",
-                        cost,
-                        units,
-                        estimate=estimate,
-                        incumbent=f_cur,
-                    )
-                continue
-        stats.estimate_exceeded += 1
-        if not outcome.evaluated:
-            raise ExplorationError(
-                "internal: shard journal holds no speculative evaluation "
-                "for a candidate passing the incumbent bound (violated "
-                "monotonicity invariant)"
-            )
-        stats.solver_invocations += outcome.solver_calls
-        implementation = outcome.implementation_for(
-            units, spec.units.total_cost(units)
-        )
-        if tracer is not None:
-            tracer.evaluate(
-                cost,
-                units,
-                outcome.estimate if use_estimation else None,
-                outcome.solver_calls,
-                implementation is not None,
-                implementation.flexibility
-                if implementation is not None
-                else 0.0,
-                f_cur,
-            )
-        if implementation is None:
-            if audit:
-                tracer.prune(
-                    evaluator.infeasibility_reason(units),
-                    cost,
-                    units,
-                    estimate=(
-                        outcome.estimate if use_estimation else None
-                    ),
-                    incumbent=f_cur,
-                )
-            continue
-        stats.feasible_implementations += 1
-        if implementation.flexibility > f_cur:
-            points.append(implementation)
-            f_cur = implementation.flexibility
-            emitter.incumbent(
-                implementation.cost,
-                implementation.flexibility,
-                implementation.units,
-                stats.candidates_enumerated,
-                stats.estimate_exceeded,
-            )
-            if tracer is not None:
-                tracer.incumbent(
-                    implementation.cost,
-                    implementation.flexibility,
-                    implementation.units,
-                    stats.candidates_enumerated,
-                    stats.estimate_exceeded,
-                )
-        elif (
-            keep_ties
-            and points
-            and implementation.flexibility == f_cur
-            and implementation.cost == points[-1].cost
-            and implementation.units != points[-1].units
-        ):
-            points.append(implementation)
-            emitter.incumbent(
-                implementation.cost,
-                implementation.flexibility,
-                implementation.units,
-                stats.candidates_enumerated,
-                stats.estimate_exceeded,
-            )
-            if tracer is not None:
-                tracer.incumbent(
-                    implementation.cost,
-                    implementation.flexibility,
-                    implementation.units,
-                    stats.candidates_enumerated,
-                    stats.estimate_exceeded,
-                )
-        elif audit:
-            tracer.prune(
-                "not_improving",
-                cost,
-                units,
-                estimate=(
-                    outcome.estimate if use_estimation else None
-                ),
-                achieved=implementation.flexibility,
-                incumbent=f_cur,
-            )
-
-    front = final_front(points)
-    if (
-        audit
-        and len(front) < len(points)
-        and (truncation is None or tracer.record_truncation)
-    ):
-        survivors = {id(p) for p in front}
-        for p in points:
-            if id(p) not in survivors:
-                tracer.prune(
-                    "dominated", p.cost, p.units, flexibility=p.flexibility
-                )
-    stats.elapsed_seconds = time.perf_counter() - started
-    emitter.end(
-        truncation is None,
-        truncation.reason if truncation is not None else None,
-        stats.candidates_enumerated,
-        stats.estimate_exceeded,
-        len(front),
-    )
-    if tracer is not None:
-        tracer.end(
-            truncation is None,
-            truncation.reason if truncation is not None else None,
-            stats.candidates_enumerated,
-            stats.estimate_exceeded,
-            stats.feasible_implementations,
-            len(front),
-            [list(p.point) for p in front],
-        )
-    return ExplorationResult(
-        front,
-        stats,
-        f_max,
-        completed=truncation is None,
-        gap=truncation,
-    )
+        state.step(cost, units, probe)
+    return state.finish(truncation)
 
 
 def _canonical_spec(document: Dict[str, Any]) -> str:
@@ -513,7 +306,6 @@ def _canonical_spec(document: Dict[str, Any]) -> str:
 def merge_shard_checkpoints(
     paths: Sequence[str],
     lost_shards: Sequence[Shard] = (),
-    trace: Optional[list] = None,
     progress=None,
     progress_every: Optional[int] = None,
     tracer=None,
@@ -569,7 +361,6 @@ def merge_shard_checkpoints(
         spec,
         runs,
         engine=engine,
-        trace=trace,
         progress=progress,
         progress_every=progress_every,
         tracer=tracer,

@@ -4,11 +4,14 @@ The exploration pulls candidates from the cost-ordered enumerator in
 batches, fans the incumbent-independent pipeline of each batch out to a
 worker pool (threads, processes, or inline when no pool is available),
 and *replays* the outcomes in the exact serial candidate order against
-the shared incumbent flexibility bound.  The replay makes every
-incumbent-dependent decision — estimate pruning, tie handling, budget
-stops, Pareto recording — with the same code shape and in the same
-order as :func:`repro.core.explorer.explore`, so the returned Pareto
-set, statistics and tie-breaking are identical to the serial loop.
+the shared incumbent flexibility bound.  The replay does not restate
+EXPLORE's decision rule: it hands each candidate, with an
+:class:`~repro.parallel.worker.OutcomeProbe` over its outcome, to the
+:class:`~repro.core.explorer.ExploreState` the serial loop drives, so
+every incumbent-dependent decision — estimate pruning, tie handling,
+stops, Pareto recording — is the serial loop's by construction.  This
+module only batches, dispatches, advances the replay cursor, checks
+the anytime budgets and writes checkpoints.
 
 Why the replay always has what it needs
 ---------------------------------------
@@ -69,17 +72,14 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.candidates import iter_cost_batches
-from ..core.evaluation import (
-    cache_counter_snapshot,
-    charge_cache_counters,
-)
 from ..core.explorer import (
+    PARALLEL_MODES,
+    ExploreState,
     _charged_enumeration,
     prepare_exploration,
     validate_explore_options,
     warm_store_path,
 )
-from ..core.pareto import final_front
 from ..core.progress import ProgressEmitter
 from ..core.result import (
     ExplorationResult,
@@ -95,12 +95,14 @@ from ..errors import (
 )
 from ..spec import SpecificationGraph
 from ..timing import PAPER_UTILIZATION_BOUND
+from ..trace.tracer import BUDGET
 from .cache import EvaluationCache
 from .signature import canonical_signature
 from . import worker as worker_module
 from .worker import (
     CandidateOutcome,
     EvalParams,
+    OutcomeProbe,
     evaluate_candidate,
     init_worker,
     pool_evaluate,
@@ -112,9 +114,6 @@ logger = logging.getLogger(__name__)
 #: keep speculative over-evaluation near the incumbent's rise points
 #: rare, large enough to amortise dispatch overhead.
 BATCH_SIZE_DEFAULT = 32
-
-#: Accepted pool kinds (mirrors ``explore(parallel=...)`` minus "serial").
-PARALLEL_MODES = ("serial", "thread", "process")
 
 #: Exceptions on pool creation/use that trigger the inline fallback.
 _POOL_FAILURES = (OSError, ValueError, ImportError, NotImplementedError)
@@ -495,7 +494,6 @@ def explore_batched(
     batch_size: Optional[int] = None,
     workers: Optional[int] = None,
     cache: Optional[EvaluationCache] = None,
-    trace: Optional[list] = None,
     deadline_seconds: Optional[float] = None,
     max_evaluations: Optional[int] = None,
     checkpoint: Optional[str] = None,
@@ -523,10 +521,6 @@ def explore_batched(
     evaluation outcomes across runs on the *same* specification and
     parameters (e.g. what-if sweeps over ``require_units``); by default
     each run gets a fresh cache.
-
-    ``trace`` — optional list collecting replay pruning events (dicts),
-    used by the property-based tests to check that batching never
-    changes a pruning outcome.
 
     Resilience parameters (see ``docs/resilience.md``):
 
@@ -650,7 +644,6 @@ def explore_batched(
         warm_store=warm_path,
     )
     evaluator = params.evaluator(spec)
-    cache_base = cache_counter_snapshot(evaluator)
     setup = prepare_exploration(
         spec,
         require_units,
@@ -660,22 +653,39 @@ def explore_batched(
         evaluator=evaluator,
     )
     required = setup.required
-    started = time.perf_counter()
-    stats = ExplorationStats()
-    stats.design_space_size = 1 << len(setup.extra_names)
-    f_max = setup.f_max
-    f_cur = 0.0
-    points: List = []
-    cursor = 0
+    cursor = _resume.cursor if _resume is not None else 0
+    # Telemetry rides the same duck-typed seam as in the serial loop
+    # (``.profiler`` on Telemetry and PhaseProfiler); the compiled
+    # evaluator additionally charges per-solve binding/timing through
+    # its ``phase_sink`` when evaluation happens in this process.
+    profiler = getattr(telemetry, "profiler", None)
+    if profiler is not None and hasattr(evaluator, "phase_sink"):
+        evaluator.phase_sink = profiler
+    state = ExploreState(
+        setup.f_max,
+        1 << len(setup.extra_names),
+        name=spec.name,
+        max_cost=max_cost,
+        max_candidates=max_candidates,
+        use_possible_filter=use_possible_filter,
+        prune_comm=prune_comm,
+        use_estimation=use_estimation,
+        keep_ties=keep_ties,
+        emitter=emitter,
+        tracer=tracer,
+        profiler=profiler,
+        evaluator=evaluator,
+        cursor=cursor,
+    )
+    stats = state.stats
     if _resume is not None:
         for name, value in _resume.counters.items():
             if name in ExplorationStats.__slots__ and name != "events":
                 setattr(stats, name, value)
         stats.events = list(_resume.events)
         stats.design_space_size = 1 << len(setup.extra_names)
-        f_cur = _resume.f_cur
-        points = list(_resume.points)
-        cursor = _resume.cursor
+        state.f_cur = _resume.f_cur
+        state.points = list(_resume.points)
     cache = cache if cache is not None else EvaluationCache()
     corruptions_at_start = cache.corruptions
     size = BATCH_SIZE_DEFAULT if batch_size is None else batch_size
@@ -733,31 +743,15 @@ def explore_batched(
         batch_timeout=batch_timeout,
         pool=pool,
     )
-    audit = tracer is not None and tracer.audit
-    # Telemetry rides the same duck-typed seam as in the serial loop
-    # (``.profiler`` on Telemetry and PhaseProfiler); the compiled
-    # evaluator additionally charges per-solve binding/timing through
-    # its ``phase_sink`` when evaluation happens in this process.
-    profiler = getattr(telemetry, "profiler", None)
-    if profiler is not None and hasattr(evaluator, "phase_sink"):
-        evaluator.phase_sink = profiler
-    emitter.start(stats.design_space_size, f_max)
-    if tracer is not None:
-        tracer.start(stats.design_space_size, f_max, cursor=cursor)
     logger.info(
         "explore start: spec=%s design_space=%d f_max=%g mode=%s "
         "cursor=%d",
         spec.name,
         stats.design_space_size,
-        f_max,
+        state.f_max,
         runner.kind,
         cursor,
     )
-
-    def note(kind: str, **fields) -> None:
-        if trace is not None:
-            fields["kind"] = kind
-            trace.append(fields)
 
     candidate_stream = iter(
         evaluator.enumerator(setup.extra_names, include_empty=bool(required))
@@ -785,273 +779,46 @@ def explore_batched(
                 f"to this specification"
             )
 
+    probe = OutcomeProbe(evaluator, spec.units)
     stop = False
     truncation: Optional[OptimalityGap] = None
+
+    def out_of_budget(cost: float) -> bool:
+        """Stop at this candidate when a budget is spent: it bounds
+        everything unexplored."""
+        nonlocal truncation
+        reason = budget.exhausted(stats.estimate_exceeded)
+        if reason is None:
+            return False
+        truncation = OptimalityGap(
+            next_cost_bound=cost,
+            flexibility_bound=state.f_max,
+            achieved_flexibility=state.f_cur,
+            reason=reason,
+        )
+        state.stop(BUDGET, budget=reason, next_cost_bound=cost)
+        return True
+
     try:
         for batch in iter_cost_batches(candidate_stream, size):
-            reason = budget.exhausted(stats.estimate_exceeded)
-            if reason is not None:
-                # Budget hit between batches: the first undispatched
-                # candidate bounds everything unexplored.
-                truncation = OptimalityGap(
-                    next_cost_bound=setup.required_cost + batch[0][0],
-                    flexibility_bound=f_max,
-                    achieved_flexibility=f_cur,
-                    reason=reason,
-                )
-                if tracer is not None:
-                    tracer.stop(
-                        "budget",
-                        budget=reason,
-                        next_cost_bound=truncation.next_cost_bound,
-                        candidates=stats.candidates_enumerated,
-                    )
+            if out_of_budget(setup.required_cost + batch[0][0]):
                 break
-            if profiler is None and tracer is None:
-                resolved = _evaluate_batch(
-                    spec, batch, required, f_cur, cache, runner, writer
-                )
-            else:
-                t_dispatch = time.perf_counter()
-                resolved = _evaluate_batch(
-                    spec, batch, required, f_cur, cache, runner, writer
-                )
-                dt_dispatch = time.perf_counter() - t_dispatch
-                for sink in (tracer, profiler):
-                    if sink is not None:
-                        sink.charge("dispatch", dt_dispatch)
-            # --- deterministic replay: the serial loop body, with the
-            # incumbent-independent results looked up instead of computed.
+            t_dispatch = time.perf_counter()
+            resolved = _evaluate_batch(
+                spec, batch, required, state.f_cur, cache, runner, writer
+            )
+            state.charge("dispatch", time.perf_counter() - t_dispatch)
+            # --- deterministic replay: the decision rule of the serial
+            # loop, with the incumbent-independent answers looked up.
             for (extra_cost, _), (units, outcome) in zip(batch, resolved):
                 cost = setup.required_cost + extra_cost
-                reason = budget.exhausted(stats.estimate_exceeded)
-                if reason is not None:
-                    truncation = OptimalityGap(
-                        next_cost_bound=cost,
-                        flexibility_bound=f_max,
-                        achieved_flexibility=f_cur,
-                        reason=reason,
-                    )
-                    if tracer is not None:
-                        tracer.stop(
-                            "budget",
-                            budget=reason,
-                            next_cost_bound=cost,
-                            candidates=stats.candidates_enumerated,
-                        )
+                if out_of_budget(cost):
+                    break
+                probe.outcome = outcome
+                if not (state.admit(cost) and state.step(cost, units, probe)):
                     stop = True
                     break
-                if f_cur >= f_max:
-                    if not keep_ties or not points or cost > points[-1].cost:
-                        if tracer is not None:
-                            tracer.stop(
-                                "flexibility_bound_reached",
-                                cost=cost,
-                                f_max=f_max,
-                                candidates=stats.candidates_enumerated,
-                            )
-                        stop = True
-                        break
-                if max_cost is not None and cost > max_cost:
-                    if tracer is not None:
-                        tracer.stop(
-                            "cost_bound",
-                            cost=cost,
-                            max_cost=max_cost,
-                            candidates=stats.candidates_enumerated,
-                        )
-                    stop = True
-                    break
-                stats.candidates_enumerated += 1
-                emitter.candidate(
-                    stats.candidates_enumerated,
-                    stats.estimate_exceeded,
-                    stats.feasible_implementations,
-                    f_cur,
-                )
-                if (
-                    max_candidates is not None
-                    and stats.candidates_enumerated > max_candidates
-                ):
-                    if tracer is not None:
-                        tracer.stop(
-                            "max_candidates",
-                            cost=cost,
-                            max_candidates=max_candidates,
-                            candidates=stats.candidates_enumerated,
-                        )
-                    stop = True
-                    break
-                if use_possible_filter:
-                    if not outcome.possible:
-                        if audit:
-                            tracer.prune(
-                                "impossible_allocation", cost, units
-                            )
-                        cursor = _advance(cursor, writer, every, f_cur,
-                                          points, stats, cache)
-                        continue
-                    stats.possible_allocations += 1
-                if prune_comm and outcome.comm_pruned:
-                    stats.pruned_comm += 1
-                    if audit:
-                        tracer.prune("useless_comm", cost, units)
-                    cursor = _advance(cursor, writer, every, f_cur,
-                                      points, stats, cache)
-                    continue
-                if use_estimation:
-                    stats.estimates_computed += 1
-                    estimate = outcome.estimate
-                    if estimate < f_cur or (
-                        estimate == f_cur and not keep_ties
-                    ):
-                        note(
-                            "estimate_pruned",
-                            cost=cost,
-                            units=units,
-                            estimate=estimate,
-                            incumbent=f_cur,
-                        )
-                        if audit:
-                            tracer.prune(
-                                "estimate_below_incumbent",
-                                cost,
-                                units,
-                                estimate=estimate,
-                                incumbent=f_cur,
-                            )
-                        cursor = _advance(cursor, writer, every, f_cur,
-                                          points, stats, cache)
-                        continue
-                    if (
-                        keep_ties
-                        and estimate == f_cur
-                        and points
-                        and cost > points[-1].cost
-                    ):
-                        note(
-                            "tie_cost_pruned",
-                            cost=cost,
-                            units=units,
-                            estimate=estimate,
-                            incumbent=f_cur,
-                        )
-                        if audit:
-                            tracer.prune(
-                                "tie_higher_cost",
-                                cost,
-                                units,
-                                estimate=estimate,
-                                incumbent=f_cur,
-                            )
-                        cursor = _advance(cursor, writer, every, f_cur,
-                                          points, stats, cache)
-                        continue
-                stats.estimate_exceeded += 1
-                if not outcome.evaluated:
-                    raise ExplorationError(
-                        "internal: speculative evaluation missing for a "
-                        "candidate passing the incumbent bound (violated "
-                        "monotonicity invariant)"
-                    )
-                # charged on stats directly (not a local) so that mid-run
-                # checkpoints journal the exact replay-time counter.
-                stats.solver_invocations += outcome.solver_calls
-                implementation = outcome.implementation_for(
-                    units, spec.units.total_cost(units)
-                )
-                if tracer is not None:
-                    # Replay position, outcome-derived data only: the
-                    # logical record equals the serial loop's.  The
-                    # wall-clock channel stays empty — the evaluation
-                    # work happened on a worker.
-                    tracer.evaluate(
-                        cost,
-                        units,
-                        outcome.estimate if use_estimation else None,
-                        outcome.solver_calls,
-                        implementation is not None,
-                        implementation.flexibility
-                        if implementation is not None
-                        else 0.0,
-                        f_cur,
-                    )
-                if implementation is None:
-                    if audit:
-                        tracer.prune(
-                            evaluator.infeasibility_reason(units),
-                            cost,
-                            units,
-                            estimate=(
-                                outcome.estimate if use_estimation else None
-                            ),
-                            incumbent=f_cur,
-                        )
-                    cursor = _advance(cursor, writer, every, f_cur,
-                                      points, stats, cache)
-                    continue
-                stats.feasible_implementations += 1
-                if implementation.flexibility > f_cur:
-                    points.append(implementation)
-                    f_cur = implementation.flexibility
-                    emitter.incumbent(
-                        implementation.cost,
-                        implementation.flexibility,
-                        implementation.units,
-                        stats.candidates_enumerated,
-                        stats.estimate_exceeded,
-                    )
-                    if tracer is not None:
-                        tracer.incumbent(
-                            implementation.cost,
-                            implementation.flexibility,
-                            implementation.units,
-                            stats.candidates_enumerated,
-                            stats.estimate_exceeded,
-                        )
-                    logger.debug(
-                        "incumbent: cost=%g flexibility=%g after %d "
-                        "candidates",
-                        implementation.cost,
-                        implementation.flexibility,
-                        stats.candidates_enumerated,
-                    )
-                elif (
-                    keep_ties
-                    and points
-                    and implementation.flexibility == f_cur
-                    and implementation.cost == points[-1].cost
-                    and implementation.units != points[-1].units
-                ):
-                    points.append(implementation)
-                    emitter.incumbent(
-                        implementation.cost,
-                        implementation.flexibility,
-                        implementation.units,
-                        stats.candidates_enumerated,
-                        stats.estimate_exceeded,
-                    )
-                    if tracer is not None:
-                        tracer.incumbent(
-                            implementation.cost,
-                            implementation.flexibility,
-                            implementation.units,
-                            stats.candidates_enumerated,
-                            stats.estimate_exceeded,
-                        )
-                elif audit:
-                    tracer.prune(
-                        "not_improving",
-                        cost,
-                        units,
-                        estimate=(
-                            outcome.estimate if use_estimation else None
-                        ),
-                        achieved=implementation.flexibility,
-                        incumbent=f_cur,
-                    )
-                cursor = _advance(cursor, writer, every, f_cur,
-                                  points, stats, cache)
+                cursor = _advance(cursor, writer, every, state, cache)
             if stop or truncation is not None:
                 break
         if cache.corruptions > corruptions_at_start:
@@ -1076,8 +843,8 @@ def explore_batched(
         if writer is not None and not idempotent:
             writer.checkpoint(
                 cursor,
-                f_cur,
-                points,
+                state.f_cur,
+                state.points,
                 stats,
                 cache,
                 completed=truncation is None,
@@ -1087,80 +854,22 @@ def explore_batched(
         if writer is not None:
             writer.close()
 
-    if tracer is None and profiler is None:
-        front = final_front(points)
-    else:
-        t_pareto = time.perf_counter()
-        front = final_front(points)
-        dt_pareto = time.perf_counter() - t_pareto
-        for sink in (tracer, profiler):
-            if sink is not None:
-                sink.charge("pareto", dt_pareto)
-    # Dominated-point audit records belong to a run's *final* dominance
-    # pass; a preempted service slice (truncation suppressed) re-runs
-    # this pass every slice and must not re-record them.
-    if (
-        audit
-        and len(front) < len(points)
-        and (truncation is None or tracer.record_truncation)
-    ):
-        survivors = {id(p) for p in front}
-        for p in points:
-            if id(p) not in survivors:
-                tracer.prune(
-                    "dominated", p.cost, p.units, flexibility=p.flexibility
-                )
-    charge_cache_counters(stats, evaluator, cache_base)
-    stats.elapsed_seconds = time.perf_counter() - started
-    emitter.end(
-        truncation is None,
-        truncation.reason if truncation is not None else None,
-        stats.candidates_enumerated,
-        stats.estimate_exceeded,
-        len(front),
-    )
-    if tracer is not None:
-        tracer.end(
-            truncation is None,
-            truncation.reason if truncation is not None else None,
-            stats.candidates_enumerated,
-            stats.estimate_exceeded,
-            stats.feasible_implementations,
-            len(front),
-            [list(p.point) for p in front],
-        )
-    logger.info(
-        "explore end: spec=%s candidates=%d evaluations=%d points=%d "
-        "completed=%s elapsed=%.3fs",
-        spec.name,
-        stats.candidates_enumerated,
-        stats.estimate_exceeded,
-        len(front),
-        truncation is None,
-        stats.elapsed_seconds,
-    )
-    return ExplorationResult(
-        front,
-        stats,
-        f_max,
-        completed=truncation is None,
-        gap=truncation,
-    )
+    return state.finish(truncation)
 
 
 def _advance(
     cursor: int,
     writer,
     every: Optional[int],
-    f_cur: float,
-    points: List,
-    stats: ExplorationStats,
+    state: ExploreState,
     cache: EvaluationCache,
 ) -> int:
     """Count one fully replayed candidate; checkpoint on cadence."""
     cursor += 1
     if writer is not None and every and cursor % every == 0:
-        writer.checkpoint(cursor, f_cur, points, stats, cache)
+        writer.checkpoint(
+            cursor, state.f_cur, state.points, state.stats, cache
+        )
     return cursor
 
 

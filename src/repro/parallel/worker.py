@@ -29,6 +29,7 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from ..core.evaluation import make_evaluator
 from ..core.result import EcsRecord, Implementation
+from ..errors import ExplorationError
 from ..spec import SpecificationGraph
 
 
@@ -139,22 +140,61 @@ class CandidateOutcome:
         self.clusters: FrozenSet[str] = frozenset()
         self.coverage: List[EcsRecord] = []
 
-    def implementation_for(
-        self, units: FrozenSet[str], cost: float
-    ) -> Optional[Implementation]:
-        """Materialise the implementation for a concrete allocation."""
-        if not self.feasible:
-            return None
-        return Implementation(
-            units, cost, self.flexibility, self.clusters, self.coverage
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CandidateOutcome(possible={self.possible}, "
             f"comm_pruned={self.comm_pruned}, estimate={self.estimate}, "
             f"evaluated={self.evaluated}, feasible={self.feasible})"
         )
+
+
+class OutcomeProbe:
+    """The evaluator protocol answered from recorded outcomes.
+
+    The replay drivers (the batched replay and the shard merge) set
+    :attr:`outcome` to the current candidate's
+    :class:`CandidateOutcome` and hand the probe to
+    :class:`repro.core.explorer.ExploreState`, which asks it exactly
+    what it would ask a live evaluator.
+    """
+
+    __slots__ = ("outcome", "_evaluator", "_catalog")
+
+    def __init__(self, evaluator, catalog) -> None:
+        self.outcome: Optional[CandidateOutcome] = None
+        self._evaluator = evaluator
+        self._catalog = catalog
+
+    def possible(self, units) -> bool:
+        return self.outcome.possible
+
+    def comm_pruned(self, units) -> bool:
+        return self.outcome.comm_pruned
+
+    def estimate(self, units) -> float:
+        return self.outcome.estimate
+
+    def evaluate(self, units, solver_counter=None, detail=None):
+        outcome = self.outcome
+        if not outcome.evaluated:
+            raise ExplorationError(
+                "internal: no speculative evaluation recorded for a "
+                "candidate passing the incumbent bound (violated "
+                "monotonicity invariant)"
+            )
+        solver_counter[0] += outcome.solver_calls
+        if not outcome.feasible:
+            return None
+        return Implementation(
+            units,
+            self._catalog.total_cost(units),
+            outcome.flexibility,
+            outcome.clusters,
+            outcome.coverage,
+        )
+
+    def infeasibility_reason(self, units) -> str:
+        return self._evaluator.infeasibility_reason(units)
 
 
 #: Test seam of the fault-injection harness: when not ``None``, called

@@ -51,6 +51,14 @@ class SpecificationGraph:
         #: once the specification is frozen, so repeated explorations,
         #: resumes and service slices stop rebuilding it.
         self._possible_expr: Optional[Any] = None
+        #: The interned compiled tables (:mod:`repro.compiled`); local
+        #: to this process, so never pickled.
+        self._compiled: Optional[Any] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_compiled"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Construction

@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..report import format_table
+from . import tracer as taxonomy
 from .tracer import PRE_EVALUATION_REASONS, PRUNE_REASONS, strip_wall_fields
 
 
@@ -43,12 +44,11 @@ def recompute_stats(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     The arithmetic mirrors the exploration loop's counters: every
     enumerated candidate is either pruned before evaluation (an audit
     record with a :data:`PRE_EVALUATION_REASONS` reason) or fully
-    evaluated (an ``evaluate`` record); post-evaluation prunes
-    (``infeasible_binding``/``timing_test``/``not_improving``) and the
-    final ``dominated`` pass do not add candidates.  For a complete,
-    un-truncated audit trace these equal the run's
-    :class:`~repro.core.result.ExplorationStats` exactly (asserted by
-    ``tests/test_trace.py``).
+    evaluated (an ``evaluate`` record); post-evaluation prunes (the
+    other :data:`PRUNE_REASONS`) and the final dominance pass do not
+    add candidates.  For a complete, un-truncated audit trace these
+    equal the run's :class:`~repro.core.result.ExplorationStats`
+    exactly (asserted by ``tests/test_trace.py``).
     """
     grouped = _by_type(strip_wall_fields(records))
     prunes = grouped.get("prune", [])
@@ -72,16 +72,16 @@ def recompute_stats(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             candidates = record.get("candidates", candidates)
     estimated = [r for r in evaluates if r.get("estimate") is not None]
     estimates_computed = (
-        reasons["estimate_below_incumbent"]
-        + reasons["tie_higher_cost"]
+        reasons[taxonomy.ESTIMATE_BELOW_INCUMBENT]
+        + reasons[taxonomy.TIE_HIGHER_COST]
         + len(estimated)
     )
     feasible = [r for r in evaluates if r.get("feasible")]
     return {
         "candidates_enumerated": candidates,
         "possible_allocations": candidates
-        - reasons["impossible_allocation"],
-        "pruned_comm": reasons["useless_comm"],
+        - reasons[taxonomy.IMPOSSIBLE_ALLOCATION],
+        "pruned_comm": reasons[taxonomy.USELESS_COMM],
         "estimates_computed": estimates_computed,
         "estimate_exceeded": len(evaluates),
         "feasible_implementations": len(feasible),
@@ -89,7 +89,7 @@ def recompute_stats(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             r.get("solver_calls", 0) for r in evaluates
         ),
         "incumbents": len(incumbents),
-        "points": len(incumbents) - reasons["dominated"],
+        "points": len(incumbents) - reasons[taxonomy.DOMINATED],
         "prune_reasons": reasons,
     }
 

@@ -76,6 +76,15 @@ NONLOGICAL_TYPES = frozenset({"phase_totals"})
 #:   not beat the incumbent;
 #: * ``dominated`` — removed by the final Pareto dominance pass.
 PRUNE_REASONS = (
+    IMPOSSIBLE_ALLOCATION,
+    USELESS_COMM,
+    ESTIMATE_BELOW_INCUMBENT,
+    TIE_HIGHER_COST,
+    INFEASIBLE_BINDING,
+    TIMING_TEST,
+    NOT_IMPROVING,
+    DOMINATED,
+) = (
     "impossible_allocation",
     "useless_comm",
     "estimate_below_incumbent",
@@ -88,6 +97,11 @@ PRUNE_REASONS = (
 
 #: Reasons of ``stop`` records: what ended the enumeration early.
 STOP_REASONS = (
+    FLEXIBILITY_BOUND_REACHED,
+    COST_BOUND,
+    MAX_CANDIDATES,
+    BUDGET,
+) = (
     "flexibility_bound_reached",
     "cost_bound",
     "max_candidates",
@@ -98,10 +112,10 @@ STOP_REASONS = (
 #: no ``evaluate`` record).
 PRE_EVALUATION_REASONS = frozenset(
     {
-        "impossible_allocation",
-        "useless_comm",
-        "estimate_below_incumbent",
-        "tie_higher_cost",
+        IMPOSSIBLE_ALLOCATION,
+        USELESS_COMM,
+        ESTIMATE_BELOW_INCUMBENT,
+        TIE_HIGHER_COST,
     }
 )
 

@@ -12,9 +12,12 @@
   flat problem) changes no solver statistics.
 * The possible-resource-allocation expression is compiled once per
   frozen specification.
+* A dropped specification frees its compiled tables and verdict memo.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +26,9 @@ from hypothesis import strategies as st
 from .randspec import random_spec
 from repro.activation import flatten
 from repro.binding import Allocation, BindingSolver, SolverStats
-from repro.casestudies import build_settop_spec
-from repro.compiled import compiled_evaluator
-from repro.core import final_front, make_evaluator
+from repro.casestudies import build_settop_spec, build_tv_decoder_spec
+from repro.compiled import compiled_evaluator, compiled_spec_for
+from repro.core import explore, final_front, make_evaluator
 from repro.core.candidates import (
     AllocationEnumerator,
     possible_allocation_expr,
@@ -196,3 +199,19 @@ def test_possible_allocation_expr_cached_on_frozen_spec():
 def test_possible_allocation_expr_cache_is_per_spec():
     a, b = build_settop_spec(), build_settop_spec()
     assert possible_allocation_expr(a) is not possible_allocation_expr(b)
+
+
+@pytest.mark.parametrize("build", [build_tv_decoder_spec, build_settop_spec])
+def test_dropped_spec_frees_its_compiled_tables(build):
+    """The intern table is keyed weakly by the specification; nothing
+    it keeps may hold the key, or no explored spec is ever freed."""
+    spec = build()
+    explore(spec)
+    refs = [
+        weakref.ref(spec),
+        weakref.ref(compiled_spec_for(spec)),
+        weakref.ref(compiled_evaluator(spec)),
+    ]
+    del spec
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]

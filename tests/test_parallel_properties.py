@@ -16,6 +16,19 @@ import pytest
 from .randspec import random_spec
 from repro.core import explore
 from repro.parallel import EvaluationCache, explore_batched
+from repro.trace import Tracer
+
+#: The audit prune reasons the incumbent bound decides.
+BOUND_PRUNES = ("estimate_below_incumbent", "tie_higher_cost")
+
+
+def bound_prunes(tracer, reasons=BOUND_PRUNES):
+    """The audit records of candidates pruned on the incumbent bound."""
+    return [
+        r
+        for r in tracer.records
+        if r["type"] == "prune" and r["reason"] in reasons
+    ]
 
 try:
     from hypothesis import HealthCheck, given, settings
@@ -37,17 +50,17 @@ def assert_pruned_are_dominated(seed: int, batch_size: int, keep_ties: bool):
     """
     spec = random_spec(seed)
     serial = explore(spec, keep_ties=keep_ties)
-    trace = []
+    tracer = Tracer(level="audit")
     batched = explore_batched(
         spec,
         parallel="serial",
         batch_size=batch_size,
         keep_ties=keep_ties,
-        trace=trace,
+        tracer=tracer,
     )
     assert batched.front() == serial.front()
     front = serial.front()
-    pruned = [e for e in trace if e["kind"] == "estimate_pruned"]
+    pruned = bound_prunes(tracer, ("estimate_below_incumbent",))
     for event in pruned:
         assert any(
             cost <= event["cost"] and flexibility >= event["estimate"]
@@ -65,14 +78,13 @@ def assert_batching_invariant_outcomes(seed: int, sizes=(1, 3, 8, 64)):
     spec = random_spec(seed)
 
     def decisions(batch_size):
-        trace = []
+        tracer = Tracer(level="audit")
         result = explore_batched(
-            spec, parallel="serial", batch_size=batch_size, trace=trace
+            spec, parallel="serial", batch_size=batch_size, tracer=tracer
         )
         pruned = [
             (e["cost"], frozenset(e["units"]), e["estimate"], e["incumbent"])
-            for e in trace
-            if e["kind"] == "estimate_pruned"
+            for e in bound_prunes(tracer, ("estimate_below_incumbent",))
         ]
         return result.front(), pruned
 
@@ -87,16 +99,17 @@ def assert_cache_preserves_pruning(seed: int):
     """A warm cross-run memo cache changes no pruning decision."""
     spec = random_spec(seed)
     cache = EvaluationCache()
-    cold_trace, warm_trace = [], []
+    cold_trace, warm_trace = Tracer(level="audit"), Tracer(level="audit")
     cold = explore_batched(
-        spec, parallel="serial", cache=cache, trace=cold_trace
+        spec, parallel="serial", cache=cache, tracer=cold_trace
     )
     warm = explore_batched(
-        spec, parallel="serial", cache=cache, trace=warm_trace
+        spec, parallel="serial", cache=cache, tracer=warm_trace
     )
     assert cold.front() == warm.front()
     strip = lambda t: [  # noqa: E731
-        (e["kind"], e["cost"], frozenset(e["units"])) for e in t
+        (e["reason"], e["cost"], frozenset(e["units"]))
+        for e in bound_prunes(t)
     ]
     assert strip(cold_trace) == strip(warm_trace)
 
