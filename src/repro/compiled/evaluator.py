@@ -113,6 +113,10 @@ class CompiledEvaluator:
         #: directory path and the bound namespace handle, or ``None``.
         self._warm_path: Optional[str] = None
         self._warm = None
+        #: :mod:`repro.store.digest` (bound on attachment) and its
+        #: per-evaluator key material (built on the first key).
+        self._digest = None
+        self._key_material = None
         # Memo/warm cache counters (process-lifetime, monotone — runs
         # snapshot and charge deltas; see ``cache_counters``).
         self.memo_hits = 0
@@ -375,14 +379,15 @@ class CompiledEvaluator:
         if path is None:
             self._warm = None
             return
+        from ..store import digest as store_digest
         from ..store import open_store
-        from ..store.digest import namespace_digest
 
         cspec = self.cs
         digest = getattr(cspec, "_warm_namespace", None)
         if digest is None:
-            digest = namespace_digest(self.spec)
+            digest = store_digest.namespace_digest(self.spec)
             cspec._warm_namespace = digest
+        self._digest = store_digest
         self._warm = open_store(path).binding(digest)
 
     def cache_counters(self) -> Dict[str, int]:
@@ -408,12 +413,11 @@ class CompiledEvaluator:
         """
         self.memo_misses += 1
         warm = self._warm
-        wkey = deps = None
         if warm is not None:
-            from ..store.digest import key_digest
-
-            wkey, deps = key_digest(self, info, usable)
-            verdict = self._verdict_from_payload(warm.get(wkey))
+            # The digest is taken through the module attribute, once
+            # per miss; the store decodes each entry once and keeps it.
+            wkey = self._digest.key_digest(self, info, usable)
+            verdict = warm.get(wkey, self._verdict_from_payload)
             if verdict is not None:
                 self.warm_hits += 1
                 self._verdicts[key] = verdict
@@ -421,8 +425,11 @@ class CompiledEvaluator:
             self.warm_misses += 1
         verdict = self._compute_verdict(info, usable)
         self._verdicts[key] = verdict
-        if warm is not None:
-            warm.put(wkey, deps, self._verdict_to_payload(verdict))
+        if warm is not None and warm.put(
+            wkey,
+            self._digest.key_deps(self, info, usable),
+            self._verdict_to_payload(verdict),
+        ):
             self.warm_writes += 1
         return verdict, True
 

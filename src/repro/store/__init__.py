@@ -7,7 +7,8 @@ across candidates; this package makes that memo durable across
 
 * :mod:`repro.store.digest` — content addressing.  A namespace digest
   pins the specification structure (latencies and unit costs
-  stripped); a key digest pins every input of one verdict.  Stale
+  stripped); a key digest pins every input of one verdict, assembled
+  from material each evaluator computes once per ECS.  Stale
   reuse is structurally impossible: an edit changes the digests, so
   old entries are never looked up.
 * :mod:`repro.store.store` — the append-only, CRC-checksummed segment
@@ -30,6 +31,7 @@ from .diff import SpecEdit, diff_specs, invalidate, touched_keys
 from .digest import (
     KEY_VERSION,
     full_spec_digest,
+    key_deps,
     key_digest,
     namespace_digest,
 )
@@ -53,6 +55,7 @@ __all__ = [
     "diff_specs",
     "full_spec_digest",
     "invalidate",
+    "key_deps",
     "key_digest",
     "namespace_digest",
     "open_store",

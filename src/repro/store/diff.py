@@ -135,9 +135,9 @@ def touched_keys(store: WarmStore, edit: SpecEdit, old_spec) -> List[str]:
     ]
     ns = store.namespace(edit.old_namespace)
     keys: List[str] = []
-    for key, (deps, _payload) in ns.entries.items():
-        leaves = deps.get("l") or ()
-        units = deps.get("u") or ()
+    for key, entry in ns.entries.items():
+        leaves = entry.deps.get("l") or ()
+        units = entry.deps.get("u") or ()
         for process, unit in pairs:
             if unit is None:
                 # A latency edit on a resource no unit owns cannot have

@@ -22,6 +22,8 @@ lost entry can cause is a cold re-evaluation.  The record types:
 ``entry``
     One verdict: ``{"k": key digest, "deps": {"l": leaves, "u": units},
     "v": verdict payload}``.  Later segments win on duplicate keys.
+    In memory an entry also keeps the verdict its first successful
+    decode produced, so later reads skip the payload validation.
 ``drop``
     Invalidation tombstone: ``{"k": [key digests]}`` — appended by
     :func:`repro.store.diff.invalidate`; compaction erases both the
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import logging
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..resilience.journal import _parse_line, encode_record
 
@@ -64,6 +66,19 @@ def _is_segment(name: str) -> bool:
     return name.startswith(_SEG_PREFIX) and name.endswith(_SEG_SUFFIX)
 
 
+class _Entry:
+    """One live verdict entry of a namespace."""
+
+    __slots__ = ("deps", "payload", "value")
+
+    def __init__(self, deps: Dict[str, Any], payload: Any) -> None:
+        self.deps = deps
+        self.payload = payload
+        #: The payload as decoded by the first successful ``get`` with
+        #: a decoder (``None`` until then); see :meth:`WarmStore.get`.
+        self.value: Any = None
+
+
 class _Namespace:
     """In-process view of one namespace directory (lazy-loaded)."""
 
@@ -72,8 +87,8 @@ class _Namespace:
     def __init__(self, digest: str, path: str) -> None:
         self.digest = digest
         self.path = path
-        #: key digest -> (deps, verdict payload)
-        self.entries: Dict[str, Tuple[Dict[str, Any], Any]] = {}
+        #: key digest -> entry (deps, verdict payload, decoded value)
+        self.entries: Dict[str, _Entry] = {}
         self._writer = None
         self._writer_dead = False
 
@@ -127,9 +142,8 @@ class _Namespace:
             if rtype == "entry" and isinstance(payload, dict):
                 key = payload.get("k")
                 if isinstance(key, str):
-                    self.entries[key] = (
-                        payload.get("deps") or {},
-                        payload.get("v"),
+                    self.entries[key] = _Entry(
+                        payload.get("deps") or {}, payload.get("v")
                     )
             elif rtype == "drop" and isinstance(payload, dict):
                 for key in payload.get("k", ()):
@@ -261,23 +275,44 @@ class WarmStore:
         return WarmBinding(self, digest)
 
     # -- cache protocol ----------------------------------------------
-    def get(self, digest: str, key: str) -> Any:
+    def get(
+        self,
+        digest: str,
+        key: str,
+        decode: Optional[Callable[[Any], Any]] = None,
+    ) -> Any:
+        """The payload stored under ``key``, or ``None`` on a miss.
+
+        With ``decode``, returns ``decode(payload)`` instead, computed
+        on the first read and kept in the entry while it is not
+        ``None`` — a decoder signals a malformed payload with ``None``,
+        so such a payload is decoded (and rejected) on every read.
+        """
         entry = self.namespace(digest).entries.get(key)
         if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        return entry[1]
+        if decode is None:
+            return entry.payload
+        value = entry.value
+        if value is None:
+            value = entry.value = decode(entry.payload)
+        return value
 
     def put(
         self, digest: str, key: str, deps: Dict[str, Any], payload: Any
-    ) -> None:
+    ) -> bool:
+        """Record a new entry; returns whether it was appended to disk
+        (``False`` for a known key or when the writer is disabled)."""
         ns = self.namespace(digest)
         if key in ns.entries:
-            return
-        ns.entries[key] = (deps, payload)
+            return False
+        ns.entries[key] = _Entry(deps, payload)
         if ns._append("entry", {"k": key, "deps": deps, "v": payload}):
             self.writes += 1
+            return True
+        return False
 
     def drop(self, digest: str, keys: Iterable[str]) -> int:
         """Invalidate ``keys`` in a namespace (tombstone + in-memory).
@@ -466,10 +501,11 @@ class WarmStore:
                 )
             )
             for key in sorted(ns.entries):
-                deps, payload = ns.entries[key]
+                entry = ns.entries[key]
                 handle.write(
                     encode_record(
-                        "entry", {"k": key, "deps": deps, "v": payload}
+                        "entry",
+                        {"k": key, "deps": entry.deps, "v": entry.payload},
                     )
                 )
             handle.flush()
@@ -495,11 +531,13 @@ class WarmBinding:
         self.store = store
         self.digest = digest
 
-    def get(self, key: str) -> Any:
-        return self.store.get(self.digest, key)
+    def get(
+        self, key: str, decode: Optional[Callable[[Any], Any]] = None
+    ) -> Any:
+        return self.store.get(self.digest, key, decode)
 
-    def put(self, key: str, deps: Dict[str, Any], payload: Any) -> None:
-        self.store.put(self.digest, key, deps, payload)
+    def put(self, key: str, deps: Dict[str, Any], payload: Any) -> bool:
+        return self.store.put(self.digest, key, deps, payload)
 
 
 # --- process-wide interning ------------------------------------------------

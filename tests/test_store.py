@@ -5,26 +5,32 @@ segment durability (store) and edit classification (diff) — while
 ``test_warm_start.py`` proves the end-to-end byte-identity contract.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from .randspec import random_spec
 from repro.analysis import with_latency, with_unit_costs
 from repro.casestudies import build_settop_spec, build_tv_decoder_spec
+from repro.core import explore
 from repro.io import spec_from_dict, spec_to_dict
 from repro.resilience.journal import encode_record
 from repro.store import (
+    KEY_VERSION,
     SEGMENT_FORMAT,
     SEGMENT_VERSION,
     WarmStore,
     describe_store,
     diff_specs,
+    full_spec_digest,
     invalidate,
     namespace_digest,
     open_store,
     touched_keys,
 )
+from repro.store import digest as store_digest
 from repro.store.store import _reset_stores
 
 
@@ -76,6 +82,109 @@ class TestNamespaceDigest:
         assert namespace_digest(clone) == namespace_digest(settop)
 
 
+def reference_key(evaluator, info, usable):
+    """The key digest and deps as first defined: the canonical JSON of
+    the whole payload, serialised afresh for every key."""
+    cs = evaluator.cs
+    proj_names = sorted(cs.names_of(usable & info.support))
+    domains = [
+        [
+            [
+                rec.resource,
+                rec.owner_bit,
+                rec.owner_top,
+                rec.iface_id,
+                1 if rec.loaded else 0,
+                rec.util_increment,
+            ]
+            for rec in recs
+            if usable >> rec.owner_bit & 1
+        ]
+        for recs in info.options
+    ]
+    payload = [
+        KEY_VERSION,
+        [evaluator.util_bound, evaluator.backend, evaluator.timing_mode],
+        sorted(info.selection.items()),
+        list(info.leaves),
+        proj_names,
+        domains,
+    ]
+    if evaluator.timing_mode == "schedule" or evaluator.backend == "sat":
+        payload.append(full_spec_digest(evaluator.spec))
+        payload.append(sorted(cs.names_of(usable)))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+    return digest, {"l": list(info.leaves), "u": proj_names}
+
+
+MODES = [
+    (timing_mode, backend)
+    for timing_mode in ("utilization", "schedule", "none")
+    for backend in ("csp", "sat")
+]
+
+
+def checked_keys(monkeypatch, tmp_path, spec, timing_mode, backend):
+    """Explore ``spec`` into a fresh store, asserting every key digest
+    (and its deps) equals the reference; returns the digests."""
+    keys = []
+    key_digest = store_digest.key_digest
+
+    def checked(evaluator, info, usable):
+        digest = key_digest(evaluator, info, usable)
+        expected, deps = reference_key(evaluator, info, usable)
+        assert digest == expected
+        assert store_digest.key_deps(evaluator, info, usable) == deps
+        keys.append(digest)
+        return digest
+
+    monkeypatch.setattr(store_digest, "key_digest", checked)
+    explore(
+        spec_from_dict(spec_to_dict(spec)),
+        warm_store=str(tmp_path / f"ws-{timing_mode}-{backend}"),
+        timing_mode=timing_mode,
+        backend=backend,
+    )
+    monkeypatch.setattr(store_digest, "key_digest", key_digest)
+    return keys
+
+
+class TestKeyDigest:
+    """The key digest is assembled from precomputed per-ECS material;
+    its bytes must equal the canonical JSON of the whole payload."""
+
+    @pytest.mark.parametrize("timing_mode,backend", MODES)
+    @pytest.mark.parametrize(
+        "build", [build_settop_spec, build_tv_decoder_spec]
+    )
+    def test_case_studies_match_reference(
+        self, build, timing_mode, backend, monkeypatch, tmp_path
+    ):
+        keys = checked_keys(
+            monkeypatch, tmp_path, build(), timing_mode, backend
+        )
+        assert keys and len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_corpus_matches_reference(
+        self, seed, monkeypatch, tmp_path
+    ):
+        spec = random_spec(seed)
+        for timing_mode, backend in MODES:
+            checked_keys(monkeypatch, tmp_path, spec, timing_mode, backend)
+
+    def test_settop_digest_is_pinned(self, monkeypatch, tmp_path):
+        """Changing the key bytes orphans every existing store, so it
+        must come with a ``KEY_VERSION`` bump (and a new literal)."""
+        keys = checked_keys(
+            monkeypatch, tmp_path, build_settop_spec(), "utilization", "csp"
+        )
+        assert KEY_VERSION == 1
+        assert len(keys) == 121
+        assert keys[0] == "0441c0e810ad5e6fefaf9ceb372b9331"
+
+
 class TestSegmentStore:
     def test_put_get_and_reload(self, tmp_path):
         store = open_store(str(tmp_path))
@@ -97,6 +206,39 @@ class TestSegmentStore:
         store.put("ns1", "k1", {}, "second")
         assert store.get("ns1", "k1") == "first"
         assert store.writes == 1
+
+    def test_put_reports_whether_it_appended(self, tmp_path, monkeypatch):
+        store = open_store(str(tmp_path))
+        assert store.put("ns1", "k1", {}, 1) is True
+        assert store.put("ns1", "k1", {}, 1) is False  # known key
+        monkeypatch.setattr(
+            "repro.store.store._Namespace._open_writer", lambda self: None
+        )
+        assert store.put("ns2", "k1", {}, 1) is False  # nothing durable
+        assert store.writes == 1
+
+    def test_decoded_value_kept_per_entry(self, tmp_path):
+        store = open_store(str(tmp_path))
+        store.put("ns1", "good", {}, {"v": 1})
+        store.put("ns1", "bad", {}, {"v": None})
+        calls = []
+
+        def decode(payload):
+            calls.append(payload)
+            return payload["v"] and ("decoded", payload["v"])
+
+        assert store.get("ns1", "good", decode) == ("decoded", 1)
+        assert store.get("ns1", "good", decode) == ("decoded", 1)
+        assert store.get("ns1", "good") == {"v": 1}  # raw payload
+        # a rejected payload is never kept: every read decodes it again
+        assert store.get("ns1", "bad", decode) is None
+        assert store.get("ns1", "bad", decode) is None
+        assert calls == [{"v": 1}, {"v": None}, {"v": None}]
+        assert store.hits == 5
+        # a dropped entry takes its decoded value with it
+        store.drop("ns1", ["good"])
+        assert store.get("ns1", "good", decode) is None
+        assert store.misses == 1
 
     def test_drop_tombstone_survives_reload(self, tmp_path):
         store = open_store(str(tmp_path))

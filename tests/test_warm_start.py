@@ -244,6 +244,26 @@ class TestFailureModes:
         assert warm.stats.warm_corruptions > 0
         assert warm.stats.warm_hits == 0
 
+    def test_malformed_payload_counted_on_every_run(self, tmp_path):
+        """A rejected payload is never kept as a decoded verdict, so a
+        second run in the same process rejects it (loudly) again."""
+        spec, store_path, segments = self.fill(tmp_path)
+        for segment in segments:
+            lines = open(segment, "rb").read().splitlines()
+            with open(segment, "w", encoding="utf-8") as handle:
+                for line in lines:
+                    rtype, payload = _parse_line(line + b"\n")
+                    if rtype == "entry":
+                        payload["v"] = {"b": 5, "d": "wrong", "tc": None}
+                    handle.write(encode_record(rtype, payload))
+        cold, _cold_trace = run(spec)
+        first, _trace = run(spec, warm_store=store_path)
+        second, _trace = run(spec, warm_store=store_path)
+        assert canonical(cold) == canonical(first) == canonical(second)
+        assert first.stats.warm_corruptions > 0
+        assert second.stats.warm_corruptions == first.stats.warm_corruptions
+        assert first.stats.warm_hits == second.stats.warm_hits == 0
+
     def test_version_skewed_store_starts_cold(self, tmp_path):
         spec, store_path, segments = self.fill(tmp_path)
         for segment in segments:
@@ -275,6 +295,7 @@ class TestFailureModes:
         assert canonical(cold) == canonical(warm)
         assert cold_trace == warm_trace
         assert open_store(store_path).writes == 0  # nothing durable
+        assert warm.stats.warm_writes == 0
         _reset_stores()
         assert open_store(store_path).stats()["entries"] == 0
 
@@ -283,6 +304,65 @@ class TestFailureModes:
             explore(build_settop_spec(), warm_store=123)
         with pytest.raises(ExplorationError):
             explore(build_settop_spec(), warm_store="")
+
+
+class TestDecodedVerdicts:
+    """Each store entry keeps the verdict it decoded first; dropping,
+    compacting or reloading the entry must take that verdict along."""
+
+    def test_invalidated_key_misses_and_recomputes(self, tmp_path):
+        spec = build_settop_spec()
+        store_path = str(tmp_path / "ws")
+        cold, cold_trace = run(spec)
+        run(spec, warm_store=store_path)
+        warm, _trace = run(spec, warm_store=store_path)  # decodes all
+        assert warm.stats.warm_misses == 0
+
+        mapping = spec_to_dict(spec)["mappings"][0]
+        pair = (mapping["process"], mapping["resource"])
+        patched = with_latency(spec, {pair: mapping["latency"] + 1})
+        report = invalidate(open_store(store_path), spec, patched)
+        assert report["invalidated"] >= 1
+
+        again, again_trace = run(spec, warm_store=store_path)
+        assert canonical(again) == canonical(cold)
+        assert again_trace == cold_trace
+        assert again.stats.warm_misses == report["invalidated"]
+        assert again.stats.warm_writes == report["invalidated"]
+
+    def test_gc_and_reload_keep_warm_equal_to_cold(self, tmp_path):
+        spec = build_settop_spec()
+        store_path = str(tmp_path / "ws")
+        cold, cold_trace = run(spec)
+        filling, _trace = run(spec, warm_store=store_path)
+        run(spec, warm_store=store_path)  # decodes every entry
+        open_store(store_path).gc()
+        compacted, compacted_trace = run(spec, warm_store=store_path)
+        _reset_stores()
+        reloaded, reloaded_trace = run(spec, warm_store=store_path)
+        for warm, trace in (
+            (compacted, compacted_trace),
+            (reloaded, reloaded_trace),
+        ):
+            assert canonical(warm) == canonical(cold)
+            assert trace == cold_trace
+            assert warm.stats.warm_hits == filling.stats.warm_writes
+            assert warm.stats.warm_misses == 0
+
+    def test_mutating_a_result_does_not_reach_the_store(self, tmp_path):
+        spec = build_settop_spec()
+        store_path = str(tmp_path / "ws")
+        cold, _trace = run(spec)
+        run(spec, warm_store=store_path)
+        earlier, _trace = run(spec, warm_store=store_path)
+        for point in earlier.points:
+            for record in point.coverage:
+                for process in record.binding:
+                    record.binding[process] = "tampered"
+                record.binding["ghost"] = "tampered"
+        later, _trace = run(spec, warm_store=store_path)
+        assert later.stats.warm_hits > 0
+        assert canonical(later) == canonical(cold)
 
 
 class TestWiring:
