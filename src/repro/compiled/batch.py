@@ -67,14 +67,9 @@ BLOCK_ROWS = 4096
 
 #: Largest extra-unit count for which the full ``2^n`` enumeration
 #: order is materialized up front (arrays of ``2^n`` rows); larger
-#: spaces stream cost bands through the enumerator's band API.
+#: spaces stream cost bands through the enumerator's band API.  Each
+#: source wins on its own input sizes, so the choice stays by size.
 MATERIALIZE_MAX_BITS_DEFAULT = 20
-
-#: Smallest extra-unit count worth vectorizing in the serial loop.
-#: Below it (< 2^12 candidates before pruning) the whole search is
-#: sub-millisecond scalar and the kernel's array setup costs more
-#: than it saves; overridable via ``REPRO_VECTORIZE_MIN_BITS``.
-MIN_VECTOR_BITS_DEFAULT = 12
 
 
 def active_numpy():
@@ -95,20 +90,6 @@ def active_numpy():
 def numpy_version() -> Optional[str]:
     """The installed numpy version string, or ``None`` (gate-independent)."""
     return None if _np is None else str(_np.__version__)
-
-
-def _materialize_max_bits() -> int:
-    try:
-        return int(os.environ.get("REPRO_MATERIALIZE_MAX_BITS", ""))
-    except ValueError:
-        return MATERIALIZE_MAX_BITS_DEFAULT
-
-
-def _min_vector_bits() -> int:
-    try:
-        return int(os.environ.get("REPRO_VECTORIZE_MIN_BITS", ""))
-    except ValueError:
-        return MIN_VECTOR_BITS_DEFAULT
 
 
 def popcount64(values):
@@ -480,9 +461,7 @@ class BlockContext:
         self.sinks = tuple(s for s in sinks if s is not None)
         self.block_rows = block_rows
         self.clock = time.perf_counter
-        self.materialized = (
-            len(extra_names) <= _materialize_max_bits()
-        )
+        self.materialized = len(extra_names) <= MATERIALIZE_MAX_BITS_DEFAULT
 
     # -- plumbing -------------------------------------------------------
     def _charge(self, phase: str, seconds: float) -> None:
@@ -688,13 +667,8 @@ def make_block_context(
     """A :class:`BlockContext` for one run, or ``None`` when the
     vectorized kernel cannot serve it (numpy absent or disabled, more
     than 64 unit bits, nothing to enumerate, or a negative-cost unit —
-    the heap stream is only globally cost-sorted for costs >= 0) or
-    would not pay for itself (fewer than ``REPRO_VECTORIZE_MIN_BITS``
-    enumerated units: sub-millisecond searches are faster scalar than
-    the kernel's array setup)."""
+    the heap stream is only globally cost-sorted for costs >= 0)."""
     if active_numpy() is None:
-        return None
-    if len(extra_names) < _min_vector_bits():
         return None
     cs = evaluator.cs
     if not 0 < cs.unit_count <= 64:
@@ -771,7 +745,6 @@ __all__ = [
     "BlockContext",
     "BlockKernel",
     "MATERIALIZE_MAX_BITS_DEFAULT",
-    "MIN_VECTOR_BITS_DEFAULT",
     "active_numpy",
     "batch_outcomes",
     "kernel_for",

@@ -30,10 +30,21 @@ construction.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import logging
 import time
-from typing import FrozenSet, Iterable, List, NamedTuple, Optional
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..boolexpr import Expr
 from ..errors import ExplorationError
@@ -96,6 +107,104 @@ class ExplorationSetup(NamedTuple):
     f_max: float
 
 
+# --- the parameter table ----------------------------------------------------
+#
+# Every ``explore()`` parameter after ``spec`` is declared once, below,
+# with its role; every other list of parameter names in the package
+# (merge, resume, checkpoint header, service jobs, shard-worker runs,
+# worker-pool parameters) is derived from this table.
+
+#: Changes the front: shard runs and their merge must agree on it, and
+#: a resume may not change it.
+RESULT = "result"
+#: Counts enumeration positions (``max_candidates``): meaningless
+#: across shards, frozen on resume.
+POSITION = "position"
+#: The candidate slice a shard run owns: frozen on resume, because the
+#: journaled cursor counts positions of that slice.
+SHARD = "shard"
+#: How the work runs; never changes the result, so a resume may
+#: override it.
+GEOMETRY = "geometry"
+#: Anytime budgets: they truncate with an explicit gap, and a resume
+#: may override them.
+BUDGET = "budget"
+#: Per-session seams (journal path, observers): never journaled.
+SESSION = "session"
+
+
+class ExploreParam(NamedTuple):
+    """One row of :data:`EXPLORE_PARAMS`."""
+
+    name: str
+    role: str
+    #: Where the parameter travels besides its role: ``job`` (a service
+    #: submission may set it), ``run`` (a shard-worker run request may
+    #: carry it), ``pool`` (worker-pool shape, which service and remote
+    #: hosts choose for themselves), ``evaluator`` (an argument of
+    #: :func:`~repro.core.evaluation.make_evaluator`) and ``pipeline``
+    #: (a switch of the per-candidate pipeline).
+    tags: FrozenSet[str]
+
+
+#: Every ``explore()`` parameter after ``spec``, in signature order.
+EXPLORE_PARAMS = tuple(
+    ExploreParam(name, role, frozenset(tags.split()))
+    for name, role, tags in (
+        # name                 role      tags
+        ("util_bound",          RESULT,   "job run evaluator"),
+        ("max_cost",            RESULT,   "job run"),
+        ("max_candidates",      POSITION, "job"),
+        ("use_possible_filter", RESULT,   "job run pipeline"),
+        ("use_estimation",      RESULT,   "job run pipeline"),
+        ("prune_comm",          RESULT,   "job run pipeline"),
+        ("check_utilization",   RESULT,   "job run evaluator"),
+        ("weighted",            RESULT,   "job run evaluator"),
+        ("backend",             RESULT,   "job run evaluator"),
+        ("keep_ties",           RESULT,   "job run pipeline"),
+        ("timing_mode",         RESULT,   "job run evaluator"),
+        ("require_units",       RESULT,   "job run"),
+        ("forbid_units",        RESULT,   "job run"),
+        ("parallel",            GEOMETRY, "run pool"),
+        ("batch_size",          GEOMETRY, "job run"),
+        ("workers",             GEOMETRY, "run pool"),
+        ("deadline_seconds",    BUDGET,   "run"),
+        ("max_evaluations",     BUDGET,   "run"),
+        ("checkpoint",          SESSION,  ""),
+        ("checkpoint_every",    GEOMETRY, ""),
+        ("batch_timeout",       GEOMETRY, ""),
+        ("retry",               GEOMETRY, ""),
+        ("progress",            SESSION,  ""),
+        ("progress_every",      SESSION,  ""),
+        ("tracer",              SESSION,  ""),
+        ("engine",              GEOMETRY, "job run evaluator"),
+        ("shard",               SHARD,    "job"),
+        ("warm_store",          GEOMETRY, "evaluator"),
+        ("telemetry",           SESSION,  ""),
+    )
+)
+
+
+def param_names(*roles: str, tag: Optional[str] = None) -> Tuple[str, ...]:
+    """Names of the :data:`EXPLORE_PARAMS` rows with one of ``roles``
+    (any role when none is given) and carrying ``tag``, in table
+    order."""
+    return tuple(
+        p.name
+        for p in EXPLORE_PARAMS
+        if (not roles or p.role in roles) and (tag is None or tag in p.tags)
+    )
+
+
+def bound_params(
+    namespace: Mapping[str, Any], names: Iterable[str] = param_names()
+) -> Dict[str, Any]:
+    """The parameters ``names`` (default: all of them) as bound in
+    ``namespace`` — a call's ``locals()`` or a checkpoint header;
+    names it lacks are skipped."""
+    return {name: namespace[name] for name in names if name in namespace}
+
+
 def validate_explore_options(
     backend: str,
     timing_mode: Optional[str],
@@ -154,6 +263,15 @@ def validate_explore_options(
         raise ExplorationError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
+
+
+_VALIDATED = tuple(inspect.signature(validate_explore_options).parameters)
+
+
+def validate_bound_options(options: Mapping[str, Any]) -> None:
+    """:func:`validate_explore_options` over bound parameters (see
+    :func:`bound_params`)."""
+    validate_explore_options(**bound_params(options, _VALIDATED))
 
 
 def prepare_exploration(
@@ -664,7 +782,9 @@ def explore(
         and bounds what was left on the table.
     checkpoint / checkpoint_every:
         Journal evaluated outcomes and fsync'd replay snapshots (every
-        ``checkpoint_every`` candidates) to ``checkpoint``;
+        ``checkpoint_every`` candidates, default
+        :data:`repro.resilience.checkpoint.CHECKPOINT_EVERY_DEFAULT`) to
+        ``checkpoint``;
         :func:`repro.resilience.resume_explore` continues a killed run
         to an identical result.
     batch_timeout:
@@ -736,17 +856,8 @@ def explore(
     resolved in favour of the first candidate in the deterministic
     enumeration order.
     """
-    validate_explore_options(
-        backend,
-        timing_mode,
-        parallel,
-        batch_size,
-        deadline_seconds=deadline_seconds,
-        max_evaluations=max_evaluations,
-        checkpoint_every=checkpoint_every,
-        batch_timeout=batch_timeout,
-        engine=engine,
-    )
+    options = bound_params(locals())
+    validate_bound_options(options)
     warm_path = warm_store_path(warm_store)
     emitter = ProgressEmitter(progress, progress_every)
     resilient = (
@@ -763,50 +874,13 @@ def explore(
         # parallel="serial" there means inline execution, no pool.
         from ..parallel import explore_batched
 
-        return explore_batched(
-            spec,
-            util_bound=util_bound,
-            max_cost=max_cost,
-            max_candidates=max_candidates,
-            use_possible_filter=use_possible_filter,
-            use_estimation=use_estimation,
-            prune_comm=prune_comm,
-            check_utilization=check_utilization,
-            weighted=weighted,
-            backend=backend,
-            keep_ties=keep_ties,
-            timing_mode=timing_mode,
-            require_units=require_units,
-            forbid_units=forbid_units,
-            parallel=parallel,
-            batch_size=batch_size,
-            workers=workers,
-            deadline_seconds=deadline_seconds,
-            max_evaluations=max_evaluations,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            batch_timeout=batch_timeout,
-            retry=retry,
-            progress=progress,
-            progress_every=progress_every,
-            tracer=tracer,
-            engine=engine,
-            shard=shard,
-            warm_store=warm_path,
-            telemetry=telemetry,
-        )
+        return explore_batched(spec, **options)
 
     if not spec.frozen:
         raise ExplorationError("specification must be frozen before explore()")
+    options["warm_store"] = warm_path
     evaluator = make_evaluator(
-        spec,
-        engine,
-        util_bound=util_bound,
-        check_utilization=check_utilization,
-        weighted=weighted,
-        backend=backend,
-        timing_mode=timing_mode,
-        warm_store=warm_path,
+        spec, **bound_params(options, param_names(tag="evaluator"))
     )
     setup = prepare_exploration(
         spec,

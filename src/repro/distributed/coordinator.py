@@ -41,13 +41,24 @@ host — see the soundness argument in :mod:`repro.distributed.merge`.
 
 from __future__ import annotations
 
+import inspect
 import logging
 import os
 import socket
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from ..core.explorer import POSITION, SESSION, SHARD, param_names
 from ..core.result import ExplorationResult
 from ..errors import (
     CheckpointError,
@@ -83,6 +94,36 @@ FAILURE_KINDS = ("hung", "dead", "protocol", "refused")
 
 #: The manifest filename inside a coordinator workdir.
 MANIFEST_NAME = "shards.json"
+
+#: The worker-pool shape: honoured inline, dropped for service and
+#: remote dispatch, whose hosts size their own pools.
+_POOL_PARAMS = param_names(tag="pool")
+
+
+def _mode_options(mode: str) -> FrozenSet[str]:
+    """The explore options dispatch ``mode`` can carry to its shards.
+
+    The coordinator places and journals the shards itself, so no mode
+    takes the enumeration-position, shard-placement or per-session
+    parameters.  Inline runs take every other ``explore_batched``
+    parameter; service jobs and remote run requests take what their
+    request formats accept, plus the worker-pool shape.
+    """
+    if mode == "inline":
+        from ..parallel.batched import explore_batched
+
+        names = tuple(inspect.signature(explore_batched).parameters)
+    elif mode == "service":
+        from ..service.job import SUBMIT_OPTIONS
+
+        names = SUBMIT_OPTIONS + _POOL_PARAMS
+    else:
+        from .worker import WORKER_RUN_OPTIONS
+
+        names = WORKER_RUN_OPTIONS
+    return frozenset(names).difference(
+        ("spec",), param_names(POSITION, SHARD, SESSION)
+    )
 
 
 def shard_journal_path(workdir: str, shard: Shard) -> str:
@@ -314,7 +355,7 @@ def _run_service(
     # per-shard deadline) must still be rejected loudly.
     job_options = {
         key: value for key, value in options.items()
-        if key not in ("parallel", "workers") and value is not None
+        if key not in _POOL_PARAMS and value is not None
     }
     kwargs: Dict[str, Any] = {"progress_every": None}
     if checkpoint_every is not None:
@@ -502,7 +543,7 @@ def _run_remote(
     digest = shard_io.spec_digest(spec_doc)
     run_options = {
         key: value for key, value in options.items()
-        if key not in ("parallel", "workers") and value is not None
+        if key not in _POOL_PARAMS and value is not None
     }
     for outcome in outcomes:
         started = time.perf_counter()
@@ -659,10 +700,15 @@ def explore_sharded(
         wall-clock-side: the merged result is byte-identical with or
         without it.
     options:
-        Result-affecting explore options (``util_bound``, ``max_cost``,
-        ``backend``, ``engine``, ``keep_ties``, ...), applied uniformly
-        to every shard.  ``max_candidates`` is rejected (it counts
-        enumeration positions, which differ per shard).
+        Explore options (``util_bound``, ``max_cost``, ``backend``,
+        ``engine``, ``keep_ties``, ...), applied uniformly to every
+        shard.  Inline takes every ``explore_batched`` option; service
+        takes what a job may set (``SUBMIT_OPTIONS``) and remote what a
+        run request may carry (``WORKER_RUN_OPTIONS``).  No mode takes
+        ``max_candidates`` (it counts enumeration positions, which
+        differ per shard), ``shard`` or the per-session seams.  A
+        rejected option raises :class:`~repro.errors.ExplorationError`
+        before anything is written or sent.
     """
     from .merge import merge_shard_checkpoints
 
@@ -682,6 +728,18 @@ def explore_sharded(
             "enumeration positions, which differ per shard"
         )
     options.pop("max_candidates", None)
+    # Checked before the manifest is written or any host is contacted;
+    # an option left at None is unset, and every mode accepts that.
+    accepted = _mode_options(mode)
+    rejected = sorted(
+        name for name, value in options.items()
+        if value is not None and name not in accepted
+    )
+    if rejected:
+        raise ExplorationError(
+            f"mode={mode!r} cannot carry explore option(s) "
+            f"{rejected!r}; it accepts {sorted(accepted)}"
+        )
     started = time.perf_counter()
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="repro-shards-")

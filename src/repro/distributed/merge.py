@@ -65,9 +65,12 @@ from typing import (
 
 from ..core.evaluation import make_evaluator
 from ..core.explorer import (
+    RESULT,
     ExploreState,
+    bound_params,
+    param_names,
     prepare_exploration,
-    validate_explore_options,
+    validate_bound_options,
 )
 from ..core.pareto import final_front
 from ..core.progress import ProgressEmitter
@@ -87,20 +90,7 @@ from .partition import Shard, owner_index, validate_partition
 #: The result-affecting ``explore`` parameters a merge must share with
 #: the shard runs it combines (the checkpoint-header subset that the
 #: resume machinery also freezes).
-RESULT_PARAMS = (
-    "util_bound",
-    "max_cost",
-    "use_possible_filter",
-    "use_estimation",
-    "prune_comm",
-    "check_utilization",
-    "weighted",
-    "backend",
-    "keep_ties",
-    "timing_mode",
-    "require_units",
-    "forbid_units",
-)
+RESULT_PARAMS = param_names(RESULT)
 
 #: Gap reason recorded when the merge stalls on an unfinished shard.
 SHARD_GAP_REASON = "shard_incomplete"
@@ -224,7 +214,8 @@ def merge_shard_runs(
     an unfinished shard, with ``completed=False`` and the combined
     :class:`~repro.core.result.OptimalityGap` (see module docstring).
     """
-    validate_explore_options(backend, timing_mode, engine=engine)
+    options = bound_params(locals())
+    validate_bound_options(options)
     ordered = validate_partition([run.shard for run in runs])
     by_index: List[ShardRun] = list(runs)
     by_index.sort(key=lambda run: run.shard.index)
@@ -234,13 +225,7 @@ def merge_shard_runs(
         run._seen = 0
     emitter = ProgressEmitter(progress, progress_every)
     evaluator = make_evaluator(
-        spec,
-        engine,
-        util_bound=util_bound,
-        check_utilization=check_utilization,
-        weighted=weighted,
-        backend=backend,
-        timing_mode=timing_mode,
+        spec, **bound_params(options, param_names(tag="evaluator"))
     )
     setup = prepare_exploration(
         spec, require_units, forbid_units, max_cost, weighted,

@@ -28,6 +28,7 @@ import socket
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..core.explorer import param_names
 from ..errors import CheckpointError, ProtocolError, ReproError
 from .protocol import (
     MessageStream,
@@ -43,28 +44,9 @@ logger = logging.getLogger(__name__)
 HEARTBEAT_PROGRESS_EVERY = 64
 
 #: Options a run request may carry (the result-affecting explore
-#: parameters plus per-run geometry; unknown keys are rejected loudly).
-WORKER_RUN_OPTIONS = (
-    "util_bound",
-    "max_cost",
-    "use_possible_filter",
-    "use_estimation",
-    "prune_comm",
-    "check_utilization",
-    "weighted",
-    "backend",
-    "keep_ties",
-    "timing_mode",
-    "require_units",
-    "forbid_units",
-    "batch_size",
-    "engine",
-    "parallel",
-    "workers",
-    "deadline_seconds",
-    "max_evaluations",
-    "trace",
-)
+#: parameters plus per-run geometry and budgets, and the service-style
+#: ``trace`` level; unknown keys are rejected loudly).
+WORKER_RUN_OPTIONS = param_names(tag="run") + ("trace",)
 
 _JOB_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,127}$")
 

@@ -69,15 +69,16 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.candidates import iter_cost_batches
 from ..core.explorer import (
     PARALLEL_MODES,
     ExploreState,
     _charged_enumeration,
+    bound_params,
     prepare_exploration,
-    validate_explore_options,
+    validate_bound_options,
     warm_store_path,
 )
 from ..core.progress import ProgressEmitter
@@ -512,35 +513,23 @@ def explore_batched(
 ) -> ExplorationResult:
     """EXPLORE with batched, pooled, fault-tolerant candidate evaluation.
 
-    Accepts the full :func:`repro.core.explorer.explore` parameter set
-    plus the parallel knobs; results (Pareto set, statistics except
-    ``elapsed_seconds``, tie-breaking) are identical to the serial loop
-    by construction — see the module docstring.
+    Takes every :func:`repro.core.explorer.explore` parameter, with the
+    meaning documented there (``parallel="serial"`` means inline
+    execution, no pool); results (Pareto set, statistics except
+    ``elapsed_seconds``, tie-breaking, progress events, logical
+    traces) are identical to the serial loop by construction — see the
+    module docstring.  A checkpoint header records every parameter but
+    the per-session seams (:data:`repro.core.explorer.EXPLORE_PARAMS`).
+    Batch dispatch is charged to the ``dispatch`` phase of ``tracer``
+    and ``telemetry``; a budget truncation under a tracer with
+    ``record_truncation=False`` (a service preemption) records nothing,
+    so a job traced across slices accumulates one uninterrupted trace.
+    Three parameters exist only here:
 
     ``cache`` — pass an :class:`EvaluationCache` to reuse memoised
     evaluation outcomes across runs on the *same* specification and
     parameters (e.g. what-if sweeps over ``require_units``); by default
     each run gets a fresh cache.
-
-    Resilience parameters (see ``docs/resilience.md``):
-
-    ``deadline_seconds`` / ``max_evaluations`` — anytime budgets; when
-    either trips, the run stops at a candidate boundary and returns the
-    best-so-far front with ``completed=False`` and an
-    :class:`~repro.core.result.OptimalityGap`.
-
-    ``checkpoint`` — path of an append-only CRC-checked journal; the
-    run snapshots its replay state every ``checkpoint_every`` consumed
-    candidates (default
-    :data:`repro.resilience.checkpoint.CHECKPOINT_EVERY_DEFAULT`) so
-    :func:`repro.resilience.resume_explore` can continue a killed run
-    to an identical result.
-
-    ``batch_timeout`` — seconds a dispatched batch may take before its
-    pool results are abandoned and completed inline.
-
-    ``retry`` — a :class:`repro.resilience.RetryPolicy` for transient
-    pool failures (default: 3 attempts, exponential backoff + jitter).
 
     ``pool`` — a shared :class:`repro.parallel.pool.WorkerPool`; when
     given it overrides the ``parallel``/``workers`` execution geometry
@@ -548,65 +537,12 @@ def explore_batched(
     Used by the exploration service to multiplex many jobs over one
     bounded pool; results are unchanged by construction.
 
-    ``progress`` / ``progress_every`` — the structured observation
-    seam (:mod:`repro.core.progress`): lifecycle/incumbent events plus
-    a ``progress`` event every ``progress_every`` replayed candidates,
-    in a sequence identical to the serial loop's.
-
-    ``tracer`` — an optional :class:`repro.trace.Tracer`; every record
-    is emitted at the candidate's replay position from
-    replay-deterministic data, so the logical trace is byte-identical
-    to the serial loop's (``tests/test_trace.py``).  On a service
-    preemption (budget truncation with ``record_truncation=False``)
-    nothing is recorded, so a job traced across many slices accumulates
-    the trace of one uninterrupted run.
-
-    ``engine`` — candidate-evaluation engine, ``"compiled"`` (default)
-    or ``"reference"``; identical results either way (see
-    :func:`repro.core.explorer.explore` and ``docs/performance.md``).
-
-    ``shard`` — a :class:`repro.distributed.Shard` (or its dictionary
-    form): the run consumes only the candidates the shard owns, in
-    their global enumeration order, and the result covers exactly that
-    slice of the space.  Shard runs exist to be *merged* — see
-    :mod:`repro.distributed` and ``docs/distributed.md`` — and journal
-    a per-shard checkpoint like any other run.  ``max_candidates``
-    cannot combine with ``shard`` (it counts enumeration positions,
-    which differ per shard).
-
-    ``warm_store`` — directory of a persistent warm-start verdict
-    store (:mod:`repro.store`): the compiled kernel loads binding
-    verdicts before solving and writes behind on misses, across runs
-    and spec edits, with byte-identical results.  The path is recorded
-    in the checkpoint header (restorable and — like the execution
-    geometry — freely overridable on resume) and travels to process
-    pools through :class:`~repro.parallel.worker.EvalParams`.
-
-    ``telemetry`` — an optional :class:`repro.telemetry.Telemetry`
-    bundle (or bare :class:`repro.telemetry.PhaseProfiler`): batch
-    dispatch wall-clock is charged to the ``dispatch`` phase, and the
-    compiled evaluator charges ``binding``/``timing`` per solve through
-    its ``phase_sink`` (inline/thread pools — process workers run in
-    other address spaces).  Strictly wall-clock-side observation:
-    results, progress events and trace fingerprints are byte-identical
-    with telemetry on or off.  Like ``progress``/``tracer``, a
-    per-session seam — never journaled by checkpoints.
-
     ``_resume`` — internal: a
     :class:`repro.resilience.checkpoint.LoadedCheckpoint` to continue
     from (use :func:`repro.resilience.resume_explore`).
     """
-    validate_explore_options(
-        backend,
-        timing_mode,
-        parallel,
-        batch_size,
-        deadline_seconds=deadline_seconds,
-        max_evaluations=max_evaluations,
-        checkpoint_every=checkpoint_every,
-        batch_timeout=batch_timeout,
-        engine=engine,
-    )
+    options = bound_params(locals())
+    validate_bound_options(options)
     if shard is not None:
         from ..distributed.partition import Shard
 
@@ -630,19 +566,8 @@ def explore_batched(
     if not spec.frozen:
         raise ExplorationError("specification must be frozen before explore()")
     warm_path = warm_store_path(warm_store)
-    params = EvalParams(
-        util_bound=util_bound,
-        check_utilization=check_utilization,
-        weighted=weighted,
-        backend=backend,
-        timing_mode=timing_mode,
-        use_possible_filter=use_possible_filter,
-        use_estimation=use_estimation,
-        prune_comm=prune_comm,
-        keep_ties=keep_ties,
-        engine=engine,
-        warm_store=warm_path,
-    )
+    options["warm_store"] = warm_path
+    params = EvalParams(**bound_params(options, EvalParams._fields))
     evaluator = params.evaluator(spec)
     setup = prepare_exploration(
         spec,
@@ -695,37 +620,17 @@ def explore_batched(
         from ..resilience.checkpoint import (
             CHECKPOINT_EVERY_DEFAULT,
             CheckpointWriter,
+            header_params,
         )
 
         every = CHECKPOINT_EVERY_DEFAULT if every is None else every
         writer = CheckpointWriter(
             checkpoint,
             spec,
-            _header_params(
-                util_bound=util_bound,
-                max_cost=max_cost,
-                max_candidates=max_candidates,
-                use_possible_filter=use_possible_filter,
-                use_estimation=use_estimation,
-                prune_comm=prune_comm,
-                check_utilization=check_utilization,
-                weighted=weighted,
-                backend=backend,
-                keep_ties=keep_ties,
-                timing_mode=timing_mode,
-                require_units=require_units,
-                forbid_units=forbid_units,
-                parallel=parallel,
-                batch_size=batch_size,
-                workers=workers,
+            header_params(
+                options,
                 checkpoint_every=every,
-                deadline_seconds=deadline_seconds,
-                max_evaluations=max_evaluations,
-                batch_timeout=batch_timeout,
-                retry=retry,
-                engine=engine,
                 shard=shard.to_dict() if shard is not None else None,
-                warm_store=warm_path,
             ),
             resume_length=(
                 _resume.valid_length if _resume is not None else None
@@ -872,13 +777,3 @@ def _advance(
         )
     return cursor
 
-
-def _header_params(**kwargs: Any) -> Dict[str, Any]:
-    """The JSON-ready checkpoint-header form of the run parameters."""
-    document = dict(kwargs)
-    for key in ("require_units", "forbid_units"):
-        value = document.get(key)
-        document[key] = sorted(value) if value is not None else None
-    retry = document.get("retry")
-    document["retry"] = retry.as_dict() if retry is not None else None
-    return document

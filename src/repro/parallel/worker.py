@@ -25,59 +25,32 @@ items stay small and picklable.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import FrozenSet, List, Optional, Tuple
 
 from ..core.evaluation import make_evaluator
+from ..core.explorer import bound_params, param_names
 from ..core.result import EcsRecord, Implementation
 from ..errors import ExplorationError
 from ..spec import SpecificationGraph
 
 
-class EvalParams:
-    """The incumbent-independent knobs of one EXPLORE run (picklable)."""
-
-    __slots__ = (
-        "util_bound",
-        "check_utilization",
-        "weighted",
-        "backend",
-        "timing_mode",
-        "use_possible_filter",
-        "use_estimation",
-        "prune_comm",
-        "keep_ties",
-        "engine",
-        "warm_store",
+class EvalParams(
+    namedtuple(
+        "EvalParams",
+        param_names(tag="evaluator") + param_names(tag="pipeline"),
     )
+):
+    """The incumbent-independent knobs of one EXPLORE run (picklable).
 
-    def __init__(
-        self,
-        util_bound: float,
-        check_utilization: bool,
-        weighted: bool,
-        backend: str,
-        timing_mode: Optional[str],
-        use_possible_filter: bool,
-        use_estimation: bool,
-        prune_comm: bool,
-        keep_ties: bool,
-        engine: Optional[str] = None,
-        warm_store: Optional[str] = None,
-    ) -> None:
-        self.util_bound = util_bound
-        self.check_utilization = check_utilization
-        self.weighted = weighted
-        self.backend = backend
-        self.timing_mode = timing_mode
-        self.use_possible_filter = use_possible_filter
-        self.use_estimation = use_estimation
-        self.prune_comm = prune_comm
-        self.keep_ties = keep_ties
-        self.engine = engine
-        #: Warm-start store directory (:mod:`repro.store`) — shipped as
-        #: a plain path so it pickles to process-pool workers, each of
-        #: which opens its own store handle on the shared directory.
-        self.warm_store = warm_store
+    Its fields are the ``explore()`` parameters that build the engine
+    evaluator, then the switches of the per-candidate pipeline.
+    ``warm_store`` is a plain path, so it pickles to process-pool
+    workers, each of which opens its own store handle on the shared
+    directory.
+    """
+
+    __slots__ = ()
 
     def evaluator(self, spec: SpecificationGraph):
         """Build the engine evaluator these parameters describe.
@@ -87,14 +60,7 @@ class EvalParams:
         cross-candidate caches live on the evaluator.
         """
         return make_evaluator(
-            spec,
-            self.engine,
-            util_bound=self.util_bound,
-            check_utilization=self.check_utilization,
-            weighted=self.weighted,
-            backend=self.backend,
-            timing_mode=self.timing_mode,
-            warm_store=self.warm_store,
+            spec, **bound_params(self._asdict(), param_names(tag="evaluator"))
         )
 
 

@@ -29,6 +29,15 @@ from __future__ import annotations
 import logging
 from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional
 
+from ..core.explorer import (
+    BUDGET,
+    GEOMETRY,
+    POSITION,
+    RESULT,
+    SHARD,
+    bound_params,
+    param_names,
+)
 from ..core.result import ExplorationResult, ExplorationStats, Implementation
 from ..errors import CheckpointError
 from ..io.json_io import spec_from_dict, spec_to_dict
@@ -271,43 +280,24 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
 
 
 #: ``explore_batched`` keyword arguments persisted in the header and
-#: restored verbatim on resume (overridable via ``resume_explore``).
-_RESUMABLE_PARAMS = (
-    "util_bound",
-    "max_cost",
-    "max_candidates",
-    "use_possible_filter",
-    "use_estimation",
-    "prune_comm",
-    "check_utilization",
-    "weighted",
-    "backend",
-    "keep_ties",
-    "timing_mode",
-    "require_units",
-    "forbid_units",
-    "parallel",
-    "batch_size",
-    "workers",
-    "checkpoint_every",
-    "deadline_seconds",
-    "max_evaluations",
-    "batch_timeout",
-    "retry",
-    # Engines produce identical results (differentially tested), so —
-    # like the parallel/workers execution geometry — "engine" is
-    # restorable *and* freely overridable on resume.
-    "engine",
-    # The candidate slice a distributed shard run owns (see
-    # repro.distributed): restored verbatim, frozen against change —
-    # the journaled cursor counts positions of *this* shard's stream.
-    "shard",
-    # Warm-start store directory (repro.store): recorded like the pool
-    # geometry and — since the store never affects results, only how
-    # fast verdicts are reached — freely overridable on resume (e.g.
-    # resuming on a host without the store directory).
-    "warm_store",
-)
+#: restored verbatim on resume: every parameter but the per-session
+#: seams.  Execution geometry and budgets are overridable on resume.
+_RESUMABLE_PARAMS = param_names(RESULT, POSITION, SHARD, GEOMETRY, BUDGET)
+#: The resumable parameters a resume may not change: the journaled
+#: outcomes and cursor were computed under them.
+_FROZEN_PARAMS = param_names(RESULT, POSITION, SHARD)
+
+
+def header_params(options: Dict[str, Any], **values: Any) -> Dict[str, Any]:
+    """The JSON-ready checkpoint-header form of a run's bound
+    parameters (``values`` replace bound ones)."""
+    document = bound_params(dict(options, **values), _RESUMABLE_PARAMS)
+    for key in ("require_units", "forbid_units"):
+        value = document[key]
+        document[key] = sorted(value) if value is not None else None
+    retry = document["retry"]
+    document["retry"] = retry.as_dict() if retry is not None else None
+    return document
 
 
 def resume_explore(
@@ -362,29 +352,20 @@ def resume_explore(
         raise CheckpointError(
             f"unknown resume override(s) {sorted(unknown)!r}"
         )
-    frozen = {
-        "util_bound", "max_cost", "max_candidates", "use_possible_filter",
-        "use_estimation", "prune_comm", "check_utilization", "weighted",
-        "backend", "keep_ties", "timing_mode", "require_units",
-        "forbid_units", "shard",
-    }
     if hasattr(overrides.get("shard"), "to_dict"):
         overrides["shard"] = overrides["shard"].to_dict()
     bad = {
         name
         for name in overrides
-        if name in frozen and overrides[name] != loaded.params.get(name)
+        if name in _FROZEN_PARAMS
+        and overrides[name] != loaded.params.get(name)
     }
     if bad:
         raise CheckpointError(
             f"cannot change result-affecting parameter(s) {sorted(bad)!r} "
             f"on resume; start a fresh run instead"
         )
-    kwargs = {
-        name: loaded.params.get(name)
-        for name in _RESUMABLE_PARAMS
-        if name in loaded.params
-    }
+    kwargs = bound_params(loaded.params, _RESUMABLE_PARAMS)
     kwargs.update(overrides)
     if isinstance(kwargs.get("retry"), dict):
         from .retry import RetryPolicy

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..core.explorer import param_names
 from ..core.result import ExplorationResult
 from ..errors import ReproError
 from ..io.job_io import JOB_STATES, TERMINAL_STATES
@@ -13,32 +14,11 @@ from ..trace import compute_trace_id
 #: ``explore()`` keyword arguments a submission may set.  Execution
 #: geometry (parallel/workers/pool), checkpointing and budgets are the
 #: service's own levers — a job describes *what* to explore, the
-#: service decides *how*.
-SUBMIT_OPTIONS = (
-    "util_bound",
-    "max_cost",
-    "max_candidates",
-    "use_possible_filter",
-    "use_estimation",
-    "prune_comm",
-    "check_utilization",
-    "weighted",
-    "backend",
-    "keep_ties",
-    "timing_mode",
-    "require_units",
-    "forbid_units",
-    "batch_size",
-    "engine",
-    # A shard descriptor dict (repro.distributed.Shard.to_dict): the
-    # job explores only its shard of the possible-allocation space.
-    # Incompatible with max_candidates (positions differ per shard).
-    "shard",
-    # Not an explore() kwarg: asks the service to record the job's
-    # search trace ("spans" or "audit", see repro.trace) into
-    # job-<id>.trace.jsonl.  Stripped before explore_batched().
-    "trace",
-)
+#: service decides *how*.  ``trace`` is not an ``explore()`` parameter:
+#: it asks the service to record the job's search trace ("spans" or
+#: "audit", see repro.trace) into job-<id>.trace.jsonl, and is stripped
+#: before explore_batched().
+SUBMIT_OPTIONS = param_names(tag="job") + ("trace",)
 
 
 class ServiceError(ReproError):

@@ -17,8 +17,8 @@ and logical traces.  These tests prove it at three levels:
 * ``explore()`` results, event streams and trace fingerprints are
   identical with the block kernel on, forced off
   (``REPRO_VECTORIZE=0``), with numpy absent (import-path fallback),
-  and on the band-streaming source
-  (``REPRO_MATERIALIZE_MAX_BITS=0``) — serially and batched.
+  and on the band-streaming source (materialization threshold 0) —
+  serially and batched.
 """
 
 import pytest
@@ -223,7 +223,7 @@ def test_block_context_gate_without_numpy(monkeypatch):
 def test_band_streaming_source_matches(monkeypatch):
     """Forcing the band-streaming block source (materialization
     threshold 0) changes nothing observable."""
-    monkeypatch.setenv("REPRO_MATERIALIZE_MAX_BITS", "0")
+    monkeypatch.setattr(batch, "MATERIALIZE_MAX_BITS_DEFAULT", 0)
     spec = build_settop_spec()
     observed = fingerprint(explore(spec, engine="compiled"))
     assert observed == fingerprint(explore(spec, engine="reference"))
@@ -257,9 +257,7 @@ def test_vectorized_vs_scalar_full_contract(monkeypatch, parallel):
 
 @requires_numpy
 def test_vectorized_corpus_differential(monkeypatch):
-    """Vectorized == scalar over the random corpus end to end (the
-    small-spec floor is lifted so the block path actually runs)."""
-    monkeypatch.setenv("REPRO_VECTORIZE_MIN_BITS", "0")
+    """Vectorized == scalar over the random corpus end to end."""
     for seed in SEEDS[::5]:
         spec = random_spec(seed)
         monkeypatch.setenv("REPRO_VECTORIZE", "1")
@@ -269,16 +267,13 @@ def test_vectorized_corpus_differential(monkeypatch):
         assert vectorized == scalar, f"seed {seed} diverged"
 
 
-@requires_numpy
 def test_small_spec_floor_falls_back_scalar(monkeypatch):
-    """Below REPRO_VECTORIZE_MIN_BITS the gate declines (array setup
-    costs more than a sub-millisecond scalar search saves)."""
+    """Without numpy a small spec's block context declines and the
+    scalar loop runs."""
     from repro.compiled import compiled_evaluator
 
     spec = build_tv_decoder_spec()
     evaluator = compiled_evaluator(spec)
     names = list(spec.units.names())
-    monkeypatch.setenv("REPRO_VECTORIZE_MIN_BITS", str(len(names) + 1))
+    monkeypatch.setattr(batch, "_np", None)
     assert evaluator.block_context(names, True, frozenset(), 0.0) is None
-    monkeypatch.setenv("REPRO_VECTORIZE_MIN_BITS", "0")
-    assert evaluator.block_context(names, True, frozenset(), 0.0) is not None

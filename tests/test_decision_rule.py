@@ -59,9 +59,7 @@ def merged(spec, shards=2, tracer=None, **options):
 
 @pytest.fixture
 def block_spy(monkeypatch):
-    """Force the block kernel onto small specs and count which of its
-    two drivers ran."""
-    monkeypatch.setenv("REPRO_VECTORIZE_MIN_BITS", "0")
+    """Count which of the block kernel's two drivers ran."""
     calls = {"run_fast": 0, "candidates": 0}
     for name in calls:
         original = getattr(batch.BlockContext, name)

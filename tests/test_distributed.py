@@ -14,6 +14,7 @@ accepts against the full run.
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -48,6 +49,7 @@ from repro.distributed import (
     prefix_shards,
     validate_partition,
 )
+from repro.resilience import load_checkpoint, resume_explore
 from repro.resilience.anytime import verify_gap
 from repro.trace import Tracer, trace_fingerprint
 
@@ -420,6 +422,67 @@ class TestCoordinator:
     def test_max_candidates_rejected(self):
         with pytest.raises(ExplorationError, match="max_candidates"):
             explore_sharded(build_tv_decoder_spec(), max_candidates=5)
+
+    def test_service_rejects_option_before_manifest(self, tmp_path):
+        """A job cannot carry batch_timeout: refused before the
+        partition is pinned (the inline mode accepts it)."""
+        workdir = str(tmp_path / "service")
+        with pytest.raises(ExplorationError, match="batch_timeout") as error:
+            explore_sharded(
+                build_tv_decoder_spec(), shards=2, mode="service",
+                workdir=workdir, batch_timeout=5.0,
+            )
+        assert "service" in str(error.value)
+        assert not os.path.exists(os.path.join(workdir, "shards.json"))
+        inline = explore_sharded(
+            build_tv_decoder_spec(), shards=2, mode="inline",
+            workdir=str(tmp_path / "inline"), batch_timeout=5.0,
+        )
+        assert inline.result.completed
+
+    def test_remote_rejects_option_before_connecting(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.distributed import coordinator
+
+        attempts = []
+
+        def refuse(address, *args, **kwargs):
+            attempts.append(address)
+            raise ConnectionRefusedError(f"nothing listens on {address}")
+
+        monkeypatch.setattr(coordinator, "connect", refuse)
+        with pytest.raises(ExplorationError, match="batch_timeout") as error:
+            explore_sharded(
+                build_tv_decoder_spec(), shards=2, mode="remote",
+                workers=["127.0.0.1:1"], workdir=str(tmp_path),
+                retry_delay=0.0, batch_timeout=5.0,
+            )
+        assert "remote" in str(error.value)
+        assert attempts == []
+        assert not os.path.exists(os.path.join(str(tmp_path), "shards.json"))
+
+
+#: Shard journals of the TV decoder (2 band shards, compiled engine,
+#: checkpoint_every=4) written by an earlier release: shard 0 ran to
+#: completion, shard 1 stopped on ``max_evaluations=3``.
+LEGACY_JOURNALS = os.path.join(
+    os.path.dirname(__file__), "golden", "journals"
+)
+
+
+def test_legacy_journals_resume_and_merge(tmp_path):
+    paths = [
+        shutil.copy(os.path.join(LEGACY_JOURNALS, name), str(tmp_path))
+        for name in sorted(os.listdir(LEGACY_JOURNALS))
+    ]
+    assert [load_checkpoint(p).completed for p in paths] == [True, False]
+    resumed = resume_explore(paths[1], max_evaluations=None)
+    assert resumed.completed
+    merged = merge_shard_checkpoints(paths, engine="compiled")
+    assert result_doc(merged) == result_doc(
+        explore(build_tv_decoder_spec(), engine="compiled")
+    )
 
 
 class TestManifestIO:

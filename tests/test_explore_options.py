@@ -7,6 +7,8 @@ through — both promises are pinned down here, for the serial loop and
 for the parallel backends.
 """
 
+import inspect
+
 import pytest
 
 from repro.casestudies import build_settop_spec
@@ -18,7 +20,13 @@ from repro.core import (
     explore,
     validate_explore_options,
 )
+from repro.core import explorer
+from repro.distributed import WORKER_RUN_OPTIONS, merge_shard_runs
+from repro.distributed.merge import RESULT_PARAMS
 from repro.errors import ExplorationError, ReproError
+from repro.parallel import EvalParams, explore_batched
+from repro.resilience import checkpoint
+from repro.service import SUBMIT_OPTIONS
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +146,63 @@ class TestUnknownOptionErrors:
     def test_evaluate_allocation_rejects_unknown_timing_mode(self, settop):
         with pytest.raises(ValueError, match="timing_mode"):
             evaluate_allocation(settop, ["muP2"], timing_mode="wcet")
+
+
+def _parameters(function, *skip):
+    names = list(inspect.signature(function).parameters)
+    return [name for name in names if name not in skip]
+
+
+class TestParameterTable:
+    """Every parameter is declared once, with one role; the lists other
+    packages accept or journal are derived from that declaration."""
+
+    ROLES = {
+        explorer.RESULT,
+        explorer.POSITION,
+        explorer.SHARD,
+        explorer.GEOMETRY,
+        explorer.BUDGET,
+        explorer.SESSION,
+    }
+
+    def test_every_parameter_has_exactly_one_role(self):
+        names = [p.name for p in explorer.EXPLORE_PARAMS]
+        assert len(names) == len(set(names))
+        assert {p.role for p in explorer.EXPLORE_PARAMS} == self.ROLES
+        assert names == _parameters(explore, "spec")
+        assert set(_parameters(
+            explore_batched, "spec", "cache", "pool", "_resume"
+        )) == set(names)
+        assert set(_parameters(merge_shard_runs, "spec", "runs")) <= set(
+            names
+        )
+
+    def test_derived_lists(self):
+        result = {
+            "util_bound", "max_cost", "use_possible_filter",
+            "use_estimation", "prune_comm", "check_utilization",
+            "weighted", "backend", "keep_ties", "timing_mode",
+            "require_units", "forbid_units",
+        }
+        frozen = result | {"max_candidates", "shard"}
+        resumable = frozen | {
+            "parallel", "batch_size", "workers", "checkpoint_every",
+            "deadline_seconds", "max_evaluations", "batch_timeout",
+            "retry", "engine", "warm_store",
+        }
+        assert set(RESULT_PARAMS) == result
+        assert set(checkpoint._FROZEN_PARAMS) == frozen
+        assert set(checkpoint._RESUMABLE_PARAMS) == resumable
+        assert set(SUBMIT_OPTIONS) == result | {
+            "max_candidates", "batch_size", "engine", "shard", "trace",
+        }
+        assert set(WORKER_RUN_OPTIONS) == result | {
+            "batch_size", "engine", "parallel", "workers",
+            "deadline_seconds", "max_evaluations", "trace",
+        }
+        assert set(EvalParams._fields) == {
+            "util_bound", "check_utilization", "weighted", "backend",
+            "timing_mode", "use_possible_filter", "use_estimation",
+            "prune_comm", "keep_ties", "engine", "warm_store",
+        }

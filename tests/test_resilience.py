@@ -186,6 +186,38 @@ class TestCheckpointing:
         }
         assert plain == checkpointed
 
+    def test_header_params_pinned(self, settop, tmp_path):
+        """The header of a run with non-default options, byte for byte
+        as journals already on disk carry it (``warm_store`` is the
+        per-test store directory)."""
+        path = str(tmp_path / "run.ckpt")
+        store = str(tmp_path / "store")
+        explore(
+            settop, checkpoint=path, max_cost=430, keep_ties=True,
+            require_units=["muP2"], batch_size=8,
+            retry=RetryPolicy(attempts=2, base_delay=0.01, seed=7),
+            warm_store=store,
+        )
+        records, _ = read_journal(path)
+        record_type, header = records[0]
+        assert record_type == "header"
+        params = dict(header["params"])
+        assert params.pop("warm_store") == store
+        assert json.dumps(params, sort_keys=True) == (
+            '{"backend": "csp", "batch_size": 8, "batch_timeout": null, '
+            '"check_utilization": true, "checkpoint_every": 64, '
+            '"deadline_seconds": null, "engine": null, '
+            '"forbid_units": null, "keep_ties": true, '
+            '"max_candidates": null, "max_cost": 430, '
+            '"max_evaluations": null, "parallel": "serial", '
+            '"prune_comm": true, "require_units": ["muP2"], '
+            '"retry": {"attempts": 2, "base_delay": 0.01, "jitter": 0.5, '
+            '"max_delay": 2.0, "seed": 7}, "shard": null, '
+            '"timing_mode": null, "use_estimation": true, '
+            '"use_possible_filter": true, "util_bound": 0.69, '
+            '"weighted": false, "workers": null}'
+        )
+
     def test_default_cadence_used_when_unset(self, settop, tmp_path):
         path = str(tmp_path / "run.ckpt")
         result = explore(settop, checkpoint=path)

@@ -5,11 +5,15 @@ Walks every ``repro`` subpackage, collects the public classes and
 functions (as declared by ``__all__``), and writes a compact API index
 with one-line summaries.  Run from the repository root::
 
-    python tools/gen_api_docs.py
+    python tools/gen_api_docs.py          # rewrite docs/api.md
+    python tools/gen_api_docs.py --check  # exit 1 and print the diff
+                                          # when docs/api.md is stale
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import importlib
 import inspect
 import sys
@@ -201,7 +205,15 @@ def render_module(name: str) -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; exit 1 and print a diff if docs/api.md "
+        "differs from the generated text",
+    )
+    args = parser.parse_args(argv)
     root = Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "src"))
     sections = [
@@ -215,7 +227,24 @@ def main() -> int:
     for package in PACKAGES:
         sections.append(render_module(package))
     output = root / "docs" / "api.md"
-    output.write_text("\n".join(sections))
+    text = "\n".join(sections)
+    if args.check:
+        committed = output.read_text() if output.exists() else ""
+        diff = list(
+            difflib.unified_diff(
+                committed.splitlines(keepends=True),
+                text.splitlines(keepends=True),
+                "docs/api.md (committed)",
+                "docs/api.md (generated)",
+            )
+        )
+        if diff:
+            sys.stdout.writelines(diff)
+            print("docs/api.md is stale: run python tools/gen_api_docs.py")
+            return 1
+        print("docs/api.md is up to date")
+        return 0
+    output.write_text(text)
     print(f"wrote {output}")
     return 0
 
