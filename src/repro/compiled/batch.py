@@ -10,10 +10,11 @@ per-candidate to per-block:
 * allocation masks are rows of a numpy ``uint64`` array (one word per
   candidate — the repo gates the kernel to ``unit_count <= 64``),
   thousands of candidates per block;
-* the cost-ordered enumeration is produced as arrays: either fully
+* the cost-ordered enumeration is produced as arrays: either
   *materialized* (an exact replay of the heap's float derivations over
-  all ``2^n`` subsets, lexsorted by ``(cost, tie-key)``) when the extra
-  space is small enough, or streamed a cost *band* at a time through
+  all ``2^n`` subsets, sorted by ``(cost, tie-key)`` one window at a
+  time, only as far as EXPLORE reads) when the extra space is small
+  enough, or streamed a cost *band* at a time through
   :meth:`MaskAllocationEnumerator.next_band`;
 * usability, the possible-allocation BDD, useless-communication
   pruning and the flexibility-estimate lookup run as vectorized
@@ -43,6 +44,23 @@ the materialized costs are bit-identical to the heap's.  The tie order
 = absent with higher indices present), proven equivalent to Python
 tuple comparison; ``lexsort`` over ``(tie-key, cost)`` then reproduces
 the pop order exactly.
+
+Exact-threshold windows
+-----------------------
+EXPLORE stops once the best implemented flexibility reaches the
+maximum, usually within the first few percent of the order, so only
+the cost DP (one cheap pass) covers all ``2^n`` masks.  The order
+itself is produced a window at a time: ``np.partition`` finds the
+``W``-th smallest cost not yet emitted, and the window takes *every*
+remaining mask whose cost is at most that threshold.  Rows of one cost
+therefore never straddle two windows, every later row costs strictly
+more, and sorting the window alone by ``(cost, tie-key)`` yields
+exactly the next slice of the full order — tie keys are computed for
+the window's rows only.  ``W`` starts at the block size and doubles
+per window, so a run that reads the whole space pays only a
+logarithmic number of extra partitions.  Rows a window leaves over a
+whole block lead the next block, so blocks are the same fixed slices
+of the order at any window size.
 """
 
 from __future__ import annotations
@@ -275,47 +293,106 @@ def kernel_for(cspec: CompiledSpec) -> BlockKernel:
 # ---------------------------------------------------------------------------
 
 
-def materialized_order(costs: Tuple[float, ...], include_empty: bool):
-    """``(costs, index_masks)`` of the full ``2^n`` heap stream.
+def _derivation_costs(costs: Tuple[float, ...]):
+    """Cost of every index mask, by the heap's own float derivations.
 
     Bit ``j`` of an index mask is the ``j``-th unit in enumeration
-    order (by cost, then name); costs replicate the heap's float
-    derivations exactly (module docstring).  The empty set leads the
-    stream unconditionally when included — the scalar enumerator yields
-    it before seeding the heap.
+    order (by cost, then name); row ``m`` of the result is the cost the
+    heap stream yields for mask ``m``, bit for bit (module docstring).
     """
     np = _np
     n = len(costs)
-    total = 1 << n
     c = np.asarray(costs, dtype=np.float64)
-    cost = np.empty(total, dtype=np.float64)
+    cost = np.empty(1 << n, dtype=np.float64)
     cost[0] = 0.0
     if n:
         cost[1] = c[0]
+    # Masks with highest bit ``hi`` (rows [base, 2 * base)) append ``hi``
+    # to a mask holding ``hi - 1`` (upper half) or replace ``hi - 1`` by
+    # ``hi`` in one (lower half); either parent lies in [half, base).
     for hi in range(1, n):
         base = 1 << hi
         half = base >> 1
-        idx = np.arange(base)
-        has = (idx & half) != 0
-        parent_cost = cost[np.where(has, idx, idx | half)]
-        adj = np.where(has, parent_cost, parent_cost - c[hi - 1])
-        cost[base : 2 * base] = adj + c[hi]
-    # Packed tie key: per level j (most significant first), 0 when the
-    # index tuple has ended, 1 when j is a member, 2 otherwise.
-    m = np.arange(total, dtype=np.uint64)
-    sec = np.zeros(total, dtype=np.uint64)
+        parents = cost[half:base]
+        cost[base + half : 2 * base] = parents + c[hi]
+        cost[base : base + half] = (parents - c[hi - 1]) + c[hi]
+    return cost
+
+
+def _tie_keys(masks, n: int):
+    """Packed tie keys of ``n``-bit index masks: per level ``j`` (most
+    significant first), 0 when the index tuple has ended, 1 when ``j``
+    is a member, 2 otherwise."""
+    np = _np
+    keys = np.zeros(len(masks), dtype=np.uint64)
     one = np.uint64(1)
     two = np.uint64(2)
     for j in range(n):
-        above = m >> np.uint64(j)
-        key = np.full(total, two, dtype=np.uint64)
+        above = masks >> np.uint64(j)
+        key = np.full(len(masks), two, dtype=np.uint64)
         key[(above & one) != 0] = one
         key[above == 0] = 0
-        sec = (sec << two) | key
-    order = np.lexsort((sec[1:], cost[1:])) + 1
-    if include_empty:
-        order = np.concatenate((np.zeros(1, dtype=order.dtype), order))
-    return cost[order], m[order]
+        keys = (keys << two) | key
+    return keys
+
+
+def _sorted_rows(cost, masks, n: int):
+    """``(cost, masks)`` of non-empty index masks in heap pop order."""
+    order = _np.lexsort((_tie_keys(masks, n), cost))
+    return cost[order], masks[order]
+
+
+def materialized_order(costs: Tuple[float, ...], include_empty: bool):
+    """``(costs, index_masks)`` of the full ``2^n`` heap stream.
+
+    The empty set leads the stream unconditionally when included — the
+    scalar enumerator yields it before seeding the heap.
+    """
+    np = _np
+    n = len(costs)
+    cost = _derivation_costs(costs)
+    head = 1 if include_empty else 0
+    tail_cost, tail_masks = _sorted_rows(
+        cost[1:], np.arange(1, 1 << n, dtype=np.uint64), n
+    )
+    return (
+        np.concatenate((cost[:head], tail_cost)),
+        np.concatenate((np.zeros(head, dtype=np.uint64), tail_masks)),
+    )
+
+
+def _order_blocks(costs: Tuple[float, ...], include_empty: bool, rows: int):
+    """:func:`materialized_order` in consecutive slices of ``rows``
+    rows, sorted one window at a time (module docstring)."""
+    np = _np
+    n = len(costs)
+    cost = _derivation_costs(costs)
+    head = 1 if include_empty else 0
+    out_cost, out_masks = cost[:head], np.zeros(head, dtype=np.uint64)
+    body = cost[1:]  # row i is index mask i + 1
+    done, width, low = 0, rows, -np.inf
+    while done < len(body):
+        above = body > low
+        end = done + width
+        if end < len(body):
+            high = np.partition(body, end - 1)[end - 1]
+            above &= body <= high
+            low = high
+        picked = np.flatnonzero(above)
+        done += len(picked)
+        width *= 2
+        window = _sorted_rows(
+            body[picked], (picked + 1).astype(np.uint64), n
+        )
+        out_cost = np.concatenate((out_cost, window[0]))
+        out_masks = np.concatenate((out_masks, window[1]))
+        whole = len(out_cost) - len(out_cost) % rows
+        for start in range(0, whole, rows):
+            stop = start + rows
+            yield out_cost[start:stop], out_masks[start:stop]
+        out_cost, out_masks = out_cost[whole:], out_masks[whole:]
+    if len(out_cost):
+        yield out_cost, out_masks
 
 
 def _iter_materialized_blocks(
@@ -328,18 +405,15 @@ def _iter_materialized_blocks(
     """Blocks of ``(extra_costs, extras_spec_masks)`` from the
     materialized order (index masks converted through byte tables)."""
     t0 = clock()
-    ecosts, imasks = materialized_order(enum._costs, include_empty)
     tables = _byte_tables(enum._bits)
-    charge("enumerate", clock() - t0)
-    for start in range(0, len(ecosts), block_rows):
-        t0 = clock()
-        chunk = imasks[start : start + block_rows]
-        block = (
-            ecosts[start : start + block_rows],
-            _gather_bytes(tables, chunk),
-        )
+    for ecosts, imasks in _order_blocks(
+        enum._costs, include_empty, block_rows
+    ):
+        block = (ecosts, _gather_bytes(tables, imasks))
         charge("enumerate", clock() - t0)
         yield block
+        t0 = clock()
+    charge("enumerate", clock() - t0)
 
 
 def _iter_band_blocks(

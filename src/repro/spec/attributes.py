@@ -28,6 +28,7 @@ Keys
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Union
 
 from ..errors import ModelError
@@ -53,8 +54,10 @@ def cost_of(element: Attributed, default: float = 0.0) -> float:
         cost = float(value)
     except (TypeError, ValueError):
         raise ModelError(f"cost must be numeric, got {value!r}") from None
-    if cost < 0:
-        raise ModelError(f"cost must be non-negative, got {cost!r}")
+    if not 0 <= cost < math.inf:
+        raise ModelError(
+            f"cost must be finite and non-negative, got {cost!r}"
+        )
     return cost
 
 
@@ -77,13 +80,16 @@ def is_negligible(vertex: Vertex) -> bool:
 def period_of(element: Attributed) -> Optional[float]:
     """Activation period of an element, or ``None`` when unconstrained."""
     value = element.attrs.get(PERIOD)
-    if value is None:
-        return None
+    return None if value is None else check_period(value)
+
+
+def check_period(value: object) -> float:
+    """Validate an activation-period annotation."""
     try:
         period = float(value)
     except (TypeError, ValueError):
         raise ModelError(f"period must be numeric, got {value!r}") from None
-    if period <= 0:
+    if not period > 0:
         raise ModelError(f"period must be positive, got {period!r}")
     return period
 
@@ -97,7 +103,7 @@ def reconfig_delay_of(cluster: Cluster) -> float:
         raise ModelError(
             f"cluster {cluster.name!r}: reconfig_delay must be numeric"
         ) from None
-    if delay < 0:
+    if not delay >= 0:
         raise ModelError(
             f"cluster {cluster.name!r}: reconfig_delay must be non-negative"
         )
@@ -113,6 +119,6 @@ def check_latency(value: Number) -> float:
         latency = float(value)
     except (TypeError, ValueError):
         raise ModelError(f"latency must be numeric, got {value!r}") from None
-    if latency < 0:
+    if not latency >= 0:
         raise ModelError(f"latency must be non-negative, got {latency!r}")
     return latency

@@ -178,12 +178,12 @@ class SpecificationGraph:
         self._require_frozen()
         if self._process_timing is None:
             assert self._p_index is not None
-            from .attributes import NEGLIGIBLE, PERIOD
+            from .attributes import NEGLIGIBLE, PERIOD, check_period
 
             table: Dict[str, Tuple] = {}
             for leaf, vertex in self._p_index.vertices.items():
                 raw = self._p_index.inherited_attr(leaf, PERIOD)
-                period = float(raw) if raw is not None else None
+                period = None if raw is None else check_period(raw)
                 table[leaf] = (
                     period,
                     bool(vertex.attrs.get(NEGLIGIBLE, False)),

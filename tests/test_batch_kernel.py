@@ -13,13 +13,17 @@ and logical traces.  These tests prove it at three levels:
 * the materialized closed-form order and every vectorized check
   (usable / possible / comm-pruned / estimate) match the scalar
   kernel element-for-element over random specs (hypothesis-driven)
-  and the corpus seeds;
+  and the corpus seeds; the windowed materialized source yields the
+  heap stream row for row at every block size and tie-keys only the
+  prefix EXPLORE reads;
 * ``explore()`` results, event streams and trace fingerprints are
   identical with the block kernel on, forced off
   (``REPRO_VECTORIZE=0``), with numpy absent (import-path fallback),
-  and on the band-streaming source (materialization threshold 0) —
-  serially and batched.
+  on the band-streaming source (materialization threshold 0) and at
+  any block size — serially and batched.
 """
+
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +31,12 @@ from hypothesis import strategies as st
 
 from .randspec import random_spec
 from .test_parallel_explore import SEEDS, fingerprint
-from repro.casestudies import build_settop_spec, build_tv_decoder_spec
+from repro.analysis import with_unit_costs
+from repro.casestudies import (
+    build_settop_spec,
+    build_tv_decoder_spec,
+    synthetic_spec,
+)
 from repro.compiled import MaskAllocationEnumerator, compiled_spec_for
 from repro.compiled import batch
 from repro.core import explore
@@ -171,6 +180,172 @@ def test_materialized_order_matches_heap_order():
                 spec_masks.append(mask)
             observed = list(zip(costs.tolist(), spec_masks))
             assert observed == list(enum.iter_masks())
+
+
+def _synthetic(n_accels):
+    """The 15-unit (4 accelerators) or 18-unit (5) benchmark shape."""
+    return synthetic_spec(
+        seed=0, n_apps=2, interfaces_per_app=2, alternatives=3, n_procs=2,
+        n_accels=n_accels,
+    )
+
+
+def _decimal_costs():
+    """TV decoder with costs 0.1/0.2/0.3/0.6, whose derivation-path
+    sums differ from plain sums."""
+    spec = build_tv_decoder_spec()
+    costs = (0.1, 0.2, 0.3, 0.6)
+    return with_unit_costs(
+        spec,
+        {n: costs[i % 4] for i, n in enumerate(sorted(spec.units.names()))},
+    )
+
+
+def _zero_cost_unit():
+    spec = build_tv_decoder_spec()
+    return with_unit_costs(spec, {sorted(spec.units.names())[0]: 0.0})
+
+
+ORDER_INPUTS = {
+    "settop": build_settop_spec,
+    "synthetic-15": lambda: _synthetic(4),
+    "decimal-costs": _decimal_costs,
+    "zero-cost-unit": _zero_cost_unit,
+}
+
+
+def _window_stream(enum, include_empty, rows):
+    """``_iter_materialized_blocks`` flattened to ``(cost, mask)`` rows,
+    checking that every block but the last holds ``rows`` rows."""
+    blocks = list(
+        batch._iter_materialized_blocks(
+            enum, include_empty, rows, lambda phase, s: None,
+            time.perf_counter,
+        )
+    )
+    assert all(len(costs) == rows for costs, _ in blocks[:-1])
+    return [
+        row
+        for costs, masks in blocks
+        for row in zip(costs.tolist(), masks.tolist())
+    ]
+
+
+@requires_numpy
+@pytest.mark.parametrize("include_empty", [False, True])
+@pytest.mark.parametrize("name", sorted(ORDER_INPUTS))
+def test_windowed_blocks_match_heap_stream(name, include_empty):
+    """The windowed materialized source yields the heap stream row for
+    row at every block size, across tie groups of thousands of masks
+    (set-top), 15 units, derivation-path float sums and a zero-cost
+    unit tied with the empty set."""
+    spec = ORDER_INPUTS[name]()
+    _, enum = _enumerator(spec, include_empty)
+    reference = list(enum.iter_masks())
+    for rows in (1, 3, 64, batch.BLOCK_ROWS):
+        assert _window_stream(enum, include_empty, rows) == reference
+
+
+@requires_numpy
+def test_decimal_costs_exercise_derivation_paths():
+    """Guard of the input above: some heap costs are not plain sums."""
+    _, enum = _enumerator(_decimal_costs(), False)
+    by_bit = dict(zip(enum._bits, enum._costs))
+    assert any(
+        cost != sum(c for bit, c in by_bit.items() if mask & bit)
+        for cost, mask in enum.iter_masks()
+    )
+
+
+@requires_numpy
+@pytest.mark.parametrize("include_empty", [False, True])
+def test_windowed_blocks_single_unit(include_empty):
+    spec = build_settop_spec()
+    cspec = compiled_spec_for(spec)
+    enum = MaskAllocationEnumerator(
+        cspec, ["A1"], include_empty=include_empty
+    )
+    reference = list(enum.iter_masks())
+    for rows in (1, 3, batch.BLOCK_ROWS):
+        assert _window_stream(enum, include_empty, rows) == reference
+
+
+@requires_numpy
+def test_materialized_source_stays_lazy(monkeypatch):
+    """A default explore of the 18-unit what-if spec stops early, so
+    fewer than 1/8 of its ``2^18`` rows may ever be tie-keyed."""
+    keyed = []
+    tie_keys = batch._tie_keys
+
+    def spy(masks, n):
+        keyed.append(len(masks))
+        return tie_keys(masks, n)
+
+    monkeypatch.setattr(batch, "_tie_keys", spy)
+    monkeypatch.setenv("REPRO_VECTORIZE", "1")
+    spec = _synthetic(5)
+    assert len(spec.units.names()) == 18
+    explore(spec)
+    assert keyed, "the materialized source did not run"
+    assert sum(keyed) < (1 << 18) // 8
+
+
+@pytest.fixture
+def sized_blocks(monkeypatch):
+    """Set the block size of every block context ``explore`` builds;
+    records which block driver ran."""
+    monkeypatch.setenv("REPRO_VECTORIZE", "1")
+    seen = {"rows": None, "run_fast": 0, "candidates": 0}
+    make = batch.make_block_context
+
+    def sized(*args, **kwargs):
+        return make(*args, block_rows=seen["rows"], **kwargs)
+
+    monkeypatch.setattr(batch, "make_block_context", sized)
+    for name in ("run_fast", "candidates"):
+        original = getattr(batch.BlockContext, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            assert self.block_rows == seen["rows"]
+            seen[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(batch.BlockContext, name, spy)
+    return seen
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "build",
+    [build_settop_spec, build_tv_decoder_spec, lambda: _synthetic(4)],
+    ids=["settop", "tv_decoder", "synthetic-15"],
+)
+def test_results_do_not_depend_on_block_size(build, sized_blocks):
+    """Result documents, statistics, progress events and audit traces
+    are identical at block sizes 1, 7 and ``BLOCK_ROWS``, through both
+    ``run_fast`` and ``candidates()``."""
+    spec = build()
+    contracts = {}
+    for rows in (1, 7, batch.BLOCK_ROWS):
+        sized_blocks["rows"] = rows
+        fast = fingerprint(explore(spec, engine="compiled"))
+        events = []
+        eventful = explore(
+            spec, engine="compiled", progress=events.append,
+            progress_every=25,
+        )
+        tracer = Tracer(level="audit")
+        traced = explore(spec, engine="compiled", tracer=tracer)
+        contracts[rows] = (
+            fast,
+            fingerprint(eventful),
+            events,
+            fingerprint(traced),
+            trace_fingerprint(tracer.all_records()),
+        )
+    assert sized_blocks["run_fast"] == 3
+    assert sized_blocks["candidates"] == 6
+    assert contracts[1] == contracts[7] == contracts[batch.BLOCK_ROWS]
 
 
 @requires_numpy

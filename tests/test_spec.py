@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ModelError, ValidationError
+from repro.errors import ModelError, ReproError, ValidationError
 from repro.hgraph import new_cluster
 from repro.spec import (
     ArchitectureGraph,
@@ -12,16 +12,23 @@ from repro.spec import (
     UnitCatalog,
     activatable_clusters,
     bindable_leaves,
+    check_latency,
     cost_of,
     is_comm,
     is_negligible,
     make_specification,
     period_of,
+    reconfig_delay_of,
     supports_problem,
     surviving_mappings,
     usable_units,
 )
-from repro.casestudies import build_tv_decoder_spec
+from repro.casestudies import build_settop_spec, build_tv_decoder_spec
+from repro.core import explore
+from repro.io import spec_from_dict, spec_to_dict
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestAttributes:
@@ -73,6 +80,76 @@ class TestAttributes:
         c = new_cluster(i, "g", period=0)
         with pytest.raises(ModelError):
             period_of(c)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_cost_non_finite_rejected(self, value):
+        v = ArchitectureGraph().add_vertex("r", cost=value)
+        with pytest.raises(ModelError):
+            cost_of(v)
+
+    def test_nan_latency_period_and_delay_rejected(self):
+        with pytest.raises(ModelError):
+            check_latency(NAN)
+        i = ProblemGraph().add_interface("I")
+        with pytest.raises(ModelError):
+            period_of(new_cluster(i, "g", period=NAN))
+        with pytest.raises(ModelError):
+            reconfig_delay_of(new_cluster(i, "h", reconfig_delay=NAN))
+
+
+def _named(node, name):
+    """The vertex or cluster dict called ``name`` in a scope document."""
+    for child in node.get("vertices", []):
+        if child["name"] == name:
+            return child
+    for interface in node.get("interfaces", []):
+        for cluster in interface["clusters"]:
+            if cluster["name"] == name:
+                return cluster
+            found = _named(cluster, name)
+            if found is not None:
+                return found
+    return None
+
+
+def _settop_unit_cost(value):
+    def edit(document):
+        _named(document["architecture"], "A1")["attrs"]["cost"] = value
+
+    return edit
+
+
+def _settop_latency(document):
+    document["mappings"][0]["latency"] = NAN
+
+
+def _settop_period(document):
+    _named(document["problem"], "gamma_G")["attrs"]["period"] = NAN
+
+
+class TestNonFiniteValuesThroughExplore:
+    """A NaN or infinite value never reaches EXPLORE, whose cost order
+    and front comparisons assume ordered numbers: loading or exploring
+    the document raises a typed error on both engines."""
+
+    @pytest.mark.parametrize("engine", ["reference", "compiled"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _settop_unit_cost(NAN),
+            _settop_unit_cost(INF),
+            _settop_unit_cost(-INF),
+            _settop_latency,
+            _settop_period,
+        ],
+        ids=["cost-nan", "cost-inf", "cost-minus-inf", "latency-nan",
+             "period-nan"],
+    )
+    def test_rejected(self, engine, edit):
+        document = spec_to_dict(build_settop_spec())
+        edit(document)
+        with pytest.raises(ReproError):
+            explore(spec_from_dict(document), engine=engine)
 
 
 class TestMappingTable:
