@@ -3,7 +3,7 @@
 Measurements backing ``docs/service.md``:
 
 * **Concurrency sweep** — 1/4/16 concurrent jobs drained through one
-  2-worker service: job throughput plus p50/p99 queue-wait estimated
+  service: job throughput plus p50/p99 queue-wait estimated
   from the service's own ``repro_wait_seconds`` histogram.  Every
   front is verified fingerprint-identical to a solo ``explore()``.
 * **Preemption overhead** — the set-top case study run solo in one
@@ -43,14 +43,12 @@ def fingerprint(result):
     )
 
 
-def sweep_point(n_jobs, slice_evaluations, workers):
+def sweep_point(n_jobs, slice_evaluations):
     """Drain ``n_jobs`` seeded jobs; return throughput + wait stats."""
     specs = [random_spec(seed) for seed in range(n_jobs)]
     with tempfile.TemporaryDirectory() as directory:
         service = ExplorationService(
-            directory,
-            workers=workers,
-            slice_evaluations=slice_evaluations,
+            directory, slice_evaluations=slice_evaluations
         )
         started = time.perf_counter()
         jobs = [service.submit(spec) for spec in specs]
@@ -88,9 +86,7 @@ def preemption_overhead(slice_evaluations, repeat):
         for _ in range(repeat):
             with tempfile.TemporaryDirectory() as directory:
                 service = ExplorationService(
-                    directory,
-                    workers=1,
-                    slice_evaluations=slice_budget,
+                    directory, slice_evaluations=slice_budget
                 )
                 started = time.perf_counter()
                 job = service.submit(spec)
@@ -117,12 +113,11 @@ def preemption_overhead(slice_evaluations, repeat):
     }
 
 
-def run(job_counts, slice_evaluations, workers, repeat, out_path,
-        verbose=True):
+def run(job_counts, slice_evaluations, repeat, out_path, verbose=True):
     started = time.perf_counter()
     sweep = []
     for n_jobs in job_counts:
-        point = sweep_point(n_jobs, slice_evaluations, workers)
+        point = sweep_point(n_jobs, slice_evaluations)
         sweep.append(point)
         if verbose:
             print(
@@ -143,7 +138,6 @@ def run(job_counts, slice_evaluations, workers, repeat, out_path,
     document = {
         "bench": "service",
         "cpu_count": os.cpu_count(),
-        "workers": workers,
         "slice_evaluations": slice_evaluations,
         "sweep": sweep,
         "preemption_overhead": overhead,
@@ -169,7 +163,6 @@ def main(argv=None):
         "--slice-evaluations", type=int, default=None,
         help="slice budget for the sweep (default: 8; smoke 16)",
     )
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument(
         "--repeat", type=int, default=None,
         help="timed repetitions, best-of (default: 3; smoke 1)",
@@ -187,9 +180,7 @@ def main(argv=None):
     repeat = args.repeat if args.repeat is not None else (
         1 if args.smoke else 3
     )
-    document = run(
-        JOB_COUNTS, slice_evaluations, args.workers, repeat, args.out
-    )
+    document = run(JOB_COUNTS, slice_evaluations, repeat, args.out)
     # Exactness under multiplexing is the hard requirement.
     return 0 if document["all_identical"] else 1
 

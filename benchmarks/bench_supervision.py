@@ -156,7 +156,7 @@ def slice_watchdog_overhead(jobs, verbose):
     for label, slice_timeout in (("unbounded", None), ("bounded", 300.0)):
         with tempfile.TemporaryDirectory() as directory:
             service = ExplorationService(
-                directory, workers=2, slice_evaluations=16,
+                directory, slice_evaluations=16,
                 clock=ManualClock(), slice_timeout=slice_timeout,
             )
             try:

@@ -7,8 +7,9 @@ determinism seam, so it must satisfy two claims at once:
   sampler + phase profiler + metric registry) produces a result
   document byte-identical to an unobserved run.
 * **Cheapness** — the end-to-end overhead of full telemetry on the
-  settop case study stays within :data:`OVERHEAD_BUDGET` (5%), in
-  both the serial and the batched path.
+  settop case study stays within :data:`OVERHEAD_BUDGET` (5%) on the
+  serial path; the batched replay (the path of budgeted, checkpointed,
+  sharded and service runs) is measured too.
 
 Plus mechanism microbenchmarks: raw counter increments, histogram
 observations, phase charges, and whole-process resource snapshots
@@ -31,6 +32,7 @@ import time
 from repro.casestudies import build_settop_spec
 from repro.core import explore
 from repro.io.result_io import result_to_dict
+from repro.parallel import explore_batched
 from repro.telemetry import MetricRegistry, ResourceSampler, Telemetry
 
 #: The acceptance budget: full telemetry may cost at most this
@@ -49,21 +51,19 @@ def result_doc(result):
 
 def end_to_end(spec, repeat, batched, verbose):
     """Best-of-``repeat`` settop wall clock, telemetry off vs on."""
-    kwargs = dict(engine="compiled")
-    if batched:
-        kwargs.update(parallel="thread", workers=2)
+    run = explore_batched if batched else explore
     label = "batched" if batched else "serial"
     baseline = observed = None
     docs_identical = True
     phases = {}
     for _ in range(repeat):
         started = time.perf_counter()
-        off = explore(spec, **kwargs)
+        off = run(spec, engine="compiled")
         off_elapsed = time.perf_counter() - started
 
         telemetry = Telemetry()
         started = time.perf_counter()
-        on = explore(spec, telemetry=telemetry, **kwargs)
+        on = run(spec, engine="compiled", telemetry=telemetry)
         on_elapsed = time.perf_counter() - started
         telemetry.sample()
 
@@ -192,8 +192,7 @@ def main(argv=None):
     document = run(repeat, args.smoke, args.out)
     # Byte-identity with telemetry attached is the hard requirement;
     # the serial overhead budget is the headline claim.  (The batched
-    # path's wall clock is thread-scheduling noise at settop size, so
-    # it reports but does not gate.)
+    # path reports its overhead but does not gate on it.)
     serial, batched = document["serial"], document["batched"]
     ok = (
         serial["identical"] and batched["identical"]

@@ -20,7 +20,7 @@ the introspection toolchain (:mod:`repro.trace`)::
 and the exploration service (:mod:`repro.service`)::
 
     python -m repro submit run/ settop.json          # spool a job
-    python -m repro serve run/ --workers 2           # drain the queue
+    python -m repro serve run/                       # drain the queue
     python -m repro jobs run/                        # list jobs
     python -m repro watch run/ j0000 --follow        # stream job events
 
@@ -174,15 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     explore_cmd.add_argument(
-        "--parallel", choices=("serial", "thread", "process"),
-        default="serial",
-        help=(
-            "candidate-evaluation backend: the classic serial loop "
-            "(default) or a batched thread/process pool with identical "
-            "results"
-        ),
-    )
-    explore_cmd.add_argument(
         "--engine", choices=("compiled", "reference"), default=None,
         help=(
             "candidate-evaluation engine: the compiled bitmask kernel "
@@ -192,11 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore_cmd.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
-        help="candidates per dispatched batch in parallel modes",
-    )
-    explore_cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker-pool size in parallel modes (default: CPU count)",
+        help=(
+            "candidates per batch of the batched replay that runs "
+            "budgets, checkpoints and shards"
+        ),
     )
     explore_cmd.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -383,12 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing-mode", choices=("utilization", "schedule", "none"),
         default=None,
     )
-    trace_cmd.add_argument(
-        "--parallel", choices=("serial", "thread", "process"),
-        default="serial",
-    )
     trace_cmd.add_argument("--batch-size", type=int, default=None)
-    trace_cmd.add_argument("--workers", type=int, default=None)
     trace_cmd.add_argument(
         "--engine", choices=("compiled", "reference"), default=None,
         help="candidate-evaluation engine (identical results)",
@@ -420,20 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run the exploration service: recover any jobs journaled in "
             "DIR, ingest spooled submissions, and time-slice every job "
-            "over one shared worker pool until the queue drains.  A "
+            "until the queue drains.  A "
             "killed service restarted on the same DIR resumes each "
             "incomplete job from its checkpoint to identical results."
         ),
     )
     serve.add_argument("dir", help="service directory (created if missing)")
-    serve.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shared worker-pool size (default: CPU count)",
-    )
-    serve.add_argument(
-        "--pool", choices=("thread", "serial"), default="thread",
-        help="pool kind (serial = inline evaluation)",
-    )
     serve.add_argument(
         "--slice-evaluations", type=int, default=None, metavar="N",
         help="candidate evaluations per scheduling slice (default 32)",
@@ -615,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--name", default=None, help="job name (default: spec name)")
     submit.add_argument(
         "--priority", type=float, default=1.0,
-        help="fair-share weight (higher = more pool time)",
+        help="fair-share weight (higher = more run time)",
     )
     submit.add_argument("--util-bound", type=float, default=None)
     submit.add_argument("--max-cost", type=float, default=None)
@@ -795,12 +772,8 @@ def _cmd_explore(args, out) -> int:
             overrides["deadline_seconds"] = args.deadline
         if args.max_evaluations is not None:
             overrides["max_evaluations"] = args.max_evaluations
-        if args.parallel != "serial":
-            overrides["parallel"] = args.parallel
         if args.batch_size is not None:
             overrides["batch_size"] = args.batch_size
-        if args.workers is not None:
-            overrides["workers"] = args.workers
         if args.checkpoint_every is not None:
             overrides["checkpoint_every"] = args.checkpoint_every
         if args.engine is not None:
@@ -828,9 +801,7 @@ def _cmd_explore(args, out) -> int:
             check_utilization=not args.no_timing,
             keep_ties=args.keep_ties,
             timing_mode=args.timing_mode,
-            parallel=args.parallel,
             batch_size=args.batch_size,
-            workers=args.workers,
             deadline_seconds=args.deadline,
             max_evaluations=args.max_evaluations,
             checkpoint=args.checkpoint,
@@ -911,7 +882,6 @@ def _cmd_explore_sharded(args, out) -> int:
         check_utilization=not args.no_timing,
         keep_ties=args.keep_ties,
         timing_mode=args.timing_mode,
-        parallel=args.parallel,
         batch_size=args.batch_size,
         deadline_seconds=args.deadline,
         max_evaluations=args.max_evaluations,
@@ -1023,9 +993,7 @@ def _cmd_trace(args, out) -> int:
         max_cost=args.max_cost,
         keep_ties=args.keep_ties,
         timing_mode=args.timing_mode,
-        parallel=args.parallel,
         batch_size=args.batch_size,
-        workers=args.workers,
         tracer=tracer,
         engine=args.engine,
     )
@@ -1101,8 +1069,6 @@ def _cmd_serve(args, out) -> int:
     warm_store = None if args.warm_store == "none" else args.warm_store
     with ExplorationService(
         args.dir,
-        workers=args.workers,
-        pool_kind=args.pool,
         aging_rate=args.aging_rate,
         max_queued=args.max_queued,
         overload_policy=args.overload_policy,

@@ -29,8 +29,7 @@ class _InternTable:
     one cycle that a single garbage collection frees once the caller
     drops the specification.  (A weakly keyed dictionary cannot do
     that: its value would keep its own key alive.)  ``pop`` drops an
-    entry early.  Specifications never pickle their compiled tables;
-    process-pool workers rebuild their own in the initializer.
+    entry early.  Specifications never pickle their compiled tables.
     """
 
     def get(self, spec) -> "CompiledSpec | None":

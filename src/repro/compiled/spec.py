@@ -110,8 +110,9 @@ class _SelectionMemo:
     ``(allowed clusters, cover target)`` pair.
 
     The underlying generator is pulled exactly once per element, under a
-    lock (batched thread mode shares the interned evaluator, and a
-    generator must never be advanced concurrently); every consumer
+    lock (interned evaluators may be reached from several threads, e.g.
+    a service slice abandoned by its watchdog, and a generator must
+    never be advanced concurrently); every consumer
     replays the shared prefix and extends it on demand, so early-exiting
     covers pay only for the selections they actually inspect."""
 

@@ -32,7 +32,7 @@ from .evaluation import (
     make_evaluator,
 )
 from .exhaustive import exhaustive_front, iter_all_implementations
-from .explorer import PARALLEL_MODES, explore, validate_explore_options
+from .explorer import explore, validate_explore_options
 from .flexibility import flexibility, max_flexibility
 from .incremental import (
     UpgradeResult,
@@ -74,7 +74,6 @@ __all__ = [
     "Implementation",
     "Nsga2Result",
     "OptimalityGap",
-    "PARALLEL_MODES",
     "ParetoArchive",
     "ReferenceEvaluator",
     "TIMING_MODES",

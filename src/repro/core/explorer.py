@@ -67,10 +67,6 @@ from .result import ExplorationResult, ExplorationStats, OptimalityGap
 
 logger = logging.getLogger(__name__)
 
-#: Accepted values of ``explore(parallel=...)``.
-PARALLEL_MODES = ("serial", "thread", "process")
-
-
 def warm_store_path(warm_store) -> Optional[str]:
     """Normalise ``explore(warm_store=...)`` to a directory path.
 
@@ -112,7 +108,7 @@ class ExplorationSetup(NamedTuple):
 # Every ``explore()`` parameter after ``spec`` is declared once, below,
 # with its role; every other list of parameter names in the package
 # (merge, resume, checkpoint header, service jobs, shard-worker runs,
-# worker-pool parameters) is derived from this table.
+# evaluator and pipeline parameters) is derived from this table.
 
 #: Changes the front: shard runs and their merge must agree on it, and
 #: a resume may not change it.
@@ -140,8 +136,7 @@ class ExploreParam(NamedTuple):
     role: str
     #: Where the parameter travels besides its role: ``job`` (a service
     #: submission may set it), ``run`` (a shard-worker run request may
-    #: carry it), ``pool`` (worker-pool shape, which service and remote
-    #: hosts choose for themselves), ``evaluator`` (an argument of
+    #: carry it), ``evaluator`` (an argument of
     #: :func:`~repro.core.evaluation.make_evaluator`) and ``pipeline``
     #: (a switch of the per-candidate pipeline).
     tags: FrozenSet[str]
@@ -165,15 +160,11 @@ EXPLORE_PARAMS = tuple(
         ("timing_mode",         RESULT,   "job run evaluator"),
         ("require_units",       RESULT,   "job run"),
         ("forbid_units",        RESULT,   "job run"),
-        ("parallel",            GEOMETRY, "run pool"),
         ("batch_size",          GEOMETRY, "job run"),
-        ("workers",             GEOMETRY, "run pool"),
         ("deadline_seconds",    BUDGET,   "run"),
         ("max_evaluations",     BUDGET,   "run"),
         ("checkpoint",          SESSION,  ""),
         ("checkpoint_every",    GEOMETRY, ""),
-        ("batch_timeout",       GEOMETRY, ""),
-        ("retry",               GEOMETRY, ""),
         ("progress",            SESSION,  ""),
         ("progress_every",      SESSION,  ""),
         ("tracer",              SESSION,  ""),
@@ -208,13 +199,11 @@ def bound_params(
 def validate_explore_options(
     backend: str,
     timing_mode: Optional[str],
-    parallel: str = "serial",
     batch_size: Optional[int] = None,
     *,
     deadline_seconds: Optional[float] = None,
     max_evaluations: Optional[int] = None,
     checkpoint_every: Optional[int] = None,
-    batch_timeout: Optional[float] = None,
     engine: Optional[str] = None,
 ) -> None:
     """Reject unknown modes/backends with a clear :class:`ExplorationError`.
@@ -233,11 +222,6 @@ def validate_explore_options(
             f"unknown timing_mode {timing_mode!r}; "
             f"expected one of {TIMING_MODES}"
         )
-    if parallel not in PARALLEL_MODES:
-        raise ExplorationError(
-            f"unknown parallel mode {parallel!r}; "
-            f"expected one of {PARALLEL_MODES}"
-        )
     if batch_size is not None and batch_size < 1:
         raise ExplorationError(
             f"batch_size must be a positive integer, got {batch_size!r}"
@@ -254,10 +238,6 @@ def validate_explore_options(
         raise ExplorationError(
             f"checkpoint_every must be a positive integer, "
             f"got {checkpoint_every!r}"
-        )
-    if batch_timeout is not None and batch_timeout <= 0:
-        raise ExplorationError(
-            f"batch_timeout must be > 0 seconds, got {batch_timeout!r}"
         )
     if engine is not None and engine not in ENGINES:
         raise ExplorationError(
@@ -702,15 +682,11 @@ def explore(
     timing_mode: Optional[str] = None,
     require_units: Optional[Iterable[str]] = None,
     forbid_units: Optional[Iterable[str]] = None,
-    parallel: str = "serial",
     batch_size: Optional[int] = None,
-    workers: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     max_evaluations: Optional[int] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
-    batch_timeout: Optional[float] = None,
-    retry=None,
     progress=None,
     progress_every: Optional[int] = None,
     tracer=None,
@@ -757,20 +733,13 @@ def explore(
         ``keep_ties=True`` every equally-optimal allocation of the same
         cost and flexibility is reported as well — e.g. all $230/f=4
         variants of the case study.
-    parallel:
-        ``"serial"`` (default) runs the classic in-process loop;
-        ``"thread"`` / ``"process"`` evaluate candidates in cost-ordered
-        batches on a worker pool and reduce them deterministically — the
-        returned Pareto set, statistics and tie-breaking are identical
-        to the serial loop (see :mod:`repro.parallel` and
-        ``docs/parallel.md``).
     batch_size:
-        Candidates per dispatched batch in parallel modes (default
-        :data:`repro.parallel.BATCH_SIZE_DEFAULT`); ignored when
-        ``parallel="serial"``.
-    workers:
-        Worker-pool size in parallel modes (default: the CPU count);
-        ignored when ``parallel="serial"``.
+        Candidates per batch of the batched replay (default
+        :data:`repro.parallel.BATCH_SIZE_DEFAULT`), which runs a budget,
+        a checkpoint or a shard; the returned Pareto set, statistics
+        and tie-breaking are identical to the serial loop (see
+        :mod:`repro.parallel` and ``docs/parallel.md``).  Ignored by a
+        run that needs none of them.
     deadline_seconds / max_evaluations:
         Anytime budgets (see ``docs/resilience.md``): stop gracefully at
         a candidate boundary when the wall-clock deadline passes or the
@@ -787,13 +756,6 @@ def explore(
         ``checkpoint``;
         :func:`repro.resilience.resume_explore` continues a killed run
         to an identical result.
-    batch_timeout:
-        Seconds a dispatched parallel batch may take before the pool
-        results are abandoned and the batch is finished inline.
-    retry:
-        A :class:`repro.resilience.RetryPolicy` governing transient
-        worker-pool failures (default: 3 attempts with exponential
-        backoff and jitter).
     progress / progress_every:
         Structured observation seam (see :mod:`repro.core.progress`):
         ``progress`` is called with plain-dictionary lifecycle events
@@ -860,18 +822,15 @@ def explore(
     validate_bound_options(options)
     warm_path = warm_store_path(warm_store)
     emitter = ProgressEmitter(progress, progress_every)
-    resilient = (
+    if (
         deadline_seconds is not None
         or max_evaluations is not None
         or checkpoint is not None
-        or batch_timeout is not None
-        or retry is not None
         or shard is not None
-    )
-    if parallel != "serial" or resilient:
-        # The resilience features live in the batched replay loop, which
-        # reproduces this serial loop exactly (differentially tested) —
-        # parallel="serial" there means inline execution, no pool.
+    ):
+        # Budgets, checkpoints and shards live in the batched replay
+        # loop, which reproduces this serial loop exactly
+        # (differentially tested).
         from ..parallel import explore_batched
 
         return explore_batched(spec, **options)

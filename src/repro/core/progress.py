@@ -11,7 +11,7 @@ Determinism contract
 --------------------
 Events are emitted at incumbent-order positions with replay-order data
 only (counters, incumbent points) and carry **no wall-clock fields**,
-so a serial run and any batched/pooled run of the same exploration
+so a serial run and any batched run of the same exploration
 emit byte-identical event sequences — differentially tested in
 ``tests/test_progress_events.py``.  Consumers that want timestamps or
 rates (the service does) attach them on receipt.

@@ -147,14 +147,14 @@ class ExplorationStats:
         self.feasible_implementations = 0
         #: Wall-clock duration of the exploration.
         self.elapsed_seconds = 0.0
-        #: Worker jobs retried after a transient pool failure.
+        #: Always 0: counters of the removed worker pools, kept so
+        #: :meth:`as_dict` keeps its keys (pinned by golden fronts and
+        #: result documents).
         self.pool_retries = 0
-        #: Times the worker pool was abandoned for inline evaluation.
         self.pool_fallbacks = 0
-        #: Batches whose pool results were abandoned on timeout.
         self.batch_timeouts = 0
-        #: Candidates quarantined after repeated worker failures
-        #: (still evaluated inline — recorded, never dropped).
+        #: Candidates quarantined after a worker failure (rescued by a
+        #: fault-free re-evaluation — recorded, never dropped).
         self.quarantined = 0
         #: Cache entries rejected by their integrity checksum.
         self.cache_corruptions = 0
@@ -176,8 +176,7 @@ class ExplorationStats:
         self.warm_writes = 0
         self.warm_corruptions = 0
         #: Degradation events, newest last: dictionaries with at least a
-        #: ``"kind"`` key (``pool_fallback``, ``pool_retry``,
-        #: ``batch_timeout``, ``quarantine``, ``cache_corruption``).
+        #: ``"kind"`` key (``quarantine``, ``cache_corruption``).
         #: Surfaced here so a degraded run is never silent.
         self.events: List[Dict[str, Any]] = []
 

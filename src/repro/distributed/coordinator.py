@@ -95,11 +95,6 @@ FAILURE_KINDS = ("hung", "dead", "protocol", "refused")
 #: The manifest filename inside a coordinator workdir.
 MANIFEST_NAME = "shards.json"
 
-#: The worker-pool shape: honoured inline, dropped for service and
-#: remote dispatch, whose hosts size their own pools.
-_POOL_PARAMS = param_names(tag="pool")
-
-
 def _mode_options(mode: str) -> FrozenSet[str]:
     """The explore options dispatch ``mode`` can carry to its shards.
 
@@ -107,7 +102,7 @@ def _mode_options(mode: str) -> FrozenSet[str]:
     takes the enumeration-position, shard-placement or per-session
     parameters.  Inline runs take every other ``explore_batched``
     parameter; service jobs and remote run requests take what their
-    request formats accept, plus the worker-pool shape.
+    request formats accept.
     """
     if mode == "inline":
         from ..parallel.batched import explore_batched
@@ -116,7 +111,7 @@ def _mode_options(mode: str) -> FrozenSet[str]:
     elif mode == "service":
         from ..service.job import SUBMIT_OPTIONS
 
-        names = SUBMIT_OPTIONS + _POOL_PARAMS
+        names = SUBMIT_OPTIONS
     else:
         from .worker import WORKER_RUN_OPTIONS
 
@@ -315,14 +310,12 @@ def _run_inline(
                     outcome.journal_path, outcome.shard.index,
                 )
         if result is None:
-            run_options = dict(options)
             explore_batched(
                 spec,
                 shard=outcome.shard,
                 checkpoint=outcome.journal_path,
                 checkpoint_every=checkpoint_every,
-                parallel=run_options.pop("parallel", "serial"),
-                **run_options,
+                **options,
             )
         loaded = load_checkpoint(outcome.journal_path)
         outcome.cursor = loaded.cursor
@@ -354,8 +347,7 @@ def _run_service(
     # options strictly, and a real value it cannot carry (e.g. a
     # per-shard deadline) must still be rejected loudly.
     job_options = {
-        key: value for key, value in options.items()
-        if key not in _POOL_PARAMS and value is not None
+        key: value for key, value in options.items() if value is not None
     }
     kwargs: Dict[str, Any] = {"progress_every": None}
     if checkpoint_every is not None:
@@ -542,8 +534,7 @@ def _run_remote(
     # let a worker resume the journal of a *previous, different* run.
     digest = shard_io.spec_digest(spec_doc)
     run_options = {
-        key: value for key, value in options.items()
-        if key not in _POOL_PARAMS and value is not None
+        key: value for key, value in options.items() if value is not None
     }
     for outcome in outcomes:
         started = time.perf_counter()

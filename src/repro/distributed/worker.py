@@ -187,7 +187,6 @@ def run_request(
             shard=shard,
             checkpoint=path,
             checkpoint_every=payload.get("checkpoint_every"),
-            parallel=options.pop("parallel", "serial"),
             tracer=tracer,
             progress=progress_cb,
             progress_every=progress_every,

@@ -56,9 +56,9 @@ class TransientWorkerError(WorkerError):
     """A worker failure that is expected to succeed on retry.
 
     Raised (or injected by the fault harness) for flaky-infrastructure
-    conditions: lost pool messages, spurious resource exhaustion,
-    worker preemption.  The batched explorer retries these with
-    exponential backoff before falling back to inline evaluation.
+    conditions: spurious resource exhaustion, worker preemption.  The
+    batched explorer quarantines the candidate and rescues it with a
+    fault-free re-evaluation.
     """
 
 

@@ -9,7 +9,7 @@ single JSON document with a ``format`` tag for forward compatibility.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict
+from typing import Any, Dict, Iterator, Tuple
 
 from ..errors import SerializationError
 from ..hgraph import GraphScope, Interface, new_cluster
@@ -60,32 +60,88 @@ def _interface_to_dict(interface: Interface) -> Dict[str, Any]:
     }
 
 
+def _json_type(value: Any) -> str:
+    """The JSON name of ``value``'s type, for error messages."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, (list, tuple)):
+        return "array"
+    if isinstance(value, dict):
+        return "object"
+    return type(value).__name__
+
+
+def _object(value: Any, where: str) -> Dict[str, Any]:
+    """``value`` when it is a JSON object, else a typed error."""
+    if not isinstance(value, dict):
+        raise SerializationError(
+            f"malformed {where}: expected a JSON object, got "
+            f"{_json_type(value)}"
+        )
+    return value
+
+
+def _attrs(document: Dict[str, Any], where: str, key: str = "attrs"):
+    """The object ``document[key]`` (empty when absent)."""
+    value = document.get(key, {})
+    if not isinstance(value, dict):
+        raise SerializationError(
+            f"malformed {where}: {key!r} must be a JSON object, got "
+            f"{_json_type(value)}"
+        )
+    return value
+
+
+def _entries(
+    document: Dict[str, Any], key: str, where: str
+) -> Iterator[Tuple[str, Dict[str, Any]]]:
+    """``(location, entry)`` for each object of the array
+    ``document[key]`` (none when absent)."""
+    value = document.get(key, ())
+    if not isinstance(value, (list, tuple)):
+        raise SerializationError(
+            f"malformed {where}: {key!r} must be a JSON array, got "
+            f"{_json_type(value)}"
+        )
+    for index, entry in enumerate(value):
+        location = f"{where} {key}[{index}]"
+        yield location, _object(entry, location)
+
+
 def _fill_scope(scope: GraphScope, document: Dict[str, Any]) -> None:
+    where = f"scope {document.get('name')!r}"
     try:
-        for vertex in document.get("vertices", ()):
-            scope.add_vertex(vertex["name"], **vertex.get("attrs", {}))
-        for interface_doc in document.get("interfaces", ()):
+        for at, vertex in _entries(document, "vertices", where):
+            scope.add_vertex(vertex["name"], **_attrs(vertex, at))
+        for at, interface_doc in _entries(document, "interfaces", where):
             interface = scope.add_interface(
-                interface_doc["name"], **interface_doc.get("attrs", {})
+                interface_doc["name"], **_attrs(interface_doc, at)
             )
-            for port in interface_doc.get("ports", ()):
+            for _, port in _entries(interface_doc, "ports", at):
                 interface.add_port(port["name"], port.get("direction", "inout"))
-            for cluster_doc in interface_doc.get("clusters", ()):
+            for cat, cluster_doc in _entries(interface_doc, "clusters", at):
                 cluster = new_cluster(
                     interface,
                     cluster_doc["name"],
-                    **cluster_doc.get("attrs", {}),
+                    **_attrs(cluster_doc, cat),
                 )
                 _fill_scope(cluster, cluster_doc)
-                for port, target in cluster_doc.get("port_map", {}).items():
+                port_map = _attrs(cluster_doc, cat, key="port_map")
+                for port, target in port_map.items():
                     cluster.map_port(port, target)
-        for edge in document.get("edges", ()):
+        for at, edge in _entries(document, "edges", where):
             scope.add_edge(
                 edge["src"],
                 edge["dst"],
                 edge.get("src_port"),
                 edge.get("dst_port"),
-                **edge.get("attrs", {}),
+                **_attrs(edge, at),
             )
     except KeyError as missing:
         raise SerializationError(
@@ -116,7 +172,13 @@ def spec_to_dict(spec: SpecificationGraph) -> Dict[str, Any]:
 
 
 def spec_from_dict(document: Dict[str, Any]) -> SpecificationGraph:
-    """Rebuild (and freeze) a specification from its dictionary form."""
+    """Rebuild (and freeze) a specification from its dictionary form.
+
+    A document of the wrong shape — a section of the wrong JSON type,
+    a missing key — raises :class:`SerializationError` naming the
+    field.
+    """
+    _object(document, "specification document")
     if document.get("format") != FORMAT:
         raise SerializationError(
             f"not a specification-graph document: format="
@@ -126,25 +188,29 @@ def spec_from_dict(document: Dict[str, Any]) -> SpecificationGraph:
         raise SerializationError(
             f"unsupported document version {document.get('version')!r}"
         )
+    where = "specification document"
     try:
-        problem = ProblemGraph(document["problem"]["name"])
-        problem.attrs.update(document["problem"].get("attrs", {}))
-        _fill_scope(problem, document["problem"])
-        architecture = ArchitectureGraph(document["architecture"]["name"])
-        architecture.attrs.update(document["architecture"].get("attrs", {}))
-        _fill_scope(architecture, document["architecture"])
+        scopes = []
+        for graph, key in (
+            (ProblemGraph, "problem"),
+            (ArchitectureGraph, "architecture"),
+        ):
+            scope_doc = _object(document[key], f"{where} {key!r}")
+            scope = graph(scope_doc["name"])
+            scope.attrs.update(_attrs(scope_doc, f"{where} {key!r}"))
+            _fill_scope(scope, scope_doc)
+            scopes.append(scope)
         spec = SpecificationGraph(
-            problem,
-            architecture,
+            *scopes,
             name=document.get("name", "G_S"),
-            attrs=document.get("attrs"),
+            attrs=_attrs(document, where),
         )
-        for mapping in document.get("mappings", ()):
+        for at, mapping in _entries(document, "mappings", where):
             spec.map(
                 mapping["process"],
                 mapping["resource"],
                 mapping["latency"],
-                **mapping.get("attrs", {}),
+                **_attrs(mapping, at),
             )
     except KeyError as missing:
         raise SerializationError(

@@ -1,33 +1,33 @@
-"""Batched parallel EXPLORE with a deterministic replay reduction.
+"""Batched EXPLORE with a deterministic replay reduction.
 
 The exploration pulls candidates from the cost-ordered enumerator in
-batches, fans the incumbent-independent pipeline of each batch out to a
-worker pool (threads, processes, or inline when no pool is available),
-and *replays* the outcomes in the exact serial candidate order against
-the shared incumbent flexibility bound.  The replay does not restate
-EXPLORE's decision rule: it hands each candidate, with an
+batches, evaluates the incumbent-independent pipeline of each batch
+in-process, and *replays* the outcomes in the exact serial candidate
+order against the shared incumbent flexibility bound.  The replay does
+not restate EXPLORE's decision rule: it hands each candidate, with an
 :class:`~repro.parallel.worker.OutcomeProbe` over its outcome, to the
 :class:`~repro.core.explorer.ExploreState` the serial loop drives, so
 every incumbent-dependent decision — estimate pruning, tie handling,
 stops, Pareto recording — is the serial loop's by construction.  This
-module only batches, dispatches, advances the replay cursor, checks
-the anytime budgets and writes checkpoints.
+module only batches, evaluates, advances the replay cursor, checks the
+anytime budgets and writes checkpoints: every budgeted, checkpointed,
+resumed, sharded or service-sliced run goes through it.
 
 Why the replay always has what it needs
 ---------------------------------------
-Workers speculatively evaluate a candidate when its estimate exceeds
-``f_entry``, the incumbent bound at dispatch time.  The incumbent is
-monotone non-decreasing, so for any candidate the serial loop would
-evaluate (``estimate > f_cur``, or ``>=`` under ``keep_ties``) we have
-``estimate > f_cur >= f_entry`` — the speculative evaluation happened.
-Candidates whose speculation was skipped satisfy ``estimate <=
-f_entry <= f_cur`` at replay time and are pruned exactly as the serial
-loop would prune them.  The same monotonicity argument covers cached
-outcomes reused from earlier batches (their ``f_entry`` was at most the
-current incumbent) and outcomes journaled by a killed run and restored
-on resume (an outcome is journaled at its *first* dispatch, whose
-``f_entry`` is bounded by the incumbent at every later replay
-position).
+A batch speculatively evaluates a candidate when its estimate exceeds
+``f_entry``, the incumbent bound when the batch was evaluated.  The
+incumbent is monotone non-decreasing, so for any candidate the serial
+loop would evaluate (``estimate > f_cur``, or ``>=`` under
+``keep_ties``) we have ``estimate > f_cur >= f_entry`` — the
+speculative evaluation happened.  Candidates whose speculation was
+skipped satisfy ``estimate <= f_entry <= f_cur`` at replay time and
+are pruned exactly as the serial loop would prune them.  The same
+monotonicity argument covers cached outcomes reused from earlier
+batches (their ``f_entry`` was at most the current incumbent) and
+outcomes journaled by a killed run and restored on resume (an outcome
+is journaled at its *first* evaluation, whose ``f_entry`` is bounded
+by the incumbent at every later replay position).
 
 Statistics are charged by the replay, not by the work actually
 performed: a speculatively evaluated candidate that the replay prunes
@@ -35,18 +35,10 @@ contributes nothing, and a cache hit contributes the recorded solver
 invocations of its first evaluation — both exactly what the serial
 loop would have counted.
 
-Fault tolerance (see :mod:`repro.resilience` and ``docs/resilience.md``)
-------------------------------------------------------------------------
-Because candidate outcomes are deterministic, *where* they are computed
-is irrelevant to the result; the dispatcher therefore degrades freely —
-transient worker failures retry with exponential backoff and jitter,
-hung batches are abandoned on ``batch_timeout`` and finished inline,
-repeatedly failing candidates are quarantined (recorded in the
-statistics, then rescued by a fault-free inline evaluation), and a dead
-pool falls back to inline execution — with unchanged results.  None of
-this is silent: every degradation increments a counter and appends an
-event to ``ExplorationResult.stats.events``, and permanent pool loss
-additionally emits a :class:`RuntimeWarning`.
+An injected worker fault (see :mod:`repro.resilience.faults`) is
+quarantined — counted in ``stats.quarantined`` and recorded as a
+``quarantine`` event — and the candidate is rescued by a fault-free
+re-evaluation, so results are unchanged.
 
 Checkpointing journals evaluated outcomes and fsync'd replay snapshots
 (cursor, incumbent front, statistics) so a killed run resumes —
@@ -57,23 +49,14 @@ explicit :class:`~repro.core.result.OptimalityGap`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
-import os
 import time
-import warnings
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.candidates import iter_cost_batches
 from ..core.explorer import (
-    PARALLEL_MODES,
     ExploreState,
     _charged_enumeration,
     bound_params,
@@ -87,13 +70,7 @@ from ..core.result import (
     ExplorationStats,
     OptimalityGap,
 )
-from ..errors import (
-    CheckpointError,
-    ExplorationError,
-    PermanentWorkerError,
-    TransientWorkerError,
-    WorkerError,
-)
+from ..errors import CheckpointError, ExplorationError, WorkerError
 from ..spec import SpecificationGraph
 from ..timing import PAPER_UTILIZATION_BOUND
 from ..trace.tracer import BUDGET
@@ -105,25 +82,14 @@ from .worker import (
     EvalParams,
     OutcomeProbe,
     evaluate_candidate,
-    init_worker,
-    pool_evaluate,
 )
 
 logger = logging.getLogger(__name__)
 
-#: Default number of candidates dispatched per batch.  Small enough to
+#: Default number of candidates evaluated per batch.  Small enough to
 #: keep speculative over-evaluation near the incumbent's rise points
-#: rare, large enough to amortise dispatch overhead.
+#: rare, large enough to amortise the per-batch overhead.
 BATCH_SIZE_DEFAULT = 32
-
-#: Exceptions on pool creation/use that trigger the inline fallback.
-_POOL_FAILURES = (OSError, ValueError, ImportError, NotImplementedError)
-try:  # BrokenProcessPool only exists where process pools do
-    from concurrent.futures.process import BrokenProcessPool
-
-    _POOL_FAILURES = _POOL_FAILURES + (BrokenProcessPool,)
-except ImportError:  # pragma: no cover - exotic platforms
-    pass
 
 
 def _faults():
@@ -133,297 +99,43 @@ def _faults():
     return faults
 
 
-def _default_retry():
-    from ..resilience.retry import RetryPolicy
+def _evaluate_jobs(
+    evaluator,
+    params: EvalParams,
+    stats: ExplorationStats,
+    unit_sets: List[FrozenSet[str]],
+    f_entry: float,
+) -> List[CandidateOutcome]:
+    """Evaluate ``unit_sets`` (in order) at incumbent ``f_entry``.
 
-    return RetryPolicy()
-
-
-class _BatchRunner:
-    """Dispatches unit-set jobs to a pool, degrading — loudly — to
-    inline evaluation.
-
-    Failure handling, in escalation order:
-
-    * transient dispatch/worker failures → exponential backoff + jitter
-      retries (``retry`` policy, counted in ``stats.pool_retries``);
-    * per-candidate failures that survive the retries, and permanent
-      worker errors → the candidate is *quarantined* (counted and
-      logged, never dropped) and rescued by a fault-free inline
-      evaluation;
-    * a batch exceeding ``batch_timeout`` seconds → the pool results
-      are abandoned and the stragglers are finished inline
-      (``stats.batch_timeouts``);
-    * pool creation failure or pool death (``BrokenProcessPool``) →
-      permanent fallback to inline execution, with a
-      :class:`RuntimeWarning` and a ``pool_fallback`` event.
-
-    Candidate outcomes are deterministic, so every degradation path
-    returns exactly the outcome the healthy pool would have returned.
+    When the compiled engine offers the batch-vectorized kernel and no
+    fault injection is armed, the whole batch's pre-filters run as one
+    uint64 block (identical outcomes to the per-candidate pipeline;
+    falls through to it when the kernel declines, e.g. numpy absent).
     """
-
-    def __init__(
-        self,
-        parallel: str,
-        workers: Optional[int],
-        spec: SpecificationGraph,
-        evaluator,
-        params: EvalParams,
-        stats: ExplorationStats,
-        retry=None,
-        batch_timeout: Optional[float] = None,
-        pool=None,
-    ) -> None:
-        self.spec = spec
-        self.evaluator = evaluator
-        self.params = params
-        self.stats = stats
-        self.retry = retry if retry is not None else _default_retry()
-        self.batch_timeout = batch_timeout
-        self.workers = workers or os.cpu_count() or 1
-        self.executor: Optional[Executor] = None
-        self.kind = "inline"
-        #: Whether this runner owns (and must shut down) the executor;
-        #: a shared :class:`repro.parallel.pool.WorkerPool` stays alive
-        #: across runs and is shut down by its owner instead.
-        self.owns_executor = True
-        if pool is not None:
-            # Shared-pool geometry overrides the per-run `parallel` kind.
-            if pool.executor is not None:
-                self.executor = pool.executor
-                self.kind = pool.kind
-                self.workers = pool.workers
-                self.owns_executor = False
-        elif parallel == "thread":
-            self.executor = ThreadPoolExecutor(max_workers=self.workers)
-            self.kind = "thread"
-        elif parallel == "process":
-            try:
-                self.executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=init_worker,
-                    initargs=(spec, params, _faults().active_plan()),
-                )
-                self.kind = "process"
-            except _POOL_FAILURES as error:
-                self._lose_pool("create", error)
-
-    # --- degradation bookkeeping (never silent) ------------------------
-
-    def _lose_pool(self, stage: str, error: BaseException) -> None:
-        """Abandon the pool permanently; warn and record the event."""
-        self.stats.pool_fallbacks += 1
-        self.stats.record_event(
-            "pool_fallback", stage=stage, error=repr(error)
-        )
-        warnings.warn(
-            f"exploration worker pool lost during {stage} ({error!r}); "
-            f"continuing with inline evaluation — results are unchanged "
-            f"but wall-clock parallelism is gone",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        self.shutdown()
-
-    def _quarantine(
-        self, units: FrozenSet[str], error: BaseException
-    ) -> None:
-        self.stats.quarantined += 1
-        self.stats.record_event(
-            "quarantine", units=sorted(units), error=repr(error)
-        )
-
-    # --- evaluation paths ----------------------------------------------
-
-    def _submit(self, units: FrozenSet[str], f_entry: float) -> Future:
-        if self.kind == "process":
-            return self.executor.submit(pool_evaluate, (units, f_entry))
-        return self.executor.submit(
-            evaluate_candidate,
-            self.evaluator,
-            self.params,
-            units,
-            f_entry,
-        )
-
-    def _rescue(
-        self, units: FrozenSet[str], f_entry: float
-    ) -> CandidateOutcome:
-        """Fault-free inline evaluation (injection suppressed)."""
-        with _faults().suppressed():
-            return evaluate_candidate(
-                self.evaluator, self.params, units, f_entry
-            )
-
-    def _evaluate_inline(
-        self, units: FrozenSet[str], f_entry: float
-    ) -> CandidateOutcome:
-        """Inline evaluation; worker-level faults quarantine + rescue."""
+    if worker_module._FAULT_HOOK is None:
+        block = getattr(evaluator, "block_outcomes", None)
+        if block is not None:
+            outcomes = block(unit_sets, params, f_entry)
+            if outcomes is not None:
+                return outcomes
+    outcomes = []
+    for units in unit_sets:
         try:
-            return evaluate_candidate(
-                self.evaluator, self.params, units, f_entry
-            )
+            outcome = evaluate_candidate(evaluator, params, units, f_entry)
         except WorkerError as error:
-            self._quarantine(units, error)
-            return self._rescue(units, f_entry)
-
-    def _dispatch(
-        self, unit_sets: List[FrozenSet[str]], f_entry: float
-    ) -> Optional[List[Future]]:
-        """Submit a batch, retrying transient dispatch failures.
-
-        Returns ``None`` when the pool is lost (caller goes inline).
-        """
-        last: Optional[BaseException] = None
-        site_key = "dispatch:" + (
-            ",".join(sorted(unit_sets[0])) if unit_sets else ""
-        )
-        for attempt, delay in enumerate(
-            itertools.chain([0.0], self.retry.delays(site_key=site_key))
-        ):
-            if attempt:
-                self.stats.pool_retries += 1
-                self.stats.record_event(
-                    "pool_retry",
-                    stage="dispatch",
-                    attempt=attempt,
-                    delay=round(delay, 6),
-                    error=repr(last),
-                )
-                time.sleep(delay)
-            try:
-                _faults().maybe_inject("pool", batch=len(unit_sets))
-                return [self._submit(u, f_entry) for u in unit_sets]
-            except TransientWorkerError as error:
-                last = error
-                continue
-            except PermanentWorkerError as error:
-                self._lose_pool("dispatch", error)
-                return None
-            except _POOL_FAILURES as error:
-                self._lose_pool("dispatch", error)
-                return None
-        self._lose_pool("dispatch", last)
-        return None
-
-    def _retry_candidate(
-        self,
-        units: FrozenSet[str],
-        f_entry: float,
-        error: BaseException,
-    ) -> CandidateOutcome:
-        """Backoff-retry one failed candidate in the pool, then rescue."""
-        last = error
-        site_key = "candidate:" + ",".join(sorted(units))
-        for attempt, delay in enumerate(
-            self.retry.delays(site_key=site_key), start=1
-        ):
-            if self.executor is None:
-                break
-            self.stats.pool_retries += 1
-            self.stats.record_event(
-                "pool_retry",
-                stage="candidate",
-                units=sorted(units),
-                attempt=attempt,
-                delay=round(delay, 6),
-                error=repr(last),
+            # An injected worker fault: quarantine the candidate
+            # (counted, never dropped) and rescue it fault-free.
+            stats.quarantined += 1
+            stats.record_event(
+                "quarantine", units=sorted(units), error=repr(error)
             )
-            time.sleep(delay)
-            try:
-                return self._submit(units, f_entry).result(
-                    timeout=self.batch_timeout
+            with _faults().suppressed():
+                outcome = evaluate_candidate(
+                    evaluator, params, units, f_entry
                 )
-            except (TransientWorkerError, FuturesTimeoutError) as retry_error:
-                last = retry_error
-                continue
-            except PermanentWorkerError as retry_error:
-                last = retry_error
-                break
-            except _POOL_FAILURES as pool_error:
-                self._lose_pool("retry", pool_error)
-                break
-        self._quarantine(units, last)
-        return self._rescue(units, f_entry)
-
-    def _collect(
-        self,
-        unit_sets: List[FrozenSet[str]],
-        futures: List[Future],
-        f_entry: float,
-    ) -> List[CandidateOutcome]:
-        """Harvest a dispatched batch under the shared batch timeout."""
-        outcomes: List[Optional[CandidateOutcome]] = [None] * len(futures)
-        deadline = (
-            time.monotonic() + self.batch_timeout
-            if self.batch_timeout is not None
-            else None
-        )
-        timed_out = False
-        for pos, future in enumerate(futures):
-            if self.executor is None:
-                # pool died earlier in this batch; finish inline
-                future.cancel()
-                outcomes[pos] = self._evaluate_inline(unit_sets[pos], f_entry)
-                continue
-            remaining: Optional[float] = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            try:
-                outcomes[pos] = future.result(timeout=remaining)
-            except FuturesTimeoutError:
-                if not timed_out:
-                    timed_out = True
-                    self.stats.batch_timeouts += 1
-                    self.stats.record_event(
-                        "batch_timeout",
-                        timeout=self.batch_timeout,
-                        abandoned_at=pos,
-                        batch=len(futures),
-                    )
-                future.cancel()
-                outcomes[pos] = self._rescue(unit_sets[pos], f_entry)
-            except TransientWorkerError as error:
-                outcomes[pos] = self._retry_candidate(
-                    unit_sets[pos], f_entry, error
-                )
-            except PermanentWorkerError as error:
-                self._quarantine(unit_sets[pos], error)
-                outcomes[pos] = self._rescue(unit_sets[pos], f_entry)
-            except _POOL_FAILURES as error:
-                self._lose_pool("batch", error)
-                outcomes[pos] = self._rescue(unit_sets[pos], f_entry)
-        return outcomes
-
-    def run(
-        self, unit_sets: List[FrozenSet[str]], f_entry: float
-    ) -> List[CandidateOutcome]:
-        """Evaluate ``unit_sets`` (in order) at incumbent ``f_entry``."""
-        if self.executor is not None:
-            futures = self._dispatch(unit_sets, f_entry)
-            if futures is not None:
-                return self._collect(unit_sets, futures, f_entry)
-        # Inline execution: when the compiled engine offers the
-        # batch-vectorized kernel and no fault injection is armed, the
-        # whole batch's pre-filters run as one uint64 block (identical
-        # outcomes to the per-candidate pipeline; falls through to it
-        # when the kernel declines, e.g. numpy absent).
-        if worker_module._FAULT_HOOK is None:
-            block = getattr(self.evaluator, "block_outcomes", None)
-            if block is not None:
-                outcomes = block(unit_sets, self.params, f_entry)
-                if outcomes is not None:
-                    return outcomes
-        return [
-            self._evaluate_inline(units, f_entry) for units in unit_sets
-        ]
-
-    def shutdown(self) -> None:
-        if self.executor is not None:
-            if self.owns_executor:
-                self.executor.shutdown(wait=False, cancel_futures=True)
-            self.executor = None
-            self.kind = "inline"
+        outcomes.append(outcome)
+    return outcomes
 
 
 def _evaluate_batch(
@@ -432,14 +144,15 @@ def _evaluate_batch(
     required: FrozenSet[str],
     f_entry: float,
     cache: EvaluationCache,
-    runner: _BatchRunner,
+    evaluate,
     writer=None,
 ) -> List[Tuple[FrozenSet[str], CandidateOutcome]]:
     """Resolve one batch to ``(units, outcome)`` pairs in batch order.
 
-    Checks the memo cache first; dispatches exactly one job per distinct
-    uncached signature (same-batch duplicates share the first job's
-    outcome) and stores the new outcomes for later batches.  Freshly
+    Checks the memo cache first; evaluates exactly one job per distinct
+    uncached signature through ``evaluate(unit_sets, f_entry)``
+    (same-batch duplicates share the first job's outcome) and stores
+    the new outcomes for later batches.  Freshly
     computed outcomes are journaled through ``writer`` (when
     checkpointing) the moment they are cached.
     """
@@ -462,7 +175,7 @@ def _evaluate_batch(
             cache.misses += 1
             job_positions.append(pos)
     if job_positions:
-        results = runner.run(
+        results = evaluate(
             [unit_sets[pos] for pos in job_positions], f_entry
         )
         for pos, outcome in zip(job_positions, results):
@@ -491,17 +204,12 @@ def explore_batched(
     timing_mode: Optional[str] = None,
     require_units: Optional[Iterable[str]] = None,
     forbid_units: Optional[Iterable[str]] = None,
-    parallel: str = "thread",
     batch_size: Optional[int] = None,
-    workers: Optional[int] = None,
     cache: Optional[EvaluationCache] = None,
     deadline_seconds: Optional[float] = None,
     max_evaluations: Optional[int] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
-    batch_timeout: Optional[float] = None,
-    retry=None,
-    pool=None,
     progress=None,
     progress_every: Optional[int] = None,
     tracer=None,
@@ -511,31 +219,24 @@ def explore_batched(
     telemetry=None,
     _resume=None,
 ) -> ExplorationResult:
-    """EXPLORE with batched, pooled, fault-tolerant candidate evaluation.
+    """EXPLORE with batched candidate evaluation and a deterministic replay.
 
     Takes every :func:`repro.core.explorer.explore` parameter, with the
-    meaning documented there (``parallel="serial"`` means inline
-    execution, no pool); results (Pareto set, statistics except
+    meaning documented there; results (Pareto set, statistics except
     ``elapsed_seconds``, tie-breaking, progress events, logical
     traces) are identical to the serial loop by construction — see the
     module docstring.  A checkpoint header records every parameter but
     the per-session seams (:data:`repro.core.explorer.EXPLORE_PARAMS`).
-    Batch dispatch is charged to the ``dispatch`` phase of ``tracer``
+    Batch evaluation is charged to the ``dispatch`` phase of ``tracer``
     and ``telemetry``; a budget truncation under a tracer with
     ``record_truncation=False`` (a service preemption) records nothing,
     so a job traced across slices accumulates one uninterrupted trace.
-    Three parameters exist only here:
+    Two parameters exist only here:
 
     ``cache`` — pass an :class:`EvaluationCache` to reuse memoised
     evaluation outcomes across runs on the *same* specification and
     parameters (e.g. what-if sweeps over ``require_units``); by default
     each run gets a fresh cache.
-
-    ``pool`` — a shared :class:`repro.parallel.pool.WorkerPool`; when
-    given it overrides the ``parallel``/``workers`` execution geometry
-    and is *not* shut down when the run ends (the owner shuts it down).
-    Used by the exploration service to multiplex many jobs over one
-    bounded pool; results are unchanged by construction.
 
     ``_resume`` — internal: a
     :class:`repro.resilience.checkpoint.LoadedCheckpoint` to continue
@@ -561,8 +262,6 @@ def explore_batched(
     from ..resilience.anytime import AnytimeBudget
 
     emitter = ProgressEmitter(progress, progress_every)
-    # "serial" means: batched replay semantics, inline execution (no pool).
-    parallel_kind = "inline" if parallel == "serial" else parallel
     if not spec.frozen:
         raise ExplorationError("specification must be frozen before explore()")
     warm_path = warm_store_path(warm_store)
@@ -637,24 +336,13 @@ def explore_batched(
             ),
         )
     budget = AnytimeBudget(deadline_seconds, max_evaluations)
-    runner = _BatchRunner(
-        parallel_kind,
-        workers,
-        spec,
-        evaluator,
-        params,
-        stats,
-        retry=retry,
-        batch_timeout=batch_timeout,
-        pool=pool,
-    )
+    evaluate = functools.partial(_evaluate_jobs, evaluator, params, stats)
     logger.info(
-        "explore start: spec=%s design_space=%d f_max=%g mode=%s "
+        "explore start: spec=%s design_space=%d f_max=%g batched "
         "cursor=%d",
         spec.name,
         stats.design_space_size,
         state.f_max,
-        runner.kind,
         cursor,
     )
 
@@ -710,7 +398,7 @@ def explore_batched(
                 break
             t_dispatch = time.perf_counter()
             resolved = _evaluate_batch(
-                spec, batch, required, state.f_cur, cache, runner, writer
+                spec, batch, required, state.f_cur, cache, evaluate, writer
             )
             state.charge("dispatch", time.perf_counter() - t_dispatch)
             # --- deterministic replay: the decision rule of the serial
@@ -755,7 +443,6 @@ def explore_batched(
                 completed=truncation is None,
             )
     finally:
-        runner.shutdown()
         if writer is not None:
             writer.close()
 

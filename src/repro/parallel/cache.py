@@ -19,10 +19,6 @@ so silent in-memory corruption degrades to a re-evaluation instead of
 a wrong Pareto front — this is the detection seam the fault-injection
 harness (:func:`repro.resilience.faults.corrupt_cache_entry`)
 exercises.
-
-Thread safety: the cache is written from the reducing (main) thread
-only — thread- and process-pool workers return outcomes to the reducer,
-which inserts them — so plain dict operations suffice.
 """
 
 from __future__ import annotations

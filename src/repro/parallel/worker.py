@@ -1,7 +1,8 @@
-"""The incumbent-independent candidate pipeline run by pool workers.
+"""The incumbent-independent candidate pipeline of the batched replay.
 
-A worker receives ``(units, f_entry)`` where ``f_entry`` is the
-incumbent flexibility bound at batch-dispatch time, and runs exactly
+:func:`evaluate_candidate` receives ``(units, f_entry)`` where
+``f_entry`` is the incumbent flexibility bound when the batch is
+evaluated, and runs exactly
 the per-candidate work of the serial EXPLORE loop that does not depend
 on the *current* incumbent: the possible-resource-allocation filter,
 the useless-communication pruning, the flexibility estimate, and —
@@ -17,16 +18,12 @@ hence evaluating whenever ``estimate > f_entry`` (or ``>=`` under
 ``keep_ties``) evaluates a superset of the candidates the serial loop
 evaluates, and the deterministic replay in
 :mod:`repro.parallel.batched` always finds the evaluation it needs.
-
-For process pools the specification and parameters are shipped once
-per worker through the pool initializer (:func:`init_worker`), so work
-items stay small and picklable.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from ..core.evaluation import make_evaluator
 from ..core.explorer import bound_params, param_names
@@ -41,13 +38,10 @@ class EvalParams(
         param_names(tag="evaluator") + param_names(tag="pipeline"),
     )
 ):
-    """The incumbent-independent knobs of one EXPLORE run (picklable).
+    """The incumbent-independent knobs of one EXPLORE run.
 
     Its fields are the ``explore()`` parameters that build the engine
     evaluator, then the switches of the per-candidate pipeline.
-    ``warm_store`` is a plain path, so it pickles to process-pool
-    workers, each of which opens its own store handle on the shared
-    directory.
     """
 
     __slots__ = ()
@@ -55,9 +49,8 @@ class EvalParams(
     def evaluator(self, spec: SpecificationGraph):
         """Build the engine evaluator these parameters describe.
 
-        Called once per worker (pool initializer) or once per run
-        (inline execution) — never per candidate: the compiled engine's
-        cross-candidate caches live on the evaluator.
+        Called once per run — never per candidate: the compiled
+        engine's cross-candidate caches live on the evaluator.
         """
         return make_evaluator(
             spec, **bound_params(self._asdict(), param_names(tag="evaluator"))
@@ -165,7 +158,7 @@ class OutcomeProbe:
 
 #: Test seam of the fault-injection harness: when not ``None``, called
 #: as ``_FAULT_HOOK("worker", units=units)`` at the top of
-#: :func:`evaluate_candidate` — in pool workers and inline alike.
+#: :func:`evaluate_candidate`.
 #: Installed/cleared by :func:`repro.resilience.faults.install`; never
 #: set in production use, so the fault-free path costs one global read.
 _FAULT_HOOK = None
@@ -211,45 +204,3 @@ def evaluate_candidate(
         out.clusters = implementation.clusters
         out.coverage = implementation.coverage
     return out
-
-
-# --- process-pool plumbing -------------------------------------------------
-#
-# Each worker process holds the engine evaluator (with its caches and
-# precompiled tables) and the run parameters in module globals,
-# installed once by the pool initializer; work items are then just
-# (units, f_entry) pairs.  The compiled tables are never pickled — each
-# worker compiles its own from the shipped specification.
-
-_WORKER_EVALUATOR = None
-_WORKER_PARAMS: Optional[EvalParams] = None
-
-
-def init_worker(
-    spec: SpecificationGraph,
-    params: EvalParams,
-    fault_plan=None,
-) -> None:
-    """Pool initializer: install per-worker evaluation state.
-
-    ``fault_plan`` — an optional
-    :class:`repro.resilience.faults.FaultPlan` shipped from the parent
-    so the fault-injection harness also reaches process-pool children.
-    """
-    global _WORKER_EVALUATOR, _WORKER_PARAMS
-    _WORKER_PARAMS = params
-    _WORKER_EVALUATOR = params.evaluator(spec)
-    if fault_plan is not None:
-        from ..resilience import faults
-
-        faults.install(fault_plan)
-
-
-def pool_evaluate(
-    task: Tuple[FrozenSet[str], float]
-) -> CandidateOutcome:
-    """Top-level (picklable) work function for process pools."""
-    units, f_entry = task
-    return evaluate_candidate(
-        _WORKER_EVALUATOR, _WORKER_PARAMS, units, f_entry
-    )

@@ -1,7 +1,7 @@
 """Fault-tolerant, anytime exploration runtime.
 
 The EXPLORE branch-and-bound is NP-complete; production runs are long,
-get preempted, and hit flaky workers.  This package makes the explorer
+get preempted, and hit flaky hosts.  This package makes the explorer
 return a *valid, bounded* answer under all of that:
 
 * **checkpoint/resume** (:mod:`.checkpoint`, :mod:`.journal`) —
@@ -13,21 +13,21 @@ return a *valid, bounded* answer under all of that:
   ``max_evaluations=`` stop gracefully with the best-so-far front, an
   explicit :class:`~repro.core.result.OptimalityGap`, and
   ``completed=False``;
-* **worker fault tolerance** (:mod:`.retry` plus
-  :mod:`repro.parallel.batched`) — transient pool failures retry with
-  exponential backoff and jitter, hung batches time out, repeatedly
-  crashing candidates are quarantined (recorded, then evaluated
-  inline), and every degradation is surfaced as an event in
-  ``ExplorationResult.stats`` — fallback is never silent;
+* **candidate quarantine** (:mod:`repro.parallel.batched`) — a
+  candidate whose evaluation fails with a worker error is quarantined
+  (counted and recorded as an event in ``ExplorationResult.stats``),
+  then rescued by a fault-free re-evaluation — never silently dropped;
+* **retry schedules** (:mod:`.retry`) — deterministic exponential
+  backoff with jitter, used by the shard-dispatch circuit breakers;
 * a **fault-injection harness** (:mod:`.faults`) — deterministic
-  worker kills, transient/permanent errors, delays, cache corruption
+  transient/permanent worker errors, delays, cache corruption
   and process aborts, plus ``"net"`` (stall / truncate / duplicate /
   reset) and ``"disk"`` (torn write / ENOSPC / fsync failure) seams
   for the chaos matrix in ``tests/test_chaos.py``.
 
 Submodules are imported lazily (PEP 562) so that low-level users —
-``repro.parallel.worker`` ships fault plans into pool children — never
-create an import cycle.
+:func:`.faults.install` sets the seam in ``repro.parallel.worker`` —
+never create an import cycle.
 """
 
 from __future__ import annotations

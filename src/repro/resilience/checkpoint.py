@@ -295,14 +295,11 @@ def header_params(options: Dict[str, Any], **values: Any) -> Dict[str, Any]:
     for key in ("require_units", "forbid_units"):
         value = document[key]
         document[key] = sorted(value) if value is not None else None
-    retry = document["retry"]
-    document["retry"] = retry.as_dict() if retry is not None else None
     return document
 
 
 def resume_explore(
     path: str,
-    pool=None,
     progress=None,
     progress_every: Optional[int] = None,
     tracer=None,
@@ -317,8 +314,8 @@ def resume_explore(
     identical to the run never having been interrupted.
 
     ``overrides`` replace header parameters for the continuation —
-    useful ones are ``parallel``/``workers``/``batch_size`` (execution
-    geometry never affects results) and fresh anytime budgets
+    useful ones are ``batch_size``/``engine`` (execution geometry never
+    affects results) and fresh anytime budgets
     (``deadline_seconds``/``max_evaluations`` — the deadline is
     measured from the resume, the evaluation budget is cumulative over
     the whole run, and ``None`` lifts the original budget).  Overriding
@@ -326,12 +323,11 @@ def resume_explore(
     rejected — the journaled outcomes were computed under the original
     semantics.
 
-    ``pool``/``progress``/``progress_every``/``tracer``/``telemetry``
-    are per-session execution and observation seams (never journaled):
-    a shared
-    :class:`repro.parallel.WorkerPool`, the structured progress
-    callback (:mod:`repro.core.progress`) and a deterministic
-    :class:`repro.trace.Tracer` for this continuation.  A tracer kept
+    ``progress``/``progress_every``/``tracer``/``telemetry`` are
+    per-session observation seams (never journaled): the structured
+    progress callback (:mod:`repro.core.progress`), a deterministic
+    :class:`repro.trace.Tracer` and a :class:`repro.telemetry.Telemetry`
+    bundle for this continuation.  A tracer kept
     alive across preemption slices (the service's configuration)
     accumulates the logical trace of one uninterrupted run; a fresh
     tracer attached mid-run records from the restored cursor onward
@@ -367,15 +363,10 @@ def resume_explore(
         )
     kwargs = bound_params(loaded.params, _RESUMABLE_PARAMS)
     kwargs.update(overrides)
-    if isinstance(kwargs.get("retry"), dict):
-        from .retry import RetryPolicy
-
-        kwargs["retry"] = RetryPolicy.from_dict(kwargs["retry"])
     return explore_batched(
         loaded.spec,
         cache=loaded.cache,
         checkpoint=path,
-        pool=pool,
         progress=progress,
         progress_every=progress_every,
         tracer=tracer,

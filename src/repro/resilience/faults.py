@@ -2,13 +2,10 @@
 
 Flexibility claims about the *runtime* deserve the same standard the
 paper applies to designs: quantified behaviour under disturbance.  This
-module injects disturbances at three seams of the batched explorer —
+module injects disturbances at four seams of the runtime —
 
 * ``"worker"`` — fired at the top of
-  :func:`repro.parallel.worker.evaluate_candidate`, i.e. inside pool
-  workers (threads or child processes) and inline evaluation;
-* ``"pool"`` — fired in the batch dispatcher just before a batch is
-  handed to the worker pool;
+  :func:`repro.parallel.worker.evaluate_candidate`;
 * ``"checkpoint"`` — fired right after a checkpoint record reaches
   stable storage (used to simulate a process killed at a checkpoint
   boundary);
@@ -28,18 +25,15 @@ module injects disturbances at three seams of the batched explorer —
 A :class:`FaultPlan` decides, deterministically from its seed and
 per-site call counters, whether a given firing injects a fault and
 which one: a transient error, a permanent error, a worker crash
-(``os._exit`` in a pool child — indistinguishable from ``kill -9`` to
-the parent), a delay, or a whole-process abort
-(:class:`SimulatedCrash`).  Plans are picklable so process pools ship
-them to children through the pool initializer; each child counts its
-own calls.
+(modelled as a transient loss of the in-flight evaluation), a delay,
+or a whole-process abort (:class:`SimulatedCrash`).
 
-The ``worker``/``pool``/``checkpoint`` seams call :func:`maybe_inject`,
+The ``worker``/``checkpoint`` seams call :func:`maybe_inject`,
 which *performs* the generic actions.  The ``net``/``disk`` seams call
 :func:`maybe_action` instead, which only *names* the scheduled action —
 tearing a frame or failing an fsync needs the site's own file handles
 and sockets, so the site implements the behaviour and the plan stays a
-pure, picklable schedule.
+pure schedule.
 
 Install a plan with :func:`inject` (a context manager) and keep
 correctness paths honest with :func:`suppressed`, which the quarantine
@@ -50,8 +44,6 @@ fault-free inline evaluation.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
-import os
 import random
 import threading
 import time
@@ -73,7 +65,7 @@ ACTIONS = (
 )
 
 #: The seams at which :func:`maybe_inject` / :func:`maybe_action` fire.
-SITES = ("worker", "pool", "checkpoint", "net", "disk")
+SITES = ("worker", "checkpoint", "net", "disk")
 
 
 class SimulatedCrash(RuntimeError):
@@ -94,9 +86,8 @@ class FaultPlan:
 
     ``transient_rate`` / ``permanent_rate`` / ``crash_rate`` /
     ``delay_rate`` — probabilistic faults at the ``"worker"`` site,
-    decided by a :class:`random.Random` seeded with ``seed`` (per
-    process, so thread pools are exactly reproducible and process
-    pools are reproducible per worker call sequence).
+    decided by a :class:`random.Random` seeded with ``seed``, so a
+    plan is exactly reproducible.
 
     ``max_faults`` — global cap on injected faults, after which the
     plan goes quiet (lets transient storms end so runs complete).
@@ -139,27 +130,8 @@ class FaultPlan:
         self._rng = random.Random(seed)
         self._calls: Dict[str, int] = {site: 0 for site in SITES}
         self._injected = 0
-        #: ``(site, call_index, action)`` triples actually injected in
-        #: *this* process (children keep their own logs).
+        #: ``(site, call_index, action)`` triples actually injected.
         self.log: list = []
-
-    # pickling ships the configuration, not the mutable counters: each
-    # process (pool child) starts its own deterministic call sequence.
-    def __getstate__(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "schedule": self.schedule,
-            "transient_rate": self.transient_rate,
-            "permanent_rate": self.permanent_rate,
-            "crash_rate": self.crash_rate,
-            "delay_rate": self.delay_rate,
-            "delay_seconds": self.delay_seconds,
-            "stall_seconds": self.stall_seconds,
-            "max_faults": self.max_faults,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__init__(**state)
 
     def _pick(self, site: str, call_index: int) -> Optional[str]:
         action = self.schedule.get(site, {}).get(call_index)
@@ -217,14 +189,9 @@ class FaultPlan:
                 f"injected permanent fault at {site}#{call_index}"
             )
         if action == "crash":
-            if multiprocessing.parent_process() is not None:
-                # In a pool child: die like kill -9 (no cleanup, no
-                # exception) — the parent sees a broken pool.
-                os._exit(13)
             raise TransientWorkerError(
                 f"injected worker crash at {site}#{call_index} "
-                f"(thread workers cannot be killed; modelled as a "
-                f"transient loss of the in-flight job)"
+                f"(modelled as a transient loss of the in-flight job)"
             )
         if action == "abort":
             raise SimulatedCrash(

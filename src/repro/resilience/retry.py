@@ -1,20 +1,18 @@
-"""Retry policy for transient worker-pool failures.
+"""Deterministic exponential-backoff schedules.
 
 Exponential backoff with deterministic, seeded jitter: delay ``i`` is
 ``min(max_delay, base_delay * 2**i)`` scaled by a jitter factor drawn
 uniformly from ``[1 - jitter, 1 + jitter]`` by a :class:`random.Random`
 seeded from ``(policy seed, site key)``.  The ``site_key`` — supplied
-by the caller, e.g. the candidate's unit set or the breaker's peer
-address — is what actually prevents thundering herds: every policy
+by the caller, e.g. the breaker's peer address — is what actually prevents thundering herds: every policy
 defaults to ``seed=0`` and :meth:`RetryPolicy.delays` re-seeds per
 call, so without it all concurrent retries would share one schedule
 and herd on the exact same instants.  With it, schedules stay fully
 reproducible (same seed, same site, same delays) yet distinct per
 site.
 
-The policy only *times* retries; classification (transient vs
-permanent) and the quarantine of repeat offenders live in the batch
-dispatcher (:mod:`repro.parallel.batched`).
+The policy only *times* retries; the per-peer circuit breakers of
+:mod:`repro.supervision.breaker` draw their cool-downs from it.
 """
 
 from __future__ import annotations
@@ -22,12 +20,12 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional
 
-#: Default number of pool attempts per candidate (1 initial + retries).
+#: Default number of attempts (1 initial + retries).
 DEFAULT_ATTEMPTS = 3
 
 
 class RetryPolicy:
-    """How often and how patiently to retry a transient worker failure."""
+    """How often and how patiently to retry a transient failure."""
 
     __slots__ = ("attempts", "base_delay", "max_delay", "jitter", "seed")
 
@@ -52,8 +50,7 @@ class RetryPolicy:
     def delays(self, site_key: Optional[str] = None) -> Iterator[float]:
         """The backoff delays between attempts (``attempts - 1`` values).
 
-        ``site_key`` names the retrying site (a candidate's unit set, a
-        peer address); distinct sites get distinct — still fully
+        ``site_key`` names the retrying site (e.g. a peer address); distinct sites get distinct — still fully
         deterministic — jitter, so they never herd.  ``None`` keeps the
         historical seed-only schedule.
         """
@@ -66,7 +63,7 @@ class RetryPolicy:
             yield raw * scale
 
     def as_dict(self) -> dict:
-        """JSON-ready form (stored in checkpoint headers)."""
+        """JSON-ready form."""
         return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod

@@ -1,8 +1,8 @@
 """The exploration service: multi-job queue, scheduler, observation.
 
 An in-process service (:class:`ExplorationService`) that accepts many
-named exploration jobs, runs them over one shared bounded worker pool
-under a deterministic stride scheduler with checkpoint-preemption
+named exploration jobs, runs them in-process under a deterministic
+stride scheduler with checkpoint-preemption
 time-slicing, and exposes streaming per-job events plus a service-wide
 metrics registry (JSON + Prometheus text).  The durable substrate —
 job ledger, spool, checkpoints, event files — is

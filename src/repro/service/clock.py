@@ -45,7 +45,7 @@ class ManualClock(ServiceClock):
     The service charges one virtual slice duration per scheduling
     decision, so under a manual clock wait times, aging and slice
     accounting are exact integers of the chosen granularity —
-    independent of machine speed, pool geometry and OS scheduling.
+    independent of machine speed and OS scheduling.
     """
 
     __slots__ = ("_now",)

@@ -11,10 +11,9 @@ from ..io.job_io import JOB_STATES, TERMINAL_STATES
 from ..spec import SpecificationGraph
 from ..trace import compute_trace_id
 
-#: ``explore()`` keyword arguments a submission may set.  Execution
-#: geometry (parallel/workers/pool), checkpointing and budgets are the
-#: service's own levers — a job describes *what* to explore, the
-#: service decides *how*.  ``trace`` is not an ``explore()`` parameter:
+#: ``explore()`` keyword arguments a submission may set.  Checkpointing
+#: and budgets are the service's own levers — a job describes *what* to
+#: explore, the service decides *how*.  ``trace`` is not an ``explore()`` parameter:
 #: it asks the service to record the job's search trace ("spans" or
 #: "audit", see repro.trace) into job-<id>.trace.jsonl, and is stripped
 #: before explore_batched().

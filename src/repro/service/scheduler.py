@@ -1,7 +1,7 @@
 """Deterministic fair-share priority scheduling (stride + aging).
 
-The service multiplexes many exploration jobs over one bounded worker
-pool by time-slicing; this module decides *which job runs the next
+The service multiplexes many exploration jobs over one process by
+time-slicing; this module decides *which job runs the next
 slice*.  The policy is stride scheduling — the deterministic
 counterpart of lottery scheduling — with optional priority aging:
 
@@ -9,7 +9,7 @@ counterpart of lottery scheduling — with optional priority aging:
   the job with the smallest pass (ties broken by submission sequence,
   so schedules are total orders);
 * charging a slice advances the job's pass by ``STRIDE_SCALE /
-  priority`` — over time each job receives pool time proportional to
+  priority`` — over time each job receives run time proportional to
   its priority (fair share), and a job that waits keeps its low pass
   and eventually wins (no starvation);
 * with ``aging_rate > 0`` the *effective* pass sinks further the
@@ -77,7 +77,7 @@ class StrideScheduler:
 
         A newcomer starts at the minimum pass currently in the run
         queue (not zero): it competes fairly from now on instead of
-        monopolising the pool until it catches up on history.
+        monopolising the service until it catches up on history.
         """
         if priority <= 0:
             raise SchedulerError(
@@ -119,7 +119,7 @@ class StrideScheduler:
         return best.job_id
 
     def charge(self, job_id: str, slices: float = 1.0) -> None:
-        """Account ``slices`` of pool time against a job."""
+        """Account ``slices`` of run time against a job."""
         entry = self._entries.get(job_id)
         if entry is None:
             raise SchedulerError(f"job {job_id!r} is not scheduled")

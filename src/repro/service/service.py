@@ -1,8 +1,7 @@
-"""The in-process exploration service: many jobs, one worker pool.
+"""The in-process exploration service: many jobs, time-sliced.
 
 An :class:`ExplorationService` owns a service directory (the durable
 job ledger and per-job checkpoints — see :mod:`repro.io.job_io`), a
-shared bounded :class:`~repro.parallel.pool.WorkerPool`, a
 deterministic :class:`~repro.service.scheduler.StrideScheduler`, an
 :class:`~repro.service.events.EventBus` and a
 :class:`~repro.service.metrics.MetricsRegistry`, and multiplexes any
@@ -49,7 +48,6 @@ from ..io import job_io
 from ..io.json_io import spec_from_dict, spec_to_dict
 from ..io.result_io import dump_result, load_result
 from ..parallel.batched import explore_batched
-from ..parallel.pool import WorkerPool
 from ..resilience.checkpoint import resume_explore
 from ..resilience.journal import JournalWriter, read_journal
 from ..spec import SpecificationGraph
@@ -65,8 +63,8 @@ from .scheduler import StrideScheduler
 logger = logging.getLogger(__name__)
 
 #: Default slice budget: full candidate evaluations per scheduling
-#: decision.  Small enough that a 2-worker pool interleaves many jobs
-#: responsively, large enough to amortise the checkpoint fsync.
+#: decision.  Small enough to interleave many jobs responsively, large
+#: enough to amortise the checkpoint fsync.
 SLICE_EVALUATIONS_DEFAULT = 32
 
 #: Default checkpoint cadence (replayed candidates) inside a slice —
@@ -79,13 +77,11 @@ PROGRESS_EVERY_DEFAULT = 64
 
 
 class ExplorationService:
-    """Schedules many named EXPLORE jobs over one shared worker pool."""
+    """Schedules many named EXPLORE jobs by time-slicing them."""
 
     def __init__(
         self,
         directory: str,
-        workers: Optional[int] = None,
-        pool_kind: str = "thread",
         slice_evaluations: int = SLICE_EVALUATIONS_DEFAULT,
         checkpoint_every: int = CHECKPOINT_EVERY_DEFAULT,
         progress_every: Optional[int] = PROGRESS_EVERY_DEFAULT,
@@ -137,7 +133,6 @@ class ExplorationService:
         #: (failed, checkpoint kept) instead of wedging the scheduler.
         self.slice_timeout = slice_timeout
         self.clock: ServiceClock = clock if clock is not None else MonotonicClock()
-        self.pool = WorkerPool(workers=workers, kind=pool_kind)
         self.bus = EventBus()
         # The unified telemetry plane (imported lazily: repro.telemetry
         # builds on repro.service.metrics, so a module-level import
@@ -220,7 +215,7 @@ class ExplorationService:
             "repro_queue_depth", "Runnable jobs in the scheduler"
         )
         self.m_running = m.gauge(
-            "repro_jobs_running", "Jobs currently holding the pool (0/1)"
+            "repro_jobs_running", "Jobs currently running a slice (0/1)"
         )
         self.m_slices = m.counter(
             "repro_slices_total", "Scheduling slices executed"
@@ -235,10 +230,6 @@ class ExplorationService:
         )
         self.m_checkpoints = m.counter(
             "repro_checkpoints_total", "Checkpoint records journaled"
-        )
-        self.m_pool_retries = m.counter(
-            "repro_pool_retries_total",
-            "Worker jobs retried after transient pool failures",
         )
         self.m_quarantined = m.counter(
             "repro_quarantined_total",
@@ -586,14 +577,13 @@ class ExplorationService:
             try:
                 return resume_explore(
                     checkpoint,
-                    pool=self.pool,
                     progress=forward,
                     progress_every=self.progress_every,
                     max_evaluations=budget,
                     tracer=tracer,
                     telemetry=self.telemetry,
-                    # The store is host configuration, like the pool:
-                    # the service's setting overrides the journaled
+                    # The store is host configuration: the service's
+                    # setting overrides the journaled
                     # path (results are store-independent).
                     warm_store=self.warm_store,
                 )
@@ -604,8 +594,6 @@ class ExplorationService:
         options = {k: v for k, v in job.options.items() if k != "trace"}
         return explore_batched(
             job.spec,
-            parallel="serial",
-            pool=self.pool,
             checkpoint=checkpoint,
             checkpoint_every=self.checkpoint_every,
             max_evaluations=budget,
@@ -721,7 +709,6 @@ class ExplorationService:
         evaluations = delta("estimate_exceeded")
         self.m_evaluations.inc(evaluations)
         self.m_checkpoints.inc(delta("checkpoints_written"))
-        self.m_pool_retries.inc(delta("pool_retries"))
         self.m_quarantined.inc(delta("quarantined"))
         # Cache counters are per-slice deltas already (they are not
         # journaled across preemptions), so they are charged directly.
@@ -830,8 +817,8 @@ class ExplorationService:
             handle.write(self.metrics.to_prometheus())
 
     def close(self) -> None:
-        """Shut down: export metrics, close the ledger, event files,
-        bus, and the shared pool.  Idempotent."""
+        """Shut down: export metrics, close the ledger, event files
+        and bus.  Idempotent."""
         try:
             self.export_metrics()
         except OSError:  # pragma: no cover - directory vanished
@@ -841,7 +828,6 @@ class ExplorationService:
             handle.close()
         self._event_files.clear()
         self.bus.close()
-        self.pool.shutdown()
 
     def __enter__(self) -> "ExplorationService":
         return self

@@ -9,8 +9,8 @@ remote hosts, and overload that would otherwise queue unboundedly:
   :class:`Watchdog` (injectable clock, same seam as
   :mod:`repro.service.clock`) declares an activity *hung* after its
   heartbeat timeout; :func:`run_bounded` preempts a wedged callable
-  with a typed :class:`~repro.errors.HangError` instead of blocking a
-  pool slot forever.  The shard wire protocol streams ``heartbeat``
+  with a typed :class:`~repro.errors.HangError` instead of blocking
+  its caller forever.  The shard wire protocol streams ``heartbeat``
   frames (worker → coordinator, carrying cursor/evaluations) so the
   coordinator distinguishes *hung* from *dead* from merely *slow*;
 * **circuit breakers** (:mod:`.breaker`) — per-worker-address

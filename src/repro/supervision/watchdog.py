@@ -12,7 +12,7 @@ applies the same discipline to a single callable: run it on a worker
 thread, and if it exceeds its budget raise a typed
 :class:`~repro.errors.HangError` instead of blocking the caller
 forever — the wedged thread is abandoned (daemonic, exceptions
-swallowed), which turns "a stuck pool slot" into "a preemption the
+swallowed), which turns "a stuck slice" into "a preemption the
 supervisor can act on".
 
 Terminology used across the supervision plane:

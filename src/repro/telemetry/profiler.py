@@ -14,8 +14,8 @@ overhead stays inside the telemetry budget of
 ``benchmarks/bench_telemetry.py``.
 
 Charges are lock-free: each field update is a single GIL-atomic list
-operation, so concurrent charging from a thread pool's workers can at
-worst lose an occasional increment — acceptable for wall-clock
+operation, so concurrent charging from several threads can at worst
+lose an occasional increment — acceptable for wall-clock
 observability, and the price of keeping the hot path unsynchronised.
 """
 

@@ -253,8 +253,8 @@ def phase_text(records: List[Dict[str, Any]]) -> str:
     lines = ["# Per-phase time breakdown (wall-clock channel)"]
     if not totals:
         lines.append(
-            "(no wall-clock channel — e.g. a batched replay, where the "
-            "evaluation work happened on the worker pool)"
+            "(no wall-clock channel — e.g. a shard merge, which "
+            "replays outcomes evaluated elsewhere)"
         )
         return "\n".join(lines)
     start = (grouped.get("explore_start") or [{}])[0]

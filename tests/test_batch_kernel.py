@@ -23,6 +23,7 @@ and logical traces.  These tests prove it at three levels:
   any block size — serially and batched.
 """
 
+import functools
 import time
 
 import pytest
@@ -40,6 +41,7 @@ from repro.casestudies import (
 from repro.compiled import MaskAllocationEnumerator, compiled_spec_for
 from repro.compiled import batch
 from repro.core import explore
+from repro.parallel import explore_batched
 from repro.trace import Tracer, trace_fingerprint
 
 requires_numpy = pytest.mark.skipif(
@@ -405,8 +407,8 @@ def test_band_streaming_source_matches(monkeypatch):
 
 
 @requires_numpy
-@pytest.mark.parametrize("parallel", [None, "thread"])
-def test_vectorized_vs_scalar_full_contract(monkeypatch, parallel):
+@pytest.mark.parametrize("batch_size", [None, 1, 5, 32])
+def test_vectorized_vs_scalar_full_contract(monkeypatch, batch_size):
     """Result document, progress events and audit-trace fingerprints
     are identical with the block kernel on and off — serial and
     batched."""
@@ -415,13 +417,15 @@ def test_vectorized_vs_scalar_full_contract(monkeypatch, parallel):
     for mode in ("1", "0"):
         monkeypatch.setenv("REPRO_VECTORIZE", mode)
         events = []
-        kw = dict(parallel=parallel, batch_size=16) if parallel else {}
-        result = explore(
+        run = explore if batch_size is None else functools.partial(
+            explore_batched, batch_size=batch_size
+        )
+        result = run(
             spec, engine="compiled", progress=events.append,
-            progress_every=25, **kw
+            progress_every=25,
         )
         tracer = Tracer(level="audit")
-        explore(spec, engine="compiled", tracer=tracer, **kw)
+        run(spec, engine="compiled", tracer=tracer)
         contracts[mode] = (
             fingerprint(result),
             events,

@@ -23,6 +23,7 @@ from repro.compiled import MaskAllocationEnumerator, compiled_spec_for
 from repro.core import DEFAULT_ENGINE, ENGINES, explore
 from repro.core.candidates import AllocationEnumerator
 from repro.errors import ExplorationError
+from repro.parallel import explore_batched
 from repro.trace import Tracer, trace_fingerprint
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -188,13 +189,13 @@ def test_mask_enumerator_masks_match_sets():
         assert cspec.names_of(mask) == units
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_batched_compiled_matches_serial_reference(mode):
-    """Engine seam composes with the parallel batched replay."""
+@pytest.mark.parametrize("batch_size", [1, 5, 32])
+def test_batched_compiled_matches_serial_reference(batch_size):
+    """Engine seam composes with the batched replay."""
     spec = build_settop_spec()
     reference = fingerprint(explore(spec, engine="reference"))
     observed = fingerprint(
-        explore(spec, engine="compiled", parallel=mode, batch_size=6)
+        explore_batched(spec, engine="compiled", batch_size=batch_size)
     )
     assert observed == reference
 

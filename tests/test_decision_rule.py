@@ -51,7 +51,7 @@ def merged(spec, shards=2, tracer=None, **options):
     for shard in make_partition(spec, shards, "band"):
         cache = EvaluationCache()
         explore_batched(
-            spec, shard=shard, cache=cache, parallel="serial", **options
+            spec, shard=shard, cache=cache, **options
         )
         runs.append(ShardRun(shard, cache, None, True))
     return merge_shard_runs(spec, runs, tracer=tracer, **options)
@@ -102,7 +102,7 @@ class TestOracle:
     def test_batched(self, seed, batch_size):
         spec = random_spec(seed)
         result = explore_batched(
-            spec, parallel="serial", batch_size=batch_size
+            spec, batch_size=batch_size
         )
         assert result.front() == self.exact(spec)
 
@@ -134,7 +134,7 @@ def run_serial(spec, tracer, **options):
 
 def run_batched(spec, tracer, **options):
     return explore_batched(
-        spec, parallel="serial", batch_size=4, tracer=tracer, **options
+        spec, batch_size=4, tracer=tracer, **options
     )
 
 

@@ -68,7 +68,7 @@ def run_shards_in_memory(spec, shards, **options):
     for shard in shards:
         cache = EvaluationCache()
         explore_batched(
-            spec, shard=shard, cache=cache, parallel="serial",
+            spec, shard=shard, cache=cache,
             engine="compiled", **options,
         )
         runs.append(ShardRun(shard, cache, None, True))
@@ -263,7 +263,7 @@ class TestCheckpointMerge:
         for shard in shards:
             path = os.path.join(str(tmp_path), f"s{shard.index}.ckpt")
             explore_batched(
-                spec, shard=shard, checkpoint=path, parallel="serial",
+                spec, shard=shard, checkpoint=path,
                 engine="compiled", **options,
             )
             paths.append(path)
@@ -288,7 +288,7 @@ class TestCheckpointMerge:
             budget = {"max_evaluations": 2} if shard.index == 2 else {}
             explore_batched(
                 spec, shard=shard, checkpoint=path, checkpoint_every=1,
-                parallel="serial", engine="compiled", **budget,
+                engine="compiled", **budget,
             )
             paths.append(path)
         merged = merge_shard_checkpoints(paths, engine="compiled")
@@ -424,19 +424,20 @@ class TestCoordinator:
             explore_sharded(build_tv_decoder_spec(), max_candidates=5)
 
     def test_service_rejects_option_before_manifest(self, tmp_path):
-        """A job cannot carry batch_timeout: refused before the
+        """A job cannot carry warm_store: refused before the
         partition is pinned (the inline mode accepts it)."""
         workdir = str(tmp_path / "service")
-        with pytest.raises(ExplorationError, match="batch_timeout") as error:
+        store = str(tmp_path / "store")
+        with pytest.raises(ExplorationError, match="warm_store") as error:
             explore_sharded(
                 build_tv_decoder_spec(), shards=2, mode="service",
-                workdir=workdir, batch_timeout=5.0,
+                workdir=workdir, warm_store=store,
             )
         assert "service" in str(error.value)
         assert not os.path.exists(os.path.join(workdir, "shards.json"))
         inline = explore_sharded(
             build_tv_decoder_spec(), shards=2, mode="inline",
-            workdir=str(tmp_path / "inline"), batch_timeout=5.0,
+            workdir=str(tmp_path / "inline"), warm_store=store,
         )
         assert inline.result.completed
 
@@ -452,11 +453,11 @@ class TestCoordinator:
             raise ConnectionRefusedError(f"nothing listens on {address}")
 
         monkeypatch.setattr(coordinator, "connect", refuse)
-        with pytest.raises(ExplorationError, match="batch_timeout") as error:
+        with pytest.raises(ExplorationError, match="warm_store") as error:
             explore_sharded(
                 build_tv_decoder_spec(), shards=2, mode="remote",
                 workers=["127.0.0.1:1"], workdir=str(tmp_path),
-                retry_delay=0.0, batch_timeout=5.0,
+                retry_delay=0.0, warm_store=str(tmp_path / "store"),
             )
         assert "remote" in str(error.value)
         assert attempts == []
@@ -566,7 +567,7 @@ class TestGapCombination:
         for shard in shards:
             cache = EvaluationCache()
             partials.append(explore_batched(
-                spec, shard=shard, cache=cache, parallel="serial",
+                spec, shard=shard, cache=cache,
                 engine="compiled",
             ))
         union = merge_fronts(partials)

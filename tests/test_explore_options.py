@@ -4,7 +4,7 @@ The ``explore()`` docstring promises that ``timing_mode`` *overrides*
 the legacy ``check_utilization`` flag, and that unknown modes/backends
 fail fast with :class:`ExplorationError` instead of silently falling
 through — both promises are pinned down here, for the serial loop and
-for the parallel backends.
+for the batched replay.
 """
 
 import inspect
@@ -14,7 +14,6 @@ import pytest
 from repro.casestudies import build_settop_spec
 from repro.core import (
     BINDING_BACKENDS,
-    PARALLEL_MODES,
     TIMING_MODES,
     evaluate_allocation,
     explore,
@@ -24,7 +23,7 @@ from repro.core import explorer
 from repro.distributed import WORKER_RUN_OPTIONS, merge_shard_runs
 from repro.distributed.merge import RESULT_PARAMS
 from repro.errors import ExplorationError, ReproError
-from repro.parallel import EvalParams, explore_batched
+from repro.parallel import BATCH_SIZE_DEFAULT, EvalParams, explore_batched
 from repro.resilience import checkpoint
 from repro.service import SUBMIT_OPTIONS
 
@@ -35,15 +34,23 @@ def settop():
 
 
 class TestTimingModes:
-    """All three documented modes, on all exploration backends."""
+    """All three documented modes, on the serial loop and the batched
+    replay at several batch sizes."""
 
     @pytest.mark.parametrize("mode", TIMING_MODES)
-    @pytest.mark.parametrize("parallel", PARALLEL_MODES)
-    def test_every_mode_runs(self, settop, mode, parallel):
-        result = explore(
-            settop, timing_mode=mode, parallel=parallel, batch_size=16
-        )
-        assert result.points
+    @pytest.mark.parametrize(
+        "batch_size",
+        [None, 1, 5, BATCH_SIZE_DEFAULT],
+        ids=lambda size: "serial" if size is None else str(size),
+    )
+    def test_every_mode_runs(self, settop, mode, batch_size):
+        serial = explore(settop, timing_mode=mode)
+        assert serial.points
+        if batch_size is not None:
+            batched = explore_batched(
+                settop, timing_mode=mode, batch_size=batch_size
+            )
+            assert batched.front() == serial.front()
 
     def test_utilization_is_the_default(self, settop):
         explicit = explore(settop, timing_mode="utilization")
@@ -114,7 +121,8 @@ class TestUnknownOptionErrors:
             explore(settop, backend="smt")
 
     def test_unknown_parallel_mode(self, settop):
-        with pytest.raises(ExplorationError, match="parallel"):
+        """The worker-pool knob is gone: passing it fails loudly."""
+        with pytest.raises(TypeError, match="parallel"):
             explore(settop, parallel="cluster")
 
     def test_unknown_options_raise_before_any_work(self, settop):
@@ -130,12 +138,11 @@ class TestUnknownOptionErrors:
     def test_validate_helper_accepts_known_values(self):
         for backend in BINDING_BACKENDS:
             for mode in (None,) + TIMING_MODES:
-                for parallel in PARALLEL_MODES:
-                    validate_explore_options(backend, mode, parallel)
+                validate_explore_options(backend, mode)
 
     def test_validate_helper_rejects_bad_batch_size(self):
         with pytest.raises(ExplorationError, match="batch_size"):
-            validate_explore_options("csp", None, "thread", batch_size=-3)
+            validate_explore_options("csp", None, batch_size=-3)
 
     def test_evaluate_allocation_rejects_unknown_backend(self, settop):
         """The silent CSP fallthrough for unknown backends is gone at
@@ -172,7 +179,7 @@ class TestParameterTable:
         assert {p.role for p in explorer.EXPLORE_PARAMS} == self.ROLES
         assert names == _parameters(explore, "spec")
         assert set(_parameters(
-            explore_batched, "spec", "cache", "pool", "_resume"
+            explore_batched, "spec", "cache", "_resume"
         )) == set(names)
         assert set(_parameters(merge_shard_runs, "spec", "runs")) <= set(
             names
@@ -187,9 +194,8 @@ class TestParameterTable:
         }
         frozen = result | {"max_candidates", "shard"}
         resumable = frozen | {
-            "parallel", "batch_size", "workers", "checkpoint_every",
-            "deadline_seconds", "max_evaluations", "batch_timeout",
-            "retry", "engine", "warm_store",
+            "batch_size", "checkpoint_every", "deadline_seconds",
+            "max_evaluations", "engine", "warm_store",
         }
         assert set(RESULT_PARAMS) == result
         assert set(checkpoint._FROZEN_PARAMS) == frozen
@@ -198,8 +204,8 @@ class TestParameterTable:
             "max_candidates", "batch_size", "engine", "shard", "trace",
         }
         assert set(WORKER_RUN_OPTIONS) == result | {
-            "batch_size", "engine", "parallel", "workers",
-            "deadline_seconds", "max_evaluations", "trace",
+            "batch_size", "engine", "deadline_seconds",
+            "max_evaluations", "trace",
         }
         assert set(EvalParams._fields) == {
             "util_bound", "check_utilization", "weighted", "backend",

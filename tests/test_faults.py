@@ -1,15 +1,11 @@
 """Differential tests of the fault-injection harness.
 
 Every test runs the exploration under injected disturbances — transient
-and permanent worker errors, worker crashes (including real
-``os._exit`` in process-pool children), delayed batches, corrupted
-cache entries, lost pools — and checks two things: the Pareto front is
+and permanent worker errors, worker crashes, corrupted cache entries,
+aborts at a checkpoint — and checks two things: the Pareto front is
 *identical* to the undisturbed run, and the degradation is *visible*
-(counters, events, warnings).  Robust and honest, never silently wrong.
+(counters, events).  Robust and honest, never silently wrong.
 """
-
-import pickle
-import warnings
 
 import pytest
 
@@ -19,7 +15,6 @@ from repro.errors import PermanentWorkerError, TransientWorkerError
 from repro.parallel import EvaluationCache, explore_batched
 from repro.resilience import (
     FaultPlan,
-    RetryPolicy,
     SimulatedCrash,
     corrupt_cache_entry,
     inject,
@@ -35,10 +30,6 @@ def settop():
 @pytest.fixture(scope="module")
 def baseline(settop):
     return explore(settop)
-
-
-#: A fast retry policy so fault tests do not sleep through real backoff.
-FAST = RetryPolicy(attempts=3, base_delay=0.001, max_delay=0.002)
 
 
 class TestFaultPlan:
@@ -90,19 +81,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="action"):
             FaultPlan(schedule={"worker": {1: "explode"}})
 
-    def test_pickling_ships_config_not_counters(self):
-        plan = FaultPlan(seed=5, schedule={"worker": {1: "transient"}},
-                         transient_rate=0.25, max_faults=7)
-        with pytest.raises(TransientWorkerError):
-            plan.fire("worker")
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.seed == 5
-        assert clone.schedule == {"worker": {1: "transient"}}
-        assert clone.max_faults == 7
-        assert clone.log == []  # fresh counters in the child process
-        with pytest.raises(TransientWorkerError):
-            clone.fire("worker")  # counts restart at 1
-
     def test_install_is_scoped_by_inject(self):
         assert active_plan() is None
         with inject(FaultPlan()) as plan:
@@ -111,39 +89,19 @@ class TestFaultPlan:
 
 
 class TestWorkerFaults:
-    def test_transient_faults_retry_to_identical_front(
-        self, settop, baseline
-    ):
-        plan = FaultPlan(
-            schedule={"worker": {5: "transient", 11: "transient"}}
-        )
-        with inject(plan):
-            result = explore(
-                settop, parallel="thread", workers=2, retry=FAST
-            )
-        assert result.front() == baseline.front()
-        assert result.stats.pool_retries >= 2
-        assert result.stats.pool_fallbacks == 0
-        kinds = {event["kind"] for event in result.stats.events}
-        assert "pool_retry" in kinds
-
     def test_transient_storm_with_rate(self, settop, baseline):
         plan = FaultPlan(seed=7, transient_rate=0.15, max_faults=25)
         with inject(plan):
-            result = explore(
-                settop, parallel="thread", workers=2, retry=FAST
-            )
+            result = explore_batched(settop)
         assert result.front() == baseline.front()
-        assert result.stats.pool_retries > 0
+        assert result.stats.quarantined > 0
 
     def test_permanent_fault_quarantines_and_rescues(
         self, settop, baseline
     ):
         plan = FaultPlan(schedule={"worker": {5: "permanent"}})
         with inject(plan):
-            result = explore(
-                settop, parallel="thread", workers=2, retry=FAST
-            )
+            result = explore_batched(settop)
         # the candidate is recorded as quarantined, not dropped: the
         # front is still complete and identical
         assert result.front() == baseline.front()
@@ -152,130 +110,42 @@ class TestWorkerFaults:
         assert len(events) == 1
         assert "units" in events[0] and "error" in events[0]
 
-    def test_repeated_transients_exhaust_retries_into_quarantine(
-        self, settop, baseline
-    ):
-        # fail one candidate's every attempt: initial + both retries
-        plan = FaultPlan(
-            schedule={"worker": {5: "transient", 6: "transient",
-                                 7: "transient"}}
-        )
-        with inject(plan):
-            result = explore(
-                settop, parallel="thread", workers=1, retry=FAST
-            )
-        assert result.front() == baseline.front()
-        assert result.stats.pool_retries >= 1
-
-    def test_thread_crash_is_modelled_as_transient(self, settop, baseline):
+    def test_crash_is_modelled_as_transient(self, settop, baseline):
         plan = FaultPlan(schedule={"worker": {4: "crash"}})
         with inject(plan):
-            result = explore(
-                settop, parallel="thread", workers=2, retry=FAST
-            )
+            result = explore_batched(settop)
         assert result.front() == baseline.front()
+        [event] = result.stats.events
+        assert event["kind"] == "quarantine"
+        assert "TransientWorkerError" in event["error"]
 
     def test_inline_faults_quarantine_and_rescue(self, settop, baseline):
         plan = FaultPlan(schedule={"worker": {3: "permanent"}})
         with inject(plan):
-            result = explore_batched(
-                settop, parallel="serial", retry=FAST
-            )
+            result = explore_batched(settop)
         assert result.front() == baseline.front()
         assert result.stats.quarantined == 1
 
     def test_faults_without_parallel_are_reachable_from_explore(
         self, settop, baseline
     ):
-        # explore() routes to the resilient batched loop whenever a
-        # resilience option is set, even with parallel="serial"
+        # explore() routes to the batched loop whenever a budget is set
         plan = FaultPlan(schedule={"worker": {3: "transient"}})
         with inject(plan):
-            result = explore(settop, retry=FAST)
+            result = explore(settop, deadline_seconds=1e6)
         assert result.front() == baseline.front()
-        assert result.stats.quarantined == 1  # inline: no pool to retry on
-
-
-class TestProcessPoolFaults:
-    def test_child_os_exit_falls_back_loudly(self, settop, baseline):
-        """A worker killed with os._exit breaks the pool; exploration
-        must warn, record the fallback, and still finish correctly."""
-        plan = FaultPlan(schedule={"worker": {3: "crash"}})
-        with pytest.warns(RuntimeWarning, match="worker pool lost"):
-            with inject(plan):
-                result = explore(
-                    settop, parallel="process", workers=2, retry=FAST
-                )
-        assert result.front() == baseline.front()
-        assert result.stats.pool_fallbacks == 1
-        kinds = [e["kind"] for e in result.stats.events]
-        assert "pool_fallback" in kinds
-
-    def test_fallback_statistics_match_the_healthy_run(
-        self, settop, baseline
-    ):
-        plan = FaultPlan(schedule={"worker": {3: "crash"}})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with inject(plan):
-                result = explore(
-                    settop, parallel="process", workers=2, retry=FAST
-                )
-        resilience_only = {
-            "pool_retries", "pool_fallbacks", "batch_timeouts",
-            "quarantined", "cache_corruptions", "checkpoints_written",
-        }
-        healthy = {
-            k: v
-            for k, v in baseline.stats.as_dict().items()
-            if k != "elapsed_seconds" and k not in resilience_only
-        }
-        degraded = {
-            k: v
-            for k, v in result.stats.as_dict().items()
-            if k != "elapsed_seconds" and k not in resilience_only
-        }
-        assert healthy == degraded
-
-
-class TestBatchTimeouts:
-    def test_slow_batch_is_abandoned_and_finished_inline(
-        self, settop, baseline
-    ):
-        plan = FaultPlan(
-            schedule={"worker": {4: "delay"}}, delay_seconds=5.0
-        )
-        with inject(plan):
-            result = explore(
-                settop,
-                parallel="thread",
-                workers=2,
-                batch_timeout=0.2,
-                retry=FAST,
-            )
-        assert result.front() == baseline.front()
-        assert result.stats.batch_timeouts >= 1
-        events = [
-            e for e in result.stats.events if e["kind"] == "batch_timeout"
-        ]
-        assert events and events[0]["timeout"] == 0.2
-
-    def test_batch_timeout_validation(self, settop):
-        from repro.errors import ExplorationError
-
-        with pytest.raises(ExplorationError, match="batch_timeout"):
-            explore(settop, batch_timeout=0.0)
+        assert result.stats.quarantined == 1
 
 
 class TestCacheCorruption:
     def test_corruption_is_detected_and_reevaluated(self, baseline):
         settop = build_settop_spec()
         cache = EvaluationCache()
-        explore_batched(settop, parallel="serial", cache=cache)
+        explore_batched(settop, cache=cache)
         corrupted = corrupt_cache_entry(cache, index=0,
                                         flexibility_delta=100.0)
         assert corrupted is not None
-        result = explore_batched(settop, parallel="serial", cache=cache)
+        result = explore_batched(settop, cache=cache)
         # the poisoned flexibility (f + 100) never reaches the front
         assert result.front() == baseline.front()
         assert result.stats.cache_corruptions == 1
@@ -289,10 +159,10 @@ class TestCacheCorruption:
     def test_many_corruptions(self, baseline):
         settop = build_settop_spec()
         cache = EvaluationCache()
-        explore_batched(settop, parallel="serial", cache=cache)
+        explore_batched(settop, cache=cache)
         for index in range(5):
             corrupt_cache_entry(cache, index=index, flexibility_delta=3.0)
-        result = explore_batched(settop, parallel="serial", cache=cache)
+        result = explore_batched(settop, cache=cache)
         assert result.front() == baseline.front()
         assert result.stats.cache_corruptions == 5
 

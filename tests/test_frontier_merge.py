@@ -196,7 +196,7 @@ def _merge_partition(spec, shards, **options):
     for shard in shards:
         cache = EvaluationCache()
         explore_batched(
-            spec, shard=shard, cache=cache, parallel="serial",
+            spec, shard=shard, cache=cache,
             engine="compiled", **options,
         )
         runs.append(ShardRun(shard, cache, None, True))

@@ -22,10 +22,16 @@ from repro.casestudies import (
 )
 from repro.core import explore, flexibility, max_flexibility
 from repro.hgraph import HierarchyIndex
+from repro.parallel import BATCH_SIZE_DEFAULT, explore_batched
 
 GOLDEN = Path(__file__).parent / "golden"
 
-BACKENDS = ["serial", "thread", "process"]
+#: ``None`` runs the serial loop; a size runs the batched replay.
+BATCH_SIZES = [None, 1, 5, BATCH_SIZE_DEFAULT]
+
+
+def _size_id(batch_size):
+    return "serial" if batch_size is None else str(batch_size)
 
 
 def load(name):
@@ -33,9 +39,12 @@ def load(name):
         return json.load(handle)
 
 
-def result_doc(spec, **kw):
+def result_doc(spec, batch_size=None):
     """The same shape the fixtures were generated with."""
-    result = explore(spec, **kw)
+    if batch_size is None:
+        result = explore(spec)
+    else:
+        result = explore_batched(spec, batch_size=batch_size)
     return {
         "spec": spec.name,
         "max_flexibility_bound": result.max_flexibility_bound,
@@ -56,22 +65,18 @@ def result_doc(spec, **kw):
     }
 
 
-@pytest.mark.parametrize("parallel", BACKENDS)
-def test_golden_settop_front(parallel):
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=_size_id)
+def test_golden_settop_front(batch_size):
     """The Fig. 4 six-point front, allocation for allocation."""
     golden = load("settop_front.json")
-    observed = result_doc(
-        build_settop_spec(), parallel=parallel, batch_size=16
-    )
+    observed = result_doc(build_settop_spec(), batch_size)
     assert observed == golden
 
 
-@pytest.mark.parametrize("parallel", BACKENDS)
-def test_golden_tv_decoder_front(parallel):
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=_size_id)
+def test_golden_tv_decoder_front(batch_size):
     golden = load("tv_decoder_front.json")
-    observed = result_doc(
-        build_tv_decoder_spec(), parallel=parallel, batch_size=16
-    )
+    observed = result_doc(build_tv_decoder_spec(), batch_size)
     assert observed == golden
 
 

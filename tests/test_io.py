@@ -1,6 +1,8 @@
 """Tests of JSON round-trip and DOT export."""
 
+import io
 import json
+import re
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.casestudies import (
     build_tv_decoder_spec,
     synthetic_spec,
 )
+from repro.cli import EXIT_ERROR, main
 from repro.core import explore
 from repro.errors import SerializationError
 from repro.io import (
@@ -95,6 +98,72 @@ class TestJsonRoundTrip:
         restored = loads_spec(dumps_spec(original))
         cluster = restored.p_index.cluster("gamma_D1")
         assert cluster.port_map == {"din": "P_D1", "dout": "P_D1"}
+
+
+def _scopes(scope_doc):
+    """A scope document and all its nested cluster documents."""
+    yield scope_doc
+    for interface in scope_doc["interfaces"]:
+        for cluster in interface["clusters"]:
+            yield from _scopes(cluster)
+
+
+def _set_first_edge_attrs(doc, value):
+    scope = next(s for s in _scopes(doc["problem"]) if s["edges"])
+    scope["edges"][0]["attrs"] = value
+
+
+#: ``(mutation of a valid document, field the error must name)``: each
+#: used to crash ``spec_from_dict`` with an untyped exception.
+MALFORMED = {
+    "problem-null": (lambda d: d.update(problem=None), "'problem'"),
+    "top-level-list": (lambda d: [d], "expected a JSON object"),
+    "attrs-number": (lambda d: d.update(attrs=5), "'attrs'"),
+    "attrs-string": (lambda d: d.update(attrs="x"), "'attrs'"),
+    "mappings-number": (lambda d: d.update(mappings=5), "'mappings'"),
+    "vertices-number": (
+        lambda d: d["problem"].update(vertices=5), "'vertices'"
+    ),
+    "edge-attrs-array": (
+        lambda d: _set_first_edge_attrs(d, [1]), "edges[0]: 'attrs'"
+    ),
+    "mapping-null": (lambda d: d["mappings"].append(None), "mappings["),
+}
+
+
+class TestMalformedShapes:
+    """A document of the wrong shape is a typed error naming the
+    field, never a TypeError/AttributeError traceback."""
+
+    @staticmethod
+    def malformed(case):
+        mutate, _field = MALFORMED[case]
+        doc = spec_to_dict(build_tv_decoder_spec())
+        replaced = mutate(doc)
+        return doc if replaced is None else replaced
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_spec_from_dict(self, case):
+        with pytest.raises(SerializationError, match=re.escape(
+            MALFORMED[case][1]
+        )):
+            spec_from_dict(self.malformed(case))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_loads_spec(self, case):
+        with pytest.raises(SerializationError, match=re.escape(
+            MALFORMED[case][1]
+        )):
+            loads_spec(json.dumps(self.malformed(case)))
+
+    def test_cli_prints_a_typed_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.malformed("mapping-null")))
+        code = main(["explore", str(path)], out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestDot:

@@ -1,13 +1,12 @@
-"""Differential tests: parallel EXPLORE is exactly the serial EXPLORE.
+"""Differential tests: batched EXPLORE is exactly the serial EXPLORE.
 
-The headline deliverable of the parallel subsystem is not speed but
-*exactness*: ``explore(parallel="thread")`` and ``explore(parallel=
-"process")`` must return the same Pareto front, the same allocations,
-the same achieved flexibilities, the same statistics (minus wall-clock)
-and the same tie-breaking as the serial loop — on every input.  These
-tests prove it differentially over a corpus of seeded random
-specifications plus the paper's case studies, across batch sizes and
-option combinations.
+The batched replay (``explore_batched``, which runs every budgeted,
+checkpointed, sharded and service-sliced exploration) must return the
+same Pareto front, the same allocations, the same achieved
+flexibilities, the same statistics (minus wall-clock) and the same
+tie-breaking as the serial loop — on every input.  These tests prove
+it differentially over a corpus of seeded random specifications plus
+the paper's case studies, across batch sizes and option combinations.
 """
 
 import pytest
@@ -24,6 +23,10 @@ from repro.parallel import (
 
 #: The differential corpus: deterministic random specifications.
 SEEDS = list(range(30))
+
+#: Batch sizes every differential comparison runs at: one candidate
+#: per batch, a size that splits cost bands, and the default.
+BATCH_SIZES = [1, 5, BATCH_SIZE_DEFAULT]
 
 
 def fingerprint(result):
@@ -46,14 +49,16 @@ def serial_runs():
     return {seed: explore(random_spec(seed)) for seed in SEEDS}
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_differential_random_corpus(serial_runs, mode):
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+def test_differential_random_corpus(serial_runs, batch_size):
     """Fronts, flexibility values and stats equal on ~30 random specs."""
     for seed in SEEDS:
         spec = random_spec(seed)
         reference = fingerprint(serial_runs[seed])
-        observed = fingerprint(explore(spec, parallel=mode, batch_size=4))
-        assert observed == reference, f"seed {seed} diverged under {mode}"
+        observed = fingerprint(explore_batched(spec, batch_size=batch_size))
+        assert observed == reference, (
+            f"seed {seed} diverged at batch_size={batch_size}"
+        )
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
@@ -61,15 +66,13 @@ def test_differential_batch_sizes(serial_runs, batch_size):
     """Batch geometry never leaks into the result."""
     for seed in SEEDS[::5]:
         spec = random_spec(seed)
-        observed = fingerprint(
-            explore(spec, parallel="thread", batch_size=batch_size)
-        )
+        observed = fingerprint(explore_batched(spec, batch_size=batch_size))
         assert observed == fingerprint(serial_runs[seed]), (
             f"seed {seed} diverged at batch_size={batch_size}"
         )
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize(
     "options",
     [
@@ -86,26 +89,27 @@ def test_differential_batch_sizes(serial_runs, batch_size):
     ],
     ids=lambda d: "-".join(f"{k}" for k in d),
 )
-def test_differential_settop_options(mode, options):
-    """Every explore() option combination survives parallelisation."""
+def test_differential_settop_options(batch_size, options):
+    """Every explore() option combination survives batching."""
     spec = build_settop_spec()
     reference = fingerprint(explore(spec, **options))
     observed = fingerprint(
-        explore(spec, parallel=mode, batch_size=5, **options)
+        explore_batched(spec, batch_size=batch_size, **options)
     )
     assert observed == reference
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_differential_tv_decoder(mode):
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+def test_differential_tv_decoder(batch_size):
     spec = build_tv_decoder_spec()
-    assert fingerprint(explore(spec, parallel=mode)) == fingerprint(
-        explore(spec)
-    )
+    assert fingerprint(
+        explore_batched(spec, batch_size=batch_size)
+    ) == fingerprint(explore(spec))
 
 
 def test_settop_front_is_the_paper_front():
-    """Both pools reproduce the published six-point front."""
+    """The serial loop and every batch size reproduce the published
+    six-point front."""
     expected = [
         (100.0, 2.0),
         (120.0, 3.0),
@@ -115,26 +119,27 @@ def test_settop_front_is_the_paper_front():
         (430.0, 8.0),
     ]
     spec = build_settop_spec()
-    for mode in ("serial", "thread", "process"):
-        assert explore(spec, parallel=mode).front() == expected
+    assert explore(spec).front() == expected
+    for batch_size in BATCH_SIZES:
+        assert explore_batched(spec, batch_size=batch_size).front() == (
+            expected
+        )
 
 
 def test_explore_batched_serial_mode_runs_inline():
-    """explore_batched(parallel="serial") uses no pool, same results."""
+    """explore_batched at its defaults equals the serial loop."""
     spec = build_tv_decoder_spec()
-    assert fingerprint(explore_batched(spec, parallel="serial")) == (
-        fingerprint(explore(spec))
-    )
+    assert fingerprint(explore_batched(spec)) == fingerprint(explore(spec))
 
 
 def test_memo_cache_reuse_across_runs():
     """A shared cache accelerates repeat runs without changing results."""
     spec = build_settop_spec()
     cache = EvaluationCache()
-    first = explore_batched(spec, parallel="serial", cache=cache)
+    first = explore_batched(spec, cache=cache)
     assert cache.misses > 0
     hits_before, misses_before = cache.hits, cache.misses
-    second = explore_batched(spec, parallel="serial", cache=cache)
+    second = explore_batched(spec, cache=cache)
     assert fingerprint(first) == fingerprint(second)
     # the second run answered every candidate from the memo: hits grew,
     # no new signature was ever computed
@@ -145,7 +150,7 @@ def test_memo_cache_reuse_across_runs():
 def test_memo_cache_bounded():
     spec = build_tv_decoder_spec()
     cache = EvaluationCache(max_entries=5)
-    explore_batched(spec, parallel="serial", cache=cache)
+    explore_batched(spec, cache=cache)
     assert len(cache) <= 5
 
 
@@ -154,23 +159,18 @@ def test_default_batch_size_is_sane():
 
 
 def test_unknown_parallel_mode_raises():
+    """The worker-pool knobs are gone: passing one fails loudly."""
     spec = build_tv_decoder_spec()
-    with pytest.raises(ExplorationError, match="parallel"):
-        explore(spec, parallel="gpu")
+    for knob in ("parallel", "workers", "batch_timeout", "retry"):
+        with pytest.raises(TypeError, match=knob):
+            explore(spec, **{knob: None})
+        with pytest.raises(TypeError, match=knob):
+            explore_batched(spec, **{knob: None})
 
 
 def test_bad_batch_size_raises():
     spec = build_tv_decoder_spec()
     with pytest.raises(ExplorationError, match="batch_size"):
-        explore(spec, parallel="thread", batch_size=0)
-
-
-def test_workers_argument_respected():
-    """Any worker count produces the same result (determinism)."""
-    spec = build_tv_decoder_spec()
-    reference = fingerprint(explore(spec))
-    for workers in (1, 2, 5):
-        observed = fingerprint(
-            explore(spec, parallel="thread", workers=workers, batch_size=3)
-        )
-        assert observed == reference
+        explore(spec, batch_size=0)
+    with pytest.raises(ExplorationError, match="batch_size"):
+        explore_batched(spec, batch_size=0)

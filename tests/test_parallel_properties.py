@@ -53,7 +53,6 @@ def assert_pruned_are_dominated(seed: int, batch_size: int, keep_ties: bool):
     tracer = Tracer(level="audit")
     batched = explore_batched(
         spec,
-        parallel="serial",
         batch_size=batch_size,
         keep_ties=keep_ties,
         tracer=tracer,
@@ -80,7 +79,7 @@ def assert_batching_invariant_outcomes(seed: int, sizes=(1, 3, 8, 64)):
     def decisions(batch_size):
         tracer = Tracer(level="audit")
         result = explore_batched(
-            spec, parallel="serial", batch_size=batch_size, tracer=tracer
+            spec, batch_size=batch_size, tracer=tracer
         )
         pruned = [
             (e["cost"], frozenset(e["units"]), e["estimate"], e["incumbent"])
@@ -101,10 +100,10 @@ def assert_cache_preserves_pruning(seed: int):
     cache = EvaluationCache()
     cold_trace, warm_trace = Tracer(level="audit"), Tracer(level="audit")
     cold = explore_batched(
-        spec, parallel="serial", cache=cache, tracer=cold_trace
+        spec, cache=cache, tracer=cold_trace
     )
     warm = explore_batched(
-        spec, parallel="serial", cache=cache, tracer=warm_trace
+        spec, cache=cache, tracer=warm_trace
     )
     assert cold.front() == warm.front()
     strip = lambda t: [  # noqa: E731

@@ -3,7 +3,7 @@
 The progress callback (:mod:`repro.core.progress`) is the observation
 seam of EXPLORE: the CLI and the exploration service both consume it.
 Its contract is that events carry replay-order data only — no
-wall-clock — so a serial run and any batched/pooled run of the same
+wall-clock — so a serial run and any batched run of the same
 exploration emit *identical* event sequences.  These tests extend the
 PR-1 differential harness to that event stream.
 """
@@ -15,15 +15,16 @@ from repro.casestudies import build_settop_spec
 from repro.core import explore
 from repro.core.progress import PROGRESS_EVENT_KINDS, ProgressEmitter
 from repro.errors import ExplorationError
+from repro.parallel import explore_batched
 
 #: Subset of the differential corpus (events are verbose; a dozen
 #: seeds already cover feasible/infeasible/truncation variety).
 SEEDS = list(range(12))
 
 
-def collect_events(spec, **kwargs):
+def collect_events(spec, run=explore, **kwargs):
     events = []
-    result = explore(spec, progress=events.append, **kwargs)
+    result = run(spec, progress=events.append, **kwargs)
     return events, result
 
 
@@ -78,16 +79,18 @@ def test_no_cadence_means_lifecycle_only():
     assert not any(e["kind"] == "progress" for e in events)
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_differential_event_sequences(mode):
+@pytest.mark.parametrize("batch_size", [1, 5, 32])
+def test_differential_event_sequences(batch_size):
     """Serial and batched runs emit byte-identical event streams."""
     for seed in SEEDS:
         spec = random_spec(seed)
         reference, _ = collect_events(spec, progress_every=3)
         observed, _ = collect_events(
-            spec, progress_every=3, parallel=mode, batch_size=4
+            spec, explore_batched, progress_every=3, batch_size=batch_size
         )
-        assert observed == reference, f"seed {seed} diverged under {mode}"
+        assert observed == reference, (
+            f"seed {seed} diverged at batch_size={batch_size}"
+        )
 
 
 def test_differential_event_sequences_options():
@@ -100,7 +103,7 @@ def test_differential_event_sequences_options():
         spec = random_spec(5)
         reference, _ = collect_events(spec, progress_every=2, **options)
         observed, _ = collect_events(
-            spec, progress_every=2, parallel="thread", batch_size=3,
+            spec, explore_batched, progress_every=2, batch_size=3,
             **options,
         )
         assert observed == reference, f"diverged with {options}"

@@ -18,8 +18,11 @@ from repro.io import dumps_result, loads_result
 from repro.resilience import (
     CHECKPOINT_EVERY_DEFAULT,
     AnytimeBudget,
+    FaultPlan,
     JournalWriter,
     RetryPolicy,
+    SimulatedCrash,
+    inject,
     load_checkpoint,
     read_journal,
     resume_explore,
@@ -195,7 +198,6 @@ class TestCheckpointing:
         explore(
             settop, checkpoint=path, max_cost=430, keep_ties=True,
             require_units=["muP2"], batch_size=8,
-            retry=RetryPolicy(attempts=2, base_delay=0.01, seed=7),
             warm_store=store,
         )
         records, _ = read_journal(path)
@@ -204,18 +206,17 @@ class TestCheckpointing:
         params = dict(header["params"])
         assert params.pop("warm_store") == store
         assert json.dumps(params, sort_keys=True) == (
-            '{"backend": "csp", "batch_size": 8, "batch_timeout": null, '
+            '{"backend": "csp", "batch_size": 8, '
             '"check_utilization": true, "checkpoint_every": 64, '
             '"deadline_seconds": null, "engine": null, '
             '"forbid_units": null, "keep_ties": true, '
             '"max_candidates": null, "max_cost": 430, '
-            '"max_evaluations": null, "parallel": "serial", '
+            '"max_evaluations": null, '
             '"prune_comm": true, "require_units": ["muP2"], '
-            '"retry": {"attempts": 2, "base_delay": 0.01, "jitter": 0.5, '
-            '"max_delay": 2.0, "seed": 7}, "shard": null, '
+            '"shard": null, '
             '"timing_mode": null, "use_estimation": true, '
             '"use_possible_filter": true, "util_bound": 0.69, '
-            '"weighted": false, "workers": null}'
+            '"weighted": false}'
         )
 
     def test_default_cadence_used_when_unset(self, settop, tmp_path):
@@ -271,9 +272,46 @@ class TestCheckpointing:
     ):
         path = str(tmp_path / "run.ckpt")
         result = explore(settop, checkpoint=path, checkpoint_every=64)
-        resumed = resume_explore(path, parallel="thread", workers=2)
+        resumed = resume_explore(path, batch_size=5)
         assert fingerprint(resumed) == fingerprint(result)
         assert resumed.front() == settop_full.front()
+
+    def test_legacy_pool_keys_in_header_resume(self, settop, tmp_path):
+        """Journals written before the worker pools were removed carry
+        their keys in the header: such a journal still resumes to the
+        uninterrupted run, but the keys are no longer overrides."""
+        from repro.resilience.journal import encode_record
+
+        reference = explore(
+            settop, checkpoint=str(tmp_path / "ref.ckpt"),
+            checkpoint_every=1024,
+        )
+        path = str(tmp_path / "legacy.ckpt")
+        with pytest.raises(SimulatedCrash):
+            with inject(FaultPlan(schedule={"checkpoint": {2: "abort"}})):
+                explore(settop, checkpoint=path, checkpoint_every=1024)
+        legacy = {
+            "parallel": "process",
+            "workers": 4,
+            "batch_timeout": 5.0,
+            "retry": {
+                "attempts": 2, "base_delay": 0.01, "jitter": 0.5,
+                "max_delay": 2.0, "seed": 7,
+            },
+        }
+        records, _ = read_journal(path)
+        with open(path, "w", encoding="utf-8") as handle:
+            for record_type, payload in records:
+                if record_type == "header":
+                    payload = dict(
+                        payload, params=dict(payload["params"], **legacy)
+                    )
+                handle.write(encode_record(record_type, payload))
+        assert load_checkpoint(path).params["parallel"] == "process"
+        resumed = resume_explore(path)
+        assert fingerprint(resumed) == fingerprint(reference)
+        with pytest.raises(CheckpointError, match="unknown"):
+            resume_explore(path, parallel="thread")
 
     def test_checkpoint_cursor_must_fit_the_spec(self, settop, tmp_path):
         """A cursor past the enumeration means journal/spec mismatch."""

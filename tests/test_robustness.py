@@ -119,7 +119,7 @@ class TestMonotonicity:
 # Kill/resume robustness: a checkpointed exploration killed at an
 # arbitrary point and resumed must reproduce the uninterrupted run's
 # result fingerprint exactly — over a seeded corpus of random
-# specifications, all execution modes, and both case studies.
+# specifications, several batch sizes, and both case studies.
 # ---------------------------------------------------------------------------
 
 from repro.casestudies import build_tv_decoder_spec  # noqa: E402
@@ -135,11 +135,13 @@ from .test_resilience import fingerprint  # noqa: E402
 RESUME_SEEDS = range(30)
 
 
-def _run_killed_and_resume(spec, tmp_path, mode, kill_at, every, label):
+def _run_killed_and_resume(
+    spec, tmp_path, batch_size, kill_at, every, label
+):
     """Reference vs killed-at-checkpoint-``kill_at``-then-resumed runs."""
     reference = explore(
         spec,
-        parallel=mode,
+        batch_size=batch_size,
         checkpoint=str(tmp_path / f"{label}-ref.ckpt"),
         checkpoint_every=every,
     )
@@ -148,7 +150,7 @@ def _run_killed_and_resume(spec, tmp_path, mode, kill_at, every, label):
     try:
         with inject(FaultPlan(schedule={"checkpoint": {kill_at: "abort"}})):
             explore(
-                spec, parallel=mode, checkpoint=killed,
+                spec, batch_size=batch_size, checkpoint=killed,
                 checkpoint_every=every,
             )
     except SimulatedCrash:
@@ -165,23 +167,23 @@ class TestKillResumeCorpus:
     def test_seeded_specs_serial(self, seed, tmp_path):
         spec = random_spec(seed)
         reference, resumed, _ = _run_killed_and_resume(
-            spec, tmp_path, "serial", kill_at=2, every=8, label="s"
+            spec, tmp_path, None, kill_at=2, every=8, label="s"
         )
         assert fingerprint(resumed) == fingerprint(reference)
 
     @pytest.mark.parametrize("seed", RESUME_SEEDS)
-    def test_seeded_specs_thread(self, seed, tmp_path):
+    def test_seeded_specs_batch5(self, seed, tmp_path):
         spec = random_spec(seed)
         reference, resumed, _ = _run_killed_and_resume(
-            spec, tmp_path, "thread", kill_at=2, every=8, label="t"
+            spec, tmp_path, 5, kill_at=2, every=8, label="b5"
         )
         assert fingerprint(resumed) == fingerprint(reference)
 
     @pytest.mark.parametrize("seed", [0, 7, 13, 21, 29])
-    def test_seeded_specs_process(self, seed, tmp_path):
+    def test_seeded_specs_batch1(self, seed, tmp_path):
         spec = random_spec(seed)
         reference, resumed, _ = _run_killed_and_resume(
-            spec, tmp_path, "process", kill_at=2, every=8, label="p"
+            spec, tmp_path, 1, kill_at=2, every=8, label="b1"
         )
         assert fingerprint(resumed) == fingerprint(reference)
 
@@ -191,7 +193,7 @@ class TestKillResumeCorpus:
     ):
         """The set-top case study, killed at every snapshot in turn."""
         reference, resumed, crashed = _run_killed_and_resume(
-            settop, tmp_path, "serial", kill_at=kill_at, every=1024,
+            settop, tmp_path, None, kill_at=kill_at, every=1024,
             label="settop",
         )
         assert crashed  # 8154 replayed candidates -> 8+ checkpoints
@@ -205,7 +207,7 @@ class TestKillResumeCorpus:
     def test_tv_decoder_killed_at_every_checkpoint(self, kill_at, tmp_path):
         spec = build_tv_decoder_spec()
         reference, resumed, crashed = _run_killed_and_resume(
-            spec, tmp_path, "serial", kill_at=kill_at, every=48,
+            spec, tmp_path, None, kill_at=kill_at, every=48,
             label="tv",
         )
         assert crashed

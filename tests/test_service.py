@@ -1,7 +1,7 @@
 """The exploration service: scheduling, preemption, recovery, events.
 
 The headline guarantee is differential: any number of jobs time-sliced
-over one shared pool — preempted, interleaved, even killed and
+in one service — preempted, interleaved, even killed and
 recovered — produce fronts *fingerprint-identical* to solo
 uninterrupted ``explore()`` runs.
 """
@@ -29,18 +29,16 @@ def fingerprint(result):
 
 
 def make_service(directory, **kwargs):
-    kwargs.setdefault("workers", 2)
     kwargs.setdefault("slice_evaluations", 3)
     kwargs.setdefault("clock", ManualClock())
     return ExplorationService(str(directory), **kwargs)
 
 
-def test_sixteen_jobs_two_workers_exact(tmp_path):
-    """16 concurrent jobs on a 2-worker pool: all fronts exact."""
+def test_sixteen_jobs_exact(tmp_path):
+    """16 concurrent time-sliced jobs: all fronts exact."""
     specs = [random_spec(seed) for seed in range(16)]
     with make_service(tmp_path) as service:
         jobs = [service.submit(spec) for spec in specs]
-        assert service.pool.workers == 2
         service.run()
         total_preemptions = 0
         for job, spec in zip(jobs, specs):
@@ -67,7 +65,6 @@ def test_crash_recovery_resumes_exact(tmp_path):
     assert live, "pick a slice budget that leaves work unfinished"
     # Abandon without close(): the ledger is flushed per append, so
     # this is the in-process equivalent of kill -9.
-    service.pool.shutdown()
 
     restarted = make_service(tmp_path)
     recovered = [j for j in restarted.list_jobs() if j.recovered]
@@ -91,14 +88,12 @@ def test_repeated_crashes_converge(tmp_path):
     service = make_service(tmp_path, slice_evaluations=2)
     service.submit(spec)
     service.run(max_slices=1)
-    service.pool.shutdown()
     for _ in range(20):
         service = make_service(tmp_path, slice_evaluations=2)
         job = service.job("j0000")
         if job.state == "completed":
             break
         service.run(max_slices=1)
-        service.pool.shutdown()
     assert job.state == "completed"
     assert fingerprint(service.result("j0000")) == fingerprint(explore(spec))
     service.close()
@@ -128,9 +123,7 @@ def test_deterministic_schedule_replay(tmp_path):
 def test_priority_shapes_schedule(tmp_path):
     """A higher-priority job gets slices earlier (stride share)."""
     spec = build_settop_spec()
-    with make_service(
-        tmp_path, slice_evaluations=4, workers=1
-    ) as service:
+    with make_service(tmp_path, slice_evaluations=4) as service:
         subscription = service.subscribe(kinds=("slice_start",))
         low = service.submit(spec, name="low", priority=1.0)
         high = service.submit(spec, name="high", priority=3.0)
@@ -256,12 +249,3 @@ def test_validation(tmp_path):
             service.job("nope")
     with pytest.raises(ServiceError):
         ExplorationService(str(tmp_path / "x"), slice_evaluations=0)
-
-
-def test_serial_pool_kind(tmp_path):
-    """kind='serial' runs inline but is otherwise identical."""
-    spec = random_spec(11)
-    with make_service(tmp_path, pool_kind="serial") as service:
-        job = service.submit(spec)
-        service.run()
-        assert fingerprint(job.result) == fingerprint(explore(spec))

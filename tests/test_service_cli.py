@@ -112,8 +112,7 @@ class TestSubmitServeJobs:
         assert text.count("spooled") >= 2
 
         code, text = run(
-            ["serve", directory, "--workers", "2",
-             "--slice-evaluations", "8"]
+            ["serve", directory, "--slice-evaluations", "8"]
         )
         assert code == EXIT_OK
         assert "2 completed" in text
@@ -178,7 +177,7 @@ class TestKillResume:
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", directory,
-                "--workers", "2", "--slice-evaluations", "2",
+                "--slice-evaluations", "2",
             ],
             env=_child_env(),
             stdout=subprocess.DEVNULL,
@@ -199,8 +198,7 @@ class TestKillResume:
         process.wait(timeout=30)
 
         code, _ = run(
-            ["serve", directory, "--workers", "2",
-             "--slice-evaluations", "64"]
+            ["serve", directory, "--slice-evaluations", "64"]
         )
         assert code == EXIT_OK
         code, text = run(["jobs", directory, "--json"])

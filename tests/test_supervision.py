@@ -271,7 +271,6 @@ class TestAdmissionController:
 
 
 def make_service(directory, **kwargs):
-    kwargs.setdefault("workers", 2)
     kwargs.setdefault("slice_evaluations", 3)
     kwargs.setdefault("clock", ManualClock())
     return ExplorationService(str(directory), **kwargs)

@@ -5,7 +5,7 @@ registry) lives strictly on the wall-clock side of the determinism
 seam, so attaching it must change *nothing* observable: the result
 document, the progress-event stream and the logical trace fingerprint
 are byte-identical with telemetry on vs off — across the serial loop,
-the batched pool, the exploration service and sharded dispatch, over a
+the batched replay, the exploration service and sharded dispatch, over a
 12-seed random corpus plus the settop case study.
 """
 
@@ -21,6 +21,7 @@ from repro.core import explore
 from repro.distributed import explore_sharded
 from repro.distributed.worker import serve
 from repro.io.result_io import result_to_dict
+from repro.parallel import explore_batched
 from repro.service import ExplorationService
 from repro.telemetry import FleetTelemetry, PhaseProfiler, Telemetry
 from repro.trace import Tracer, trace_fingerprint
@@ -51,11 +52,11 @@ def strip_events(events):
     return stripped
 
 
-def observed_run(spec, telemetry, **kwargs):
+def observed_run(spec, telemetry, run=explore, **kwargs):
     """One run's (result doc, stripped events, trace fingerprint)."""
     events = []
     tracer = Tracer(level="audit", trace_id="differential")
-    result = explore(
+    result = run(
         spec,
         progress=events.append,
         progress_every=3,
@@ -81,10 +82,8 @@ def test_serial_differential(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_differential(seed):
     spec = random_spec(seed)
-    off = observed_run(spec, None, parallel="thread", workers=2,
-                       batch_size=4)
-    on = observed_run(spec, Telemetry(), parallel="thread", workers=2,
-                      batch_size=4)
+    off = observed_run(spec, None, explore_batched, batch_size=4)
+    on = observed_run(spec, Telemetry(), explore_batched, batch_size=4)
     assert on == off, f"seed {seed}: telemetry changed the batched run"
 
 

@@ -3,7 +3,7 @@
 The tracer (:mod:`repro.trace`) extends the PR-1/PR-3 determinism
 contract to full search introspection: every logical record is emitted
 at replay positions from outcome-derivable data only, so a serial run,
-any batched/pooled run, and a preempted service job produce
+any batched run, and a preempted service job produce
 byte-identical logical traces.  The audit trail must also be complete
 enough to *reconstruct* the paper's search statistics from the trace
 alone, and attaching a tracer must not change the exploration at all.
@@ -17,6 +17,7 @@ from .randspec import random_spec
 from repro.casestudies import build_settop_spec
 from repro.core import explore
 from repro.errors import TraceError
+from repro.parallel import explore_batched
 from repro.service.metrics import MetricsRegistry
 from repro.trace import (
     PRUNE_REASONS,
@@ -40,9 +41,9 @@ from repro.trace import (
 SEEDS = list(range(12))
 
 
-def collect(spec, level="audit", **kwargs):
+def collect(spec, level="audit", run=explore, **kwargs):
     tracer = Tracer(level=level, trace_id=compute_trace_id(spec))
-    result = explore(spec, tracer=tracer, **kwargs)
+    result = run(spec, tracer=tracer, **kwargs)
     return tracer, result
 
 
@@ -51,15 +52,17 @@ def collect(spec, level="audit", **kwargs):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_differential_logical_traces(mode):
+@pytest.mark.parametrize("batch_size", [1, 5, 32])
+def test_differential_logical_traces(batch_size):
     """Serial and batched runs leave byte-identical logical traces."""
     for seed in SEEDS:
         spec = random_spec(seed)
         reference, _ = collect(spec)
-        observed, _ = collect(spec, parallel=mode, batch_size=4)
+        observed, _ = collect(
+            spec, run=explore_batched, batch_size=batch_size
+        )
         assert observed.logical_records() == reference.logical_records(), (
-            f"seed {seed} diverged under {mode}"
+            f"seed {seed} diverged at batch_size={batch_size}"
         )
         assert observed.fingerprint() == reference.fingerprint()
 
@@ -75,7 +78,7 @@ def test_differential_logical_traces_options():
         spec = random_spec(5)
         reference, _ = collect(spec, **options)
         observed, _ = collect(
-            spec, parallel="thread", batch_size=3, **options
+            spec, run=explore_batched, batch_size=3, **options
         )
         assert observed.fingerprint() == reference.fingerprint(), (
             f"diverged with {options}"
@@ -91,7 +94,6 @@ def test_service_trace_matches_solo(tmp_path):
     spec = build_settop_spec()
     with ExplorationService(
         str(tmp_path),
-        pool_kind="serial",
         slice_evaluations=8,
         clock=ManualClock(),
     ) as service:
@@ -112,7 +114,7 @@ def test_service_events_carry_trace_id(tmp_path):
 
     spec = random_spec(3)
     with ExplorationService(
-        str(tmp_path), pool_kind="serial", clock=ManualClock()
+        str(tmp_path), clock=ManualClock()
     ) as service:
         job = service.submit(spec)
         service.run()
@@ -128,7 +130,7 @@ def test_service_rejects_bad_trace_option(tmp_path):
     from repro.service.job import ServiceError
 
     with ExplorationService(
-        str(tmp_path), pool_kind="serial", clock=ManualClock()
+        str(tmp_path), clock=ManualClock()
     ) as service:
         with pytest.raises(ServiceError):
             service.submit(random_spec(0), options={"trace": "verbose"})

@@ -23,6 +23,7 @@ from repro.core import explore
 from repro.errors import ExplorationError
 from repro.io import spec_from_dict, spec_to_dict
 from repro.io.result_io import dumps_result, loads_result, result_to_dict
+from repro.parallel import explore_batched
 from repro.resilience import resume_explore
 from repro.resilience.journal import _parse_line, encode_record
 from repro.service import ExplorationService
@@ -57,9 +58,9 @@ def canonical(result, ignore=()):
     return json.dumps(document, sort_keys=True)
 
 
-def run(spec, warm_store=None, **options):
+def run(spec, warm_store=None, run_with=explore, **options):
     tracer = Tracer(level="audit")
-    result = explore(
+    result = run_with(
         fresh(spec), warm_store=warm_store, tracer=tracer, **options
     )
     return result, trace_fingerprint(tracer.all_records())
@@ -373,24 +374,21 @@ class TestWiring:
         assert filling.stats.warm_writes > 0
         assert store.writes == filling.stats.warm_writes
 
-    def test_batched_thread_pool_uses_the_store(self, tmp_path):
+    def test_batched_replay_uses_the_store(self, tmp_path):
         spec = build_settop_spec()
         store_path = str(tmp_path / "ws")
-        cold, cold_trace = run(spec, parallel="thread", workers=2)
-        filling, _trace = run(
-            spec, warm_store=store_path, parallel="thread", workers=2
-        )
+        batched = dict(run_with=explore_batched, batch_size=5)
+        cold, cold_trace = run(spec, **batched)
+        filling, _trace = run(spec, warm_store=store_path, **batched)
         _reset_stores()
-        warm, warm_trace = run(
-            spec, warm_store=store_path, parallel="thread", workers=2
-        )
+        warm, warm_trace = run(spec, warm_store=store_path, **batched)
         assert canonical(cold) == canonical(filling) == canonical(warm)
         assert cold_trace == warm_trace
         assert warm.stats.warm_hits > 0
 
     def test_checkpoint_resume_records_the_store(self, tmp_path):
-        """The store path rides the checkpoint header like pool
-        geometry: a resumed run keeps warming, and the result is
+        """The store path rides the checkpoint header like the batch
+        size: a resumed run keeps warming, and the result is
         identical to an uninterrupted cold run."""
         spec = build_settop_spec()
         store_path = str(tmp_path / "ws")
@@ -435,7 +433,7 @@ class TestService:
     def test_jobs_share_one_store(self, tmp_path):
         spec = build_settop_spec()
         with ExplorationService(
-            str(tmp_path), workers=2, slice_evaluations=16
+            str(tmp_path), slice_evaluations=16
         ) as service:
             service.submit(fresh(spec), name="first")
             service.run()
@@ -460,7 +458,7 @@ class TestService:
 
     def test_warm_store_disabled(self, tmp_path):
         with ExplorationService(
-            str(tmp_path), workers=1, warm_store=None
+            str(tmp_path), warm_store=None
         ) as service:
             service.submit(build_settop_spec())
             service.run()

@@ -72,31 +72,20 @@ Segment layout and invalidation rules: `docs/formats.md`.
 |---|---|---|
 | `engine` | `"compiled"` | `"compiled"` runs the bitmask kernel of `repro.compiled` (cross-candidate memoization, BDD-compiled possible-allocation test, precomputed binding tables); `"reference"` runs the classic per-candidate pipeline. Both produce **identical** fronts, statistics, progress events and logical traces |
 
-### `explore()` parallel parameters
-
-`explore()` accepts three parameters selecting the batched parallel
-backend (see `docs/parallel.md` for the architecture and determinism
-guarantee):
-
-| parameter | default | meaning |
-|---|---|---|
-| `parallel` | `"serial"` | `"serial"` runs the classic loop; `"thread"`/`"process"` evaluate candidates in cost-ordered batches on a worker pool with **identical** results (Pareto set, statistics except `elapsed_seconds`, tie-breaking) |
-| `batch_size` | `32` | candidates per dispatched batch in parallel modes |
-| `workers` | CPU count | worker-pool size in parallel modes |
-
 ### `explore()` resilience parameters
 
-Passing any of these routes through the same batched replay loop (even
-with `parallel="serial"`); see `docs/resilience.md`:
+Passing any of these routes the run through the batched replay loop,
+which returns **identical** results to the serial loop (Pareto set,
+statistics except `elapsed_seconds`, tie-breaking); see
+`docs/parallel.md` and `docs/resilience.md`:
 
 | parameter | default | meaning |
 |---|---|---|
+| `batch_size` | `32` | candidates per batch of the batched replay (sizes it; does not route a run there by itself) |
 | `deadline_seconds` | `None` | wall-clock budget; on expiry return the best-so-far front with `completed=False` and an `OptimalityGap` |
 | `max_evaluations` | `None` | budget on binding-solver evaluations, same graceful truncation |
 | `checkpoint` | `None` | path of an append-only CRC-journaled checkpoint file enabling `resume_explore()` |
 | `checkpoint_every` | `64` | candidates between fsync'd snapshots when checkpointing |
-| `batch_timeout` | `None` | seconds before a hung parallel batch is abandoned and finished inline |
-| `retry` | `RetryPolicy()` | backoff policy for transient worker/pool failures |
 """,
     "repro.resilience": """\
 ### Guarantees
@@ -108,9 +97,9 @@ with `parallel="serial"`); see `docs/resilience.md`:
   `gap.next_cost_bound` equals the full run's front below that cost,
   and nothing exceeds `gap.flexibility_bound` — checked by
   `verify_gap()`.
-* Degradation (retries, quarantines, timeouts, pool fallbacks, cache
-  corruption) is never silent: counters on `ExplorationStats`, a
-  structured `stats.events` log, and a `RuntimeWarning` on pool loss.
+* Degradation (quarantined candidates, cache corruption) is never
+  silent: counters on `ExplorationStats` and a structured
+  `stats.events` log.
 
 See `docs/resilience.md` for the journal format and the resume-identity
 argument.
