@@ -11,7 +11,7 @@ re-explores warm.  Records to ``BENCH_incremental.json``:
   versus recomputed by the warm run.  This is the work the store
   eliminates, it is deterministic, and it is the asserted ``>= 5x``
   headline (on the set-top case study a one-latency edit recomputes a
-  handful of the ~120 verdicts);
+  handful of the ~90 solved verdicts);
 * end-to-end wall clock for both runs, reported honestly alongside: on
   the small case studies candidate *enumeration* dominates the run, so
   the end-to-end ratio hovers around 1x even at a ~100x re-solve

@@ -29,7 +29,9 @@ class _InternTable:
     one cycle that a single garbage collection frees once the caller
     drops the specification.  (A weakly keyed dictionary cannot do
     that: its value would keep its own key alive.)  ``pop`` drops an
-    entry early.  Specifications never pickle their compiled tables.
+    entry early; nothing else the tables own points back at them, so
+    refcounting alone then frees them with the specification.
+    Specifications never pickle their compiled tables.
     """
 
     def get(self, spec) -> "CompiledSpec | None":

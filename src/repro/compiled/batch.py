@@ -161,7 +161,8 @@ class BlockKernel:
 
     def __init__(self, cspec: CompiledSpec) -> None:
         np = _np
-        self.cs = cspec
+        #: Weak: the spec owns its kernel (``CompiledSpec.proxy``).
+        self.cs = cspec.proxy
         nodes = cspec._bdd_nodes
         self.bdd_levels = np.array(
             [max(n[0], 0) for n in nodes], dtype=np.uint64

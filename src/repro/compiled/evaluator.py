@@ -18,6 +18,10 @@ per-candidate rework:
   because the backtracking search reads only the usable units that can
   own one of the ECS's mapping options or route traffic (see
   ``docs/performance.md`` for the soundness argument);
+* feasibility is monotone in that projection, so a miss whose
+  projection contains a known-feasible one is answered without the
+  solver, and the binding of such a coverage record is solved only
+  when it is read (outside schedule mode; same document);
 * the search itself replays :class:`repro.binding.BindingSolver`
   decision-for-decision over precompiled option records, so its
   statistics deltas (invocations, assignments, backtracks, solutions,
@@ -27,8 +31,18 @@ per-candidate rework:
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..binding import Allocation, solve_binding_sat
 from ..core.evaluation import (
@@ -37,6 +51,7 @@ from ..core.evaluation import (
     TIMING_MODES,
 )
 from ..core.result import EcsRecord, Implementation
+from ..errors import ExplorationError
 from ..timing import PAPER_UTILIZATION_BOUND, schedule_meets_periods
 from .enumerate import MaskAllocationEnumerator
 from .spec import CompiledSpec, EcsInfo
@@ -77,6 +92,38 @@ class Verdict:
         self.timing_seconds = timing_seconds
 
 
+#: The memo entry of a verdict decided by implication: feasible, because
+#: a subset of its usable projection is, with no binding solved yet.
+_IMPLIED = Verdict(None, _ZERO_DELTAS, 0, 0, 0.0)
+
+
+class _DeferredRecord(EcsRecord):
+    """A coverage record whose binding is solved when first read.
+
+    ``resolve`` returns the binding the solver gives under the
+    candidate's usable mask; it is dropped once called, so a resolved
+    record holds no evaluator."""
+
+    __slots__ = ("_resolve",)
+
+    def __init__(
+        self,
+        selection: Dict[str, str],
+        resolve: Callable[[], Dict[str, str]],
+    ) -> None:
+        self.selection = dict(selection)
+        self.clusters = frozenset(selection.values())
+        self._resolve = resolve
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while the ``binding`` slot is still unset.
+        if name != "binding":
+            raise AttributeError(name)
+        binding = self.binding = dict(self._resolve())
+        self._resolve = None
+        return binding
+
+
 class CompiledEvaluator:
     """Mask-native evaluator implementing the engine interface."""
 
@@ -94,7 +141,8 @@ class CompiledEvaluator:
             raise ValueError(f"unknown timing_mode {timing_mode!r}")
         if backend not in BINDING_BACKENDS:
             raise ValueError(f"unknown binding backend {backend!r}")
-        self.cs = cspec
+        #: Weak: the spec owns its evaluators (``CompiledSpec.proxy``).
+        self.cs = cspec.proxy
         self.spec = cspec.spec
         self.util_bound = util_bound
         self.weighted = weighted
@@ -104,6 +152,13 @@ class CompiledEvaluator:
         #: Cross-candidate binding verdicts keyed by
         #: ``(ecs_mask, usable_mask & ecs.support)``.
         self._verdicts: Dict[Tuple[int, int], Verdict] = {}
+        #: Per ECS mask, the minimal usable projections known feasible
+        #: (an antichain): a projection containing one of them is
+        #: feasible too (``docs/performance.md``).  ``None`` in schedule
+        #: mode, whose bounded search is not monotone.
+        self._feasible: Optional[Dict[int, List[int]]] = (
+            None if timing_mode == "schedule" else {}
+        )
         #: One-slot identity-keyed units->mask memo (the shared loop
         #: calls possible/comm/estimate/evaluate on the same frozenset).
         self._last_units: Optional[FrozenSet[str]] = None
@@ -121,6 +176,7 @@ class CompiledEvaluator:
         # snapshot and charge deltas; see ``cache_counters``).
         self.memo_hits = 0
         self.memo_misses = 0
+        self.memo_implied = 0
         self.warm_hits = 0
         self.warm_misses = 0
         self.warm_writes = 0
@@ -232,62 +288,42 @@ class CompiledEvaluator:
         # ``outcome_cache``; the solver counter charges once per
         # *distinct* selection per candidate, cache hit or not.
         outcome: Dict[int, Verdict] = {}
+        sink = None if detail is not None else self.phase_sink
+        timed = detail is not None or sink is not None
+        clock = time.perf_counter
 
-        def solve_selection(sel_mask: int) -> Verdict:
+        def solve_selection(sel_mask: int, info: EcsInfo) -> Verdict:
             cached = outcome.get(sel_mask)
             if cached is not None:
                 return cached
             if solver_counter is not None:
                 solver_counter[0] += 1
-            info = cs.ecs_info(sel_mask)
             key = (sel_mask, usable & info.support)
+            t0 = clock() if timed else 0.0
             verdict = self._verdicts.get(key)
-            if detail is None:
-                sink = self.phase_sink
-                if sink is None:
-                    if verdict is None:
-                        verdict, _computed = self._memo_miss(
-                            info, usable, key
-                        )
-                    else:
-                        self.memo_hits += 1
-                else:
-                    t0 = time.perf_counter()
-                    if verdict is None:
-                        verdict, computed = self._memo_miss(
-                            info, usable, key
-                        )
-                    else:
-                        self.memo_hits += 1
-                        computed = False
-                    elapsed = time.perf_counter() - t0
-                    sink.charge(
-                        "binding",
-                        elapsed
-                        - (verdict.timing_seconds if computed else 0.0),
-                    )
-                    if verdict.timing_checks:
-                        sink.charge("timing", verdict.timing_seconds)
+            if verdict is None:
+                # ``computed`` is False on a warm-store hit or an implied
+                # verdict: no timing_seconds elapsed inside this call.
+                verdict, computed = self._memo_miss(info, usable, key)
             else:
-                t0 = time.perf_counter()
-                if verdict is None:
-                    # ``computed`` is False on a warm-store hit: the
-                    # replayed timing_seconds then did not happen inside
-                    # ``elapsed`` and must not be subtracted from it.
-                    verdict, computed = self._memo_miss(info, usable, key)
-                else:
-                    self.memo_hits += 1
-                    computed = False
-                elapsed = time.perf_counter() - t0
-                detail["binding_seconds"] += elapsed - (
+                self.memo_hits += 1
+                computed = False
+            if timed:
+                elapsed = clock() - t0 - (
                     verdict.timing_seconds if computed else 0.0
                 )
-                detail["timing_seconds"] += verdict.timing_seconds
-                detail["timing_checks"] += verdict.timing_checks
-                detail["timing_rejections"] += verdict.timing_rejections
-                deltas = verdict.deltas
-                for i in range(5):
-                    acc[i] += deltas[i]
+                if detail is not None:
+                    detail["binding_seconds"] += elapsed
+                    detail["timing_seconds"] += verdict.timing_seconds
+                    detail["timing_checks"] += verdict.timing_checks
+                    detail["timing_rejections"] += verdict.timing_rejections
+                    deltas = verdict.deltas
+                    for i in range(5):
+                        acc[i] += deltas[i]
+                else:
+                    sink.charge("binding", elapsed)
+                    if verdict.timing_checks:
+                        sink.charge("timing", verdict.timing_seconds)
             outcome[sel_mask] = verdict
             return verdict
 
@@ -297,14 +333,20 @@ class CompiledEvaluator:
         def try_cover(target: Optional[str]) -> bool:
             nonlocal covered_mask
             for sel_mask in cs.selection_masks(allowed_mask, target):
-                verdict = solve_selection(sel_mask)
-                if verdict.binding is not None:
-                    covered_mask |= sel_mask
-                    info = cs.ecs_info(sel_mask)
-                    coverage.append(
-                        EcsRecord(info.selection, verdict.binding)
+                info = cs.ecs_info(sel_mask)
+                verdict = solve_selection(sel_mask, info)
+                if verdict is _IMPLIED:
+                    record = _DeferredRecord(
+                        info.selection,
+                        functools.partial(self._resolve, info, usable),
                     )
-                    return True
+                elif verdict.binding is not None:
+                    record = EcsRecord(info.selection, verdict.binding)
+                else:
+                    continue
+                covered_mask |= sel_mask
+                coverage.append(record)
+                return True
             return False
 
         def snapshot_solver_stats() -> None:
@@ -396,6 +438,7 @@ class CompiledEvaluator:
         return {
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
+            "memo_implied": self.memo_implied,
             "warm_hits": self.warm_hits,
             "warm_misses": self.warm_misses,
             "warm_writes": self.warm_writes,
@@ -405,12 +448,19 @@ class CompiledEvaluator:
     def _memo_miss(
         self, info: EcsInfo, usable: int, key: Tuple[int, int]
     ) -> Tuple[Verdict, bool]:
-        """Resolve a verdict-memo miss: warm-store load or cold compute.
+        """Resolve a verdict-memo miss: implication, warm-store load or
+        cold compute.
 
         Returns ``(verdict, computed)`` — ``computed`` is ``False``
-        when the verdict was replayed from the store (its
-        ``timing_seconds`` then did not elapse in this process).
+        unless the verdict was solved here (a stored verdict's
+        ``timing_seconds`` did not elapse in this process).  An implied
+        verdict is counted in ``memo_implied``, not as a miss, and is
+        never digested or written to the store.
         """
+        if self._feasible is not None and self._implied(key):
+            self.memo_implied += 1
+            self._verdicts[key] = _IMPLIED
+            return _IMPLIED, False
         self.memo_misses += 1
         warm = self._warm
         if warm is not None:
@@ -420,11 +470,11 @@ class CompiledEvaluator:
             verdict = warm.get(wkey, self._verdict_from_payload)
             if verdict is not None:
                 self.warm_hits += 1
-                self._verdicts[key] = verdict
+                self._remember(key, verdict)
                 return verdict, False
             self.warm_misses += 1
         verdict = self._compute_verdict(info, usable)
-        self._verdicts[key] = verdict
+        self._remember(key, verdict)
         if warm is not None and warm.put(
             wkey,
             self._digest.key_deps(self, info, usable),
@@ -432,6 +482,46 @@ class CompiledEvaluator:
         ):
             self.warm_writes += 1
         return verdict, True
+
+    def _implied(self, key: Tuple[int, int]) -> bool:
+        """Whether a known-feasible projection of the ECS lies inside
+        ``key``'s projection."""
+        projection = key[1]
+        for feasible in self._feasible.get(key[0], ()):
+            if not feasible & ~projection:
+                return True
+        return False
+
+    def _remember(self, key: Tuple[int, int], verdict: Verdict) -> None:
+        """Memoise a solved or loaded verdict; a feasible one joins its
+        ECS's antichain (replacing the projections it is inside of)."""
+        self._verdicts[key] = verdict
+        if verdict.binding is None or self._feasible is None:
+            return
+        sel_mask, projection = key
+        chain = self._feasible.setdefault(sel_mask, [])
+        # Not implied, so no member lies inside ``projection``: drop
+        # the members it lies inside of.
+        chain[:] = [p for p in chain if projection & ~p]
+        chain.append(projection)
+
+    def _resolve(self, info: EcsInfo, usable: int) -> Dict[str, str]:
+        """The binding of a coverage record answered by implication:
+        the memo's, once a solve has replaced the implied entry, or
+        one solve under the candidate's usable mask — the verdict a
+        cold miss would have computed.  Counted in no cache counter."""
+        key = (info.mask, usable & info.support)
+        verdict = self._verdicts.get(key)
+        if verdict is _IMPLIED:
+            verdict = self._compute_verdict(info, usable)
+            if verdict.binding is None:
+                raise ExplorationError(
+                    f"internal: ECS {sorted(info.selection.values())!r} "
+                    f"is infeasible under a usable projection implied "
+                    f"feasible (binding monotonicity violated)"
+                )
+            self._verdicts[key] = verdict
+        return verdict.binding
 
     @staticmethod
     def _verdict_to_payload(verdict: Verdict) -> Dict[str, Any]:
@@ -497,23 +587,24 @@ class CompiledEvaluator:
     def _compute_verdict(self, info: EcsInfo, usable: int) -> Verdict:
         counters = [0, 0, 0, 0, 0]
         if self.timing_mode == "schedule":
-            checks = 0
-            rejections = 0
-            timing_seconds = 0.0
-            binding: Optional[Dict[str, str]] = None
-            for assignment in self._iter_bindings(
-                info, usable, SCHEDULE_SEARCH_LIMIT, counters
-            ):
+            # checks, rejections, seconds of the schedule tests
+            timing = [0, 0, 0.0]
+            spec = self.spec
+
+            def schedulable(assignment: Dict[str, str]) -> bool:
                 t0 = time.perf_counter()
-                ok = schedule_meets_periods(self.spec, info.flat, assignment)
-                timing_seconds += time.perf_counter() - t0
-                checks += 1
-                if ok:
-                    binding = assignment
-                    break
-                rejections += 1
+                ok = schedule_meets_periods(spec, info.flat, assignment)
+                timing[2] += time.perf_counter() - t0
+                timing[0] += 1
+                if not ok:
+                    timing[1] += 1
+                return ok
+
+            binding = self._search(
+                info, usable, SCHEDULE_SEARCH_LIMIT, schedulable, counters
+            )
             return Verdict(
-                binding, tuple(counters), checks, rejections, timing_seconds
+                binding, tuple(counters), timing[0], timing[1], timing[2]
             )
         if self.backend == "sat":
             allocation = Allocation(self.spec, self.cs.names_of(usable))
@@ -531,26 +622,25 @@ class CompiledEvaluator:
                 0,
                 0.0,
             )
-        binding = None
-        for assignment in self._iter_bindings(info, usable, 1, counters):
-            binding = assignment
-            break
+        binding = self._search(info, usable, 1, _take_first, counters)
         return Verdict(binding, tuple(counters), 0, 0, 0.0)
 
-    def _iter_bindings(
+    def _search(
         self,
         info: EcsInfo,
         usable: int,
-        limit: Optional[int],
+        limit: int,
+        accept: Callable[[Dict[str, str]], bool],
         counters: list,
-    ) -> Iterator[Dict[str, str]]:
-        """Decision-for-decision replay of
+    ) -> Optional[Dict[str, str]]:
+        """The first of at most ``limit`` complete assignments that
+        ``accept`` takes, or ``None``: a decision-for-decision replay of
         :meth:`repro.binding.BindingSolver.iter_solutions` over the
-        precompiled option records; ``counters`` accumulates the five
+        precompiled option records, consumed until ``accept`` says yes.
+        ``counters`` accumulates the five
         :class:`~repro.binding.SolverStats` fields at exactly the
-        moments the reference increments them, so abandoning this
-        generator mid-iteration leaves the same totals the reference's
-        abandoned generator leaves."""
+        moments the reference increments them, so stopping there leaves
+        the same totals the reference's abandoned generator leaves."""
         counters[0] += 1
         domains = []
         for recs in info.options:
@@ -558,94 +648,158 @@ class CompiledEvaluator:
                 rec for rec in recs if usable >> rec.owner_bit & 1
             ]
             if not domain:
-                return
+                return None
             domains.append(domain)
+        search = _BindingSearch(
+            self, info, usable, domains, limit, accept, counters
+        )
+        search.visit(0)
+        return search.found
+
+
+def _take_first(assignment: Dict[str, str]) -> bool:
+    return True
+
+
+class _BindingSearch:
+    """The state of one backtracking search (see
+    :meth:`CompiledEvaluator._search`).  It recurses through a method,
+    not a self-referencing closure, so it is freed by refcount."""
+
+    __slots__ = (
+        "leaves",
+        "domains",
+        "order",
+        "neighbors",
+        "check_util",
+        "util_bound",
+        "tops_connected",
+        "comm_tops",
+        "limit",
+        "accept",
+        "counters",
+        "assignment",
+        "chosen",
+        "utilization",
+        "interface_choice",
+        "interface_count",
+        "yielded",
+        "found",
+    )
+
+    def __init__(
+        self,
+        evaluator: CompiledEvaluator,
+        info: EcsInfo,
+        usable: int,
+        domains: List[list],
+        limit: int,
+        accept: Callable[[Dict[str, str]], bool],
+        counters: list,
+    ) -> None:
         leaves = info.leaves
-        order = sorted(
+        self.leaves = leaves
+        self.domains = domains
+        self.order = sorted(
             range(len(leaves)),
             key=lambda i: (len(domains[i]), leaves[i]),
         )
-        neighbors = info.neighbors
-        check_util = self.check_utilization
-        util_bound = self.util_bound
-        tops_connected = self.cs.tops_connected
-        comm_tops = self.cs.comm_tops_of(usable)
-        assignment: Dict[str, str] = {}
-        chosen: Dict[str, Any] = {}
-        utilization: Dict[str, float] = {}
-        interface_choice: Dict[int, int] = {}
-        interface_count: Dict[int, int] = {}
-        yielded = 0
+        self.neighbors = info.neighbors
+        self.check_util = evaluator.check_utilization
+        self.util_bound = evaluator.util_bound
+        cs = evaluator.cs
+        self.tops_connected = cs.tops_connected
+        self.comm_tops = cs.comm_tops_of(usable)
+        self.limit = limit
+        self.accept = accept
+        self.counters = counters
+        self.assignment: Dict[str, str] = {}
+        self.chosen: Dict[str, Any] = {}
+        self.utilization: Dict[str, float] = {}
+        self.interface_choice: Dict[int, int] = {}
+        self.interface_count: Dict[int, int] = {}
+        self.yielded = 0
+        self.found: Optional[Dict[str, str]] = None
 
-        def backtrack(position: int) -> Iterator[Dict[str, str]]:
-            nonlocal yielded
-            if limit is not None and yielded >= limit:
-                return
-            if position == len(order):
-                counters[3] += 1
-                yielded += 1
-                yield dict(assignment)
-                return
-            index = order[position]
-            leaf = leaves[index]
-            for rec in domains[index]:
-                counters[1] += 1
-                iface = rec.iface_id
-                if iface >= 0:
-                    current = interface_choice.get(iface)
-                    if current is not None and current != rec.owner_bit:
-                        continue
-                increment = 0.0
-                if check_util and rec.loaded:
-                    increment = rec.util_increment
-                    if (
-                        utilization.get(rec.resource, 0.0) + increment
-                        > util_bound + 1e-12
-                    ):
-                        counters[4] += 1
-                        continue
-                feasible = True
-                for other in neighbors.get(leaf, ()):
-                    other_rec = chosen.get(other)
-                    if other_rec is None:
-                        continue
-                    if rec.owner_bit == other_rec.owner_bit:
-                        continue
-                    if rec.owner_top != other_rec.owner_top and not (
-                        tops_connected(
-                            rec.owner_top, other_rec.owner_top, comm_tops
-                        )
-                    ):
-                        feasible = False
-                        break
-                if not feasible:
+    def visit(self, position: int) -> bool:
+        """Extend the assignment from ``order[position]`` on; ``True``
+        once the search is over (an assignment accepted, or ``limit``
+        of them offered)."""
+        counters = self.counters
+        order = self.order
+        if position == len(order):
+            counters[3] += 1
+            self.yielded += 1
+            solution = dict(self.assignment)
+            if self.accept(solution):
+                self.found = solution
+                return True
+            return False
+        index = order[position]
+        leaf = self.leaves[index]
+        neighbors = self.neighbors.get(leaf, ())
+        assignment = self.assignment
+        chosen = self.chosen
+        utilization = self.utilization
+        interface_choice = self.interface_choice
+        interface_count = self.interface_count
+        check_util = self.check_util
+        for rec in self.domains[index]:
+            counters[1] += 1
+            iface = rec.iface_id
+            if iface >= 0:
+                current = interface_choice.get(iface)
+                if current is not None and current != rec.owner_bit:
                     continue
-                assignment[leaf] = rec.resource
-                chosen[leaf] = rec
-                if increment:
-                    utilization[rec.resource] = (
-                        utilization.get(rec.resource, 0.0) + increment
+            increment = 0.0
+            if check_util and rec.loaded:
+                increment = rec.util_increment
+                if (
+                    utilization.get(rec.resource, 0.0) + increment
+                    > self.util_bound + 1e-12
+                ):
+                    counters[4] += 1
+                    continue
+            feasible = True
+            for other in neighbors:
+                other_rec = chosen.get(other)
+                if other_rec is None:
+                    continue
+                if rec.owner_bit == other_rec.owner_bit:
+                    continue
+                if rec.owner_top != other_rec.owner_top and not (
+                    self.tops_connected(
+                        rec.owner_top, other_rec.owner_top, self.comm_tops
                     )
-                if iface >= 0:
-                    interface_choice[iface] = rec.owner_bit
-                    interface_count[iface] = (
-                        interface_count.get(iface, 0) + 1
-                    )
-                yield from backtrack(position + 1)
-                del assignment[leaf]
-                del chosen[leaf]
-                if increment:
-                    utilization[rec.resource] -= increment
-                if iface >= 0:
-                    interface_count[iface] -= 1
-                    if not interface_count[iface]:
-                        del interface_count[iface]
-                        del interface_choice[iface]
-                if limit is not None and yielded >= limit:
-                    return
-            counters[2] += 1
-
-        yield from backtrack(0)
+                ):
+                    feasible = False
+                    break
+            if not feasible:
+                continue
+            assignment[leaf] = rec.resource
+            chosen[leaf] = rec
+            if increment:
+                utilization[rec.resource] = (
+                    utilization.get(rec.resource, 0.0) + increment
+                )
+            if iface >= 0:
+                interface_choice[iface] = rec.owner_bit
+                interface_count[iface] = interface_count.get(iface, 0) + 1
+            if self.visit(position + 1):
+                return True
+            del assignment[leaf]
+            del chosen[leaf]
+            if increment:
+                utilization[rec.resource] -= increment
+            if iface >= 0:
+                interface_count[iface] -= 1
+                if not interface_count[iface]:
+                    del interface_count[iface]
+                    del interface_choice[iface]
+            if self.yielded >= self.limit:
+                return True
+        counters[2] += 1
+        return False
 
 
 def compiled_evaluator(

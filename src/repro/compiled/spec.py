@@ -18,6 +18,7 @@ property-tested in ``tests/test_compiled_properties.py``).
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..activation import FlatProblem, flatten
@@ -133,6 +134,44 @@ class _SelectionMemo:
             except StopIteration:
                 self.done = True
                 self._gen = None
+
+
+def _selections(
+    scopes: Dict[Optional[str], tuple],
+    cbit: Dict[str, int],
+    allowed_mask: int,
+    pins: Optional[Dict[str, str]],
+    interfaces: Tuple[Tuple[str, Tuple[str, ...]], ...],
+    position: int,
+) -> Iterator[int]:
+    """Selection masks of ``interfaces[position:]`` and their nested
+    scopes, first interface slowest (see
+    :meth:`CompiledSpec.iter_selection_masks`).
+
+    Module-level and handed only the tables it reads, so a stream a
+    :class:`_SelectionMemo` keeps does not keep the compiled spec."""
+    if position == len(interfaces):
+        yield 0
+        return
+    iface_name, cl_names = interfaces[position]
+    wanted = pins.get(iface_name) if pins else None
+    if wanted is not None:
+        chosen: Tuple[str, ...] = (
+            (wanted,)
+            if wanted in cl_names and allowed_mask & cbit[wanted]
+            else ()
+        )
+    else:
+        chosen = tuple(c for c in cl_names if allowed_mask & cbit[c])
+    for cname in chosen:
+        bit = cbit[cname]
+        for inner in _selections(
+            scopes, cbit, allowed_mask, pins, scopes[cname][1], 0
+        ):
+            for rest in _selections(
+                scopes, cbit, allowed_mask, pins, interfaces, position + 1
+            ):
+                yield bit | inner | rest
 
 
 class CompiledSpec:
@@ -301,25 +340,11 @@ class CompiledSpec:
 
         # --- support masks (relevance projections) -------------------------
         support_memo: Dict[Optional[str], int] = {}
-
-        def support_of(key: Optional[str]) -> int:
-            cached = support_memo.get(key)
-            if cached is not None:
-                return cached
-            vertices, interfaces = self.scopes[key]
-            mask = 0
-            for leaf in vertices:
-                mask |= supports.get(leaf, 0)
-            for _iface, cl_names in interfaces:
-                for cname in cl_names:
-                    mask |= support_of(cname)
-            support_memo[key] = mask
-            return mask
-
         self.cluster_support = {
-            c: support_of(c) for c in self.cluster_names
+            c: self._scope_support(c, supports, support_memo)
+            for c in self.cluster_names
         }
-        self.root_support = support_of(None)
+        self.root_support = self._scope_support(None, supports, support_memo)
         #: Every binding verdict may additionally depend on which
         #: communication units are usable (they route traffic).
         comm_support = 0
@@ -346,6 +371,32 @@ class CompiledSpec:
         self._enum_memo: Optional[Tuple[FrozenSet[str], int]] = None
         #: Per-parameter-set evaluators (see ``compiled_evaluator``).
         self._evaluators: Dict[tuple, object] = {}
+        #: What everything this spec owns (evaluators, the block kernel,
+        #: digest material) holds instead of the spec itself: with no
+        #: strong reference pointing back, dropping the specification's
+        #: intern entry frees all of it by refcount, without a
+        #: collection (``docs/performance.md``).
+        self.proxy = weakref.proxy(self)
+
+    def _scope_support(
+        self,
+        key: Optional[str],
+        supports: Dict[str, int],
+        memo: Dict[Optional[str], int],
+    ) -> int:
+        """Union of the leaf supports of a scope and its nested clusters."""
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        vertices, interfaces = self.scopes[key]
+        mask = 0
+        for leaf in vertices:
+            mask |= supports.get(leaf, 0)
+        for _iface, cl_names in interfaces:
+            for cname in cl_names:
+                mask |= self._scope_support(cname, supports, memo)
+        memo[key] = mask
+        return mask
 
     # ------------------------------------------------------------------
     # Mask plumbing
@@ -438,16 +489,13 @@ class CompiledSpec:
         if cached is not None:
             return cached
         result = 0
-
-        def visit(scope_key: Optional[str]) -> None:
-            nonlocal result
-            for _iface, cl_names in self.scopes[scope_key][1]:
+        pending: List[Optional[str]] = [None]
+        while pending:
+            for _iface, cl_names in self.scopes[pending.pop()][1]:
                 for cname in cl_names:
                     if self.cluster_activatable(cname, key):
                         result |= self.cluster_bit[cname]
-                        visit(cname)
-
-        visit(None)
+                        pending.append(cname)
         self._active_cache[key] = result
         return result
 
@@ -596,39 +644,10 @@ class CompiledSpec:
         set (each cluster belongs to exactly one interface), so the
         bitmask is a faithful interning key.
         """
-        scopes = self.scopes
-        cbit = self.cluster_bit
-
-        def candidates(
-            iface_name: str, cl_names: Tuple[str, ...]
-        ) -> Tuple[str, ...]:
-            if pins:
-                wanted = pins.get(iface_name)
-                if wanted is not None:
-                    if wanted in cl_names and allowed_mask & cbit[wanted]:
-                        return (wanted,)
-                    return ()
-            return tuple(
-                c for c in cl_names if allowed_mask & cbit[c]
-            )
-
-        def scope_selections(key: Optional[str]) -> Iterator[int]:
-            interfaces = scopes[key][1]
-
-            def rec(position: int) -> Iterator[int]:
-                if position == len(interfaces):
-                    yield 0
-                    return
-                iface_name, cl_names = interfaces[position]
-                for cname in candidates(iface_name, cl_names):
-                    bit = cbit[cname]
-                    for inner in scope_selections(cname):
-                        for rest in rec(position + 1):
-                            yield bit | inner | rest
-
-            yield from rec(0)
-
-        yield from scope_selections(None)
+        return _selections(
+            self.scopes, self.cluster_bit, allowed_mask, pins,
+            self.scopes[None][1], 0,
+        )
 
     def selection_masks(
         self, allowed_mask: int, target: Optional[str]
@@ -662,17 +681,18 @@ class CompiledSpec:
     def selection_dict_of(self, sel_mask: int) -> Dict[str, str]:
         """Reconstruct the selection dict (reference insertion order)."""
         selection: Dict[str, str] = {}
-
-        def visit(key: Optional[str]) -> None:
-            for iface_name, cl_names in self.scopes[key][1]:
-                for cname in cl_names:
-                    if sel_mask & self.cluster_bit[cname]:
-                        selection[iface_name] = cname
-                        visit(cname)
-                        break
-
-        visit(None)
+        self._select_into(selection, sel_mask, None)
         return selection
+
+    def _select_into(
+        self, selection: Dict[str, str], sel_mask: int, key: Optional[str]
+    ) -> None:
+        for iface_name, cl_names in self.scopes[key][1]:
+            for cname in cl_names:
+                if sel_mask & self.cluster_bit[cname]:
+                    selection[iface_name] = cname
+                    self._select_into(selection, sel_mask, cname)
+                    break
 
     def ecs_info(self, sel_mask: int) -> EcsInfo:
         """Interned allocation-independent artifacts of one ECS."""

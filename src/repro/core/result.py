@@ -110,6 +110,7 @@ class ExplorationStats:
         "checkpoints_written",
         "memo_hits",
         "memo_misses",
+        "memo_implied",
         "warm_hits",
         "warm_misses",
         "warm_writes",
@@ -122,6 +123,7 @@ class ExplorationStats:
     CACHE_COUNTERS = (
         "memo_hits",
         "memo_misses",
+        "memo_implied",
         "warm_hits",
         "warm_misses",
         "warm_writes",
@@ -171,6 +173,9 @@ class ExplorationStats:
         #: :meth:`cache_dict` or the result document's ``"cache"`` key.
         self.memo_hits = 0
         self.memo_misses = 0
+        #: Verdict-memo misses answered by implication (a feasible
+        #: subset projection of the same ECS), without the solver.
+        self.memo_implied = 0
         self.warm_hits = 0
         self.warm_misses = 0
         self.warm_writes = 0

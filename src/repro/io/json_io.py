@@ -9,7 +9,7 @@ single JSON document with a ``format`` tag for forward compatibility.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..errors import SerializationError
 from ..hgraph import GraphScope, Interface, new_cluster
@@ -98,6 +98,20 @@ def _attrs(document: Dict[str, Any], where: str, key: str = "attrs"):
     return value
 
 
+def _name(
+    document: Dict[str, Any], key: str, where: str, optional: bool = False
+) -> Optional[str]:
+    """The name ``document[key]``: a string (or, when ``optional``,
+    absent or null), else a typed error naming the field."""
+    value = document.get(key) if optional else document[key]
+    if not isinstance(value, str) and not (optional and value is None):
+        raise SerializationError(
+            f"malformed {where}: {key!r} must be a string, got "
+            f"{_json_type(value)}"
+        )
+    return value
+
+
 def _entries(
     document: Dict[str, Any], key: str, where: str
 ) -> Iterator[Tuple[str, Dict[str, Any]]]:
@@ -118,29 +132,33 @@ def _fill_scope(scope: GraphScope, document: Dict[str, Any]) -> None:
     where = f"scope {document.get('name')!r}"
     try:
         for at, vertex in _entries(document, "vertices", where):
-            scope.add_vertex(vertex["name"], **_attrs(vertex, at))
+            scope.add_vertex(_name(vertex, "name", at), **_attrs(vertex, at))
         for at, interface_doc in _entries(document, "interfaces", where):
             interface = scope.add_interface(
-                interface_doc["name"], **_attrs(interface_doc, at)
+                _name(interface_doc, "name", at), **_attrs(interface_doc, at)
             )
-            for _, port in _entries(interface_doc, "ports", at):
-                interface.add_port(port["name"], port.get("direction", "inout"))
+            for pat, port in _entries(interface_doc, "ports", at):
+                interface.add_port(
+                    _name(port, "name", pat), port.get("direction", "inout")
+                )
             for cat, cluster_doc in _entries(interface_doc, "clusters", at):
                 cluster = new_cluster(
                     interface,
-                    cluster_doc["name"],
+                    _name(cluster_doc, "name", cat),
                     **_attrs(cluster_doc, cat),
                 )
                 _fill_scope(cluster, cluster_doc)
                 port_map = _attrs(cluster_doc, cat, key="port_map")
-                for port, target in port_map.items():
-                    cluster.map_port(port, target)
+                for port in port_map:
+                    cluster.map_port(
+                        port, _name(port_map, port, f"{cat} port_map")
+                    )
         for at, edge in _entries(document, "edges", where):
             scope.add_edge(
-                edge["src"],
-                edge["dst"],
-                edge.get("src_port"),
-                edge.get("dst_port"),
+                _name(edge, "src", at),
+                _name(edge, "dst", at),
+                _name(edge, "src_port", at, optional=True),
+                _name(edge, "dst_port", at, optional=True),
                 **_attrs(edge, at),
             )
     except KeyError as missing:
@@ -196,19 +214,20 @@ def spec_from_dict(document: Dict[str, Any]) -> SpecificationGraph:
             (ArchitectureGraph, "architecture"),
         ):
             scope_doc = _object(document[key], f"{where} {key!r}")
-            scope = graph(scope_doc["name"])
+            scope = graph(_name(scope_doc, "name", f"{where} {key!r}"))
             scope.attrs.update(_attrs(scope_doc, f"{where} {key!r}"))
             _fill_scope(scope, scope_doc)
             scopes.append(scope)
         spec = SpecificationGraph(
             *scopes,
-            name=document.get("name", "G_S"),
+            name=_name(document, "name", where) if "name" in document
+            else "G_S",
             attrs=_attrs(document, where),
         )
         for at, mapping in _entries(document, "mappings", where):
             spec.map(
-                mapping["process"],
-                mapping["resource"],
+                _name(mapping, "process", at),
+                _name(mapping, "resource", at),
                 mapping["latency"],
                 **_attrs(mapping, at),
             )

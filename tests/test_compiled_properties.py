@@ -12,9 +12,11 @@
   flat problem) changes no solver statistics.
 * The possible-resource-allocation expression is compiled once per
   frozen specification.
-* A dropped specification frees its compiled tables and verdict memo.
+* A dropped specification frees its compiled tables and verdict memo,
+  and once its intern entry is popped, refcounting alone frees them.
 """
 
+import functools
 import gc
 import random
 import weakref
@@ -26,8 +28,13 @@ from hypothesis import strategies as st
 from .randspec import random_spec
 from repro.activation import flatten
 from repro.binding import Allocation, BindingSolver, SolverStats
-from repro.casestudies import build_settop_spec, build_tv_decoder_spec
-from repro.compiled import compiled_evaluator, compiled_spec_for
+import repro.compiled
+from repro.casestudies import (
+    build_settop_spec,
+    build_tv_decoder_spec,
+    synthetic_spec,
+)
+from repro.compiled import batch, compiled_evaluator, compiled_spec_for
 from repro.core import explore, final_front, make_evaluator
 from repro.core.candidates import (
     AllocationEnumerator,
@@ -215,3 +222,47 @@ def test_dropped_spec_frees_its_compiled_tables(build):
     del spec
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_settop_spec,
+        functools.partial(
+            synthetic_spec,
+            seed=7,
+            n_apps=2,
+            interfaces_per_app=2,
+            alternatives=4,
+            n_procs=2,
+            n_accels=4,
+        ),
+    ],
+    ids=["settop", "synthetic-15u"],
+)
+def test_popped_spec_frees_its_compiled_tables_by_refcount(build):
+    """Nothing a CompiledSpec owns points back at it, so once its
+    intern entry is popped and the spec dropped, refcounting frees the
+    tables, evaluators and block kernel without a collection, while
+    the result's bindings stay readable."""
+    spec = build()
+    gc.collect()
+    gc.disable()
+    try:
+        result = explore(spec)
+        cspec = compiled_spec_for(spec)
+        refs = [weakref.ref(cspec), weakref.ref(compiled_evaluator(spec))]
+        if batch.active_numpy() is not None:
+            refs.append(weakref.ref(batch.kernel_for(cspec)))
+        del cspec
+        repro.compiled._COMPILED.pop(spec)
+        del spec
+        assert [ref() for ref in refs] == [None] * len(refs)
+        bindings = [
+            record.binding
+            for point in result.points
+            for record in point.coverage
+        ]
+    finally:
+        gc.enable()
+    assert bindings and all(bindings)

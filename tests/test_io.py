@@ -130,6 +130,32 @@ MALFORMED = {
     "mapping-null": (lambda d: d["mappings"].append(None), "mappings["),
 }
 
+#: A list where a name is expected: each used to crash with
+#: ``TypeError: unhashable type: 'list'``.
+LIST_NAMES = {
+    "arch-vertex-name": (
+        lambda d: d["architecture"]["vertices"][0].update(name=["x"]),
+        "vertices[0]: 'name' must be a string",
+    ),
+    "port-name": (
+        lambda d: d["problem"]["interfaces"][0]["ports"][0].update(
+            name=["x"]
+        ),
+        "ports[0]: 'name' must be a string",
+    ),
+    "port-map-value": (
+        lambda d: d["problem"]["interfaces"][0]["clusters"][0][
+            "port_map"
+        ].update(din=["x"]),
+        "port_map: 'din' must be a string",
+    ),
+    "mapping-resource": (
+        lambda d: d["mappings"][0].update(resource=["x"]),
+        "mappings[0]: 'resource' must be a string",
+    ),
+}
+MALFORMED.update(LIST_NAMES)
+
 
 class TestMalformedShapes:
     """A document of the wrong shape is a typed error naming the
@@ -163,6 +189,18 @@ class TestMalformedShapes:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("case", sorted(LIST_NAMES))
+    def test_cli_rejects_a_list_name(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.malformed(case)))
+        code = main(["explore", str(path)], out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ")
+        assert LIST_NAMES[case][1] in err
         assert "Traceback" not in err
 
 

@@ -181,7 +181,9 @@ class TestKeyDigest:
             monkeypatch, tmp_path, build_settop_spec(), "utilization", "csp"
         )
         assert KEY_VERSION == 1
-        assert len(keys) == 121
+        # Verdicts implied by a feasible subset projection are never
+        # digested, so fewer keys than memo entries are taken.
+        assert len(keys) == 94
         assert keys[0] == "0441c0e810ad5e6fefaf9ceb372b9331"
 
 
