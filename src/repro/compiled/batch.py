@@ -19,9 +19,8 @@ per-candidate to per-block:
 * usability, the possible-allocation BDD, useless-communication
   pruning and the flexibility-estimate lookup run as vectorized
   bitwise/gather operations over whole blocks, dropping to the scalar
-  kernel only for the memoised binding verdicts and for the per-unique
-  residues a block pre-filter cannot decide (communication component
-  analysis, uncached estimate values).
+  kernel only for the memoised binding verdicts and for the unique
+  estimate projections of a block.
 
 numpy is an *optional* accelerator: the import is guarded, every entry
 point returns ``None`` when numpy is unavailable (or disabled via
@@ -154,9 +153,10 @@ class BlockKernel:
     """Vectorized per-block twins of the :class:`CompiledSpec` checks.
 
     One kernel per compiled spec (interned via :func:`kernel_for`); all
-    methods take/return numpy arrays over whole candidate blocks and
-    share the spec's scalar caches for the residues they cannot decide
-    vectorially, so scalar and block paths warm each other.
+    methods take/return numpy arrays over whole candidate blocks.  Only
+    :meth:`estimates` has a residue it cannot decide vectorially: its
+    unique projections go through the spec's scalar estimate caches,
+    so scalar and block paths warm each other there.
     """
 
     def __init__(self, cspec: CompiledSpec) -> None:
@@ -187,6 +187,16 @@ class BlockKernel:
             tuple(
                 0 if comm >> i & 1 else cspec.unit_top_bit[i]
                 for i in range(cspec.unit_count)
+            )
+        )
+        # Top-node adjacency, masked to the unit tops: components grow
+        # through comm tops and count functional tops only, and unit
+        # tops hold the lowest top indices (bits < ``unit_count``).
+        unit_tops = (1 << cspec.unit_count) - 1
+        self.top_adj_tables = _byte_tables(
+            tuple(
+                adj & unit_tops
+                for adj in cspec.top_adj_masks[: cspec.unit_count]
             )
         )
         self.root_support = np.uint64(cspec.root_support)
@@ -230,38 +240,38 @@ class BlockKernel:
     def comm_pruned(self, usable):
         """Vectorized :meth:`CompiledSpec.comm_pruned` over usable masks.
 
-        The top-node projection and two sound pre-decides (no comm
-        tops -> keep; fewer than two functional tops anywhere -> prune)
-        run vectorized; only the unique undecided ``(comm_tops,
-        func_tops)`` pairs fall through to the scalar component
-        analysis, memoised on the spec.
+        Each row is projected to its (comm tops, functional tops) pair.
+        Then, a round per component, every row seeds a component with
+        its lowest comm top not yet visited, grows it to a fixpoint
+        through its own comm tops, and is pruned when the component's
+        neighbourhood holds fewer than two of its functional tops —
+        the components and counts of the scalar analysis
+        (``docs/performance.md``).
         """
         np = _np
-        cs = self.cs
-        comm_tops = _gather_bytes(self.comm_top_tables, usable)
-        func_tops = _gather_bytes(self.func_top_tables, usable)
+        adj_tables = self.top_adj_tables
+        comm = _gather_bytes(self.comm_top_tables, usable)
+        func = _gather_bytes(self.func_top_tables, usable)
         pruned = np.zeros(len(usable), dtype=bool)
-        has_comm = comm_tops != 0
-        # Any component's touched functional tops are a subset of all
-        # functional tops: fewer than two anywhere decides the prune.
-        pruned[has_comm & (popcount64(func_tops) < 2)] = True
-        undecided = np.nonzero(has_comm & ~pruned)[0]
-        if len(undecided):
-            pairs = np.stack(
-                (comm_tops[undecided], func_tops[undecided]), axis=1
+        rows = np.flatnonzero(comm)
+        comm, func = comm[rows], func[rows]
+        left = comm
+        one = np.uint64(1)
+        while len(rows):
+            component = left & (~left + one)
+            while True:
+                touched = _gather_bytes(adj_tables, component)
+                grown = component | (touched & comm)
+                if np.array_equal(grown, component):
+                    break
+                component = grown
+            useless = popcount64(touched & func) < 2
+            pruned[rows[useless]] = True
+            left = left & ~component
+            keep = ~useless & (left != 0)
+            rows, comm, func, left = (
+                rows[keep], comm[keep], func[keep], left[keep]
             )
-            uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-            # ``tolist`` converts the whole array to Python ints in C;
-            # warm blocks then resolve as plain dict hits.
-            cache_get = cs._comm_tops_cache.get
-            decide = cs.comm_pruned_tops
-            flags = [
-                hit if (hit := cache_get((ct, ft))) is not None
-                else decide(ct, ft)
-                for ct, ft in uniq.tolist()
-            ]
-            verdicts = np.fromiter(flags, dtype=bool, count=len(uniq))
-            pruned[undecided] = verdicts[inverse]
         return pruned
 
     # -- flexibility estimate ------------------------------------------

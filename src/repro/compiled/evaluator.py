@@ -252,12 +252,8 @@ class CompiledEvaluator:
 
     def comm_pruned(self, units: Iterable[str]) -> bool:
         """True when the useless-communication rule drops the candidate."""
-        mask, usable = self._masks_of(units)
-        verdict = self.cs._comm_cache.get(usable)
-        if verdict is None:
-            verdict = self.cs._compute_comm_pruned(usable)
-            self.cs._comm_cache[usable] = verdict
-        return verdict
+        mask, _usable = self._masks_of(units)
+        return self.cs.comm_pruned(mask)
 
     def estimate(self, units: Iterable[str]) -> float:
         """The flexibility estimate (projection-cached mask walk)."""

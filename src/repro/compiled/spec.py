@@ -361,7 +361,6 @@ class CompiledSpec:
         self._active_cache: Dict[int, int] = {}
         self._flex_cache: Dict[Tuple[bool, int], float] = {}
         self._comm_cache: Dict[int, bool] = {}
-        self._comm_tops_cache: Dict[Tuple[int, int], bool] = {}
         self._reach_cache: Dict[Tuple[int, int], int] = {}
         self._ecs_table: Dict[int, EcsInfo] = {}
         self._sel_memos: Dict[Tuple[int, Optional[str]], _SelectionMemo] = {}
@@ -549,24 +548,7 @@ class CompiledSpec:
                 comm_tops |= top_bits[i]
             else:
                 func_tops |= top_bits[i]
-        return self.comm_pruned_tops(comm_tops, func_tops)
-
-    def comm_pruned_tops(self, comm_tops: int, func_tops: int) -> bool:
-        """The pruning verdict of one usable-allocation *top projection*.
-
-        The component analysis depends on the usable mask only through
-        its (communication, functional) top-node bitmasks, so verdicts
-        are interned per projection pair — the block kernel's dedup key
-        (usable masks themselves are nearly all distinct; their top
-        projections collapse to a handful per run)."""
-        if not comm_tops:
-            return False
-        key = (comm_tops, func_tops)
-        verdict = self._comm_tops_cache.get(key)
-        if verdict is None:
-            verdict = self._comm_pruned_from_tops(comm_tops, func_tops)
-            self._comm_tops_cache[key] = verdict
-        return verdict
+        return self._comm_pruned_from_tops(comm_tops, func_tops)
 
     def _comm_pruned_from_tops(
         self, comm_tops: int, func_tops: int

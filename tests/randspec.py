@@ -116,3 +116,33 @@ def random_spec(seed: int) -> SpecificationGraph:
             # usually rescue the leaf so explorations are non-trivial
             spec.map(leaf, procs[0], float(rng.randint(2, 22) * 10))
     return spec.freeze()
+
+
+def random_bridged_spec(seed: int) -> SpecificationGraph:
+    """A random specification whose buses bridge to other buses.
+
+    2-4 processors plus 2-6 buses; each bus attaches to one to three
+    nodes declared before it, processors or earlier buses, so
+    communication components span several buses and a component's
+    neighbourhood is only reached over multi-hop comm paths.
+    """
+    rng = random.Random(f"bridged:{seed}")
+    problem = random_problem(rng)
+    arch = ArchitectureGraph(f"BA{seed}")
+    procs = [f"proc{p}" for p in range(rng.randint(2, 4))]
+    for proc in procs:
+        arch.add_resource(proc, cost=float(rng.randint(4, 12) * 10))
+    nodes = list(procs)
+    for b in range(rng.randint(2, 6)):
+        bus = f"bus{b}"
+        attached = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+        arch.add_bus(bus, float(rng.randint(1, 4) * 5), *attached)
+        nodes.append(bus)
+    spec = SpecificationGraph(problem, arch, name=f"BS{seed}")
+
+    from repro.hgraph import leaves
+
+    for leaf in leaves(problem):
+        for proc in rng.sample(procs, rng.randint(1, len(procs))):
+            spec.map(leaf, proc, float(rng.randint(2, 22) * 10))
+    return spec.freeze()

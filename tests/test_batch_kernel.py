@@ -12,10 +12,10 @@ and logical traces.  These tests prove it at three levels:
   thousands of tied masks);
 * the materialized closed-form order and every vectorized check
   (usable / possible / comm-pruned / estimate) match the scalar
-  kernel element-for-element over random specs (hypothesis-driven)
-  and the corpus seeds; the windowed materialized source yields the
-  heap stream row for row at every block size and tie-keys only the
-  prefix EXPLORE reads;
+  kernel element-for-element over random specs (hypothesis-driven),
+  the corpus seeds and every allocation of the three case studies;
+  the windowed materialized source yields the heap stream row for row
+  at every block size and tie-keys only the prefix EXPLORE reads;
 * ``explore()`` results, event streams and trace fingerprints are
   identical with the block kernel on, forced off
   (``REPRO_VECTORIZE=0``), with numpy absent (import-path fallback),
@@ -34,6 +34,7 @@ from .randspec import random_spec
 from .test_parallel_explore import SEEDS, fingerprint
 from repro.analysis import with_unit_costs
 from repro.casestudies import (
+    build_automotive_spec,
     build_settop_spec,
     build_tv_decoder_spec,
     synthetic_spec,
@@ -130,7 +131,7 @@ def _assert_kernel_matches_scalar(spec):
     cspec = compiled_spec_for(spec)
     kernel = batch.kernel_for(cspec)
     n = cspec.unit_count
-    assert n <= 16, "exhaustive check needs a small spec"
+    assert n <= 17, "exhaustive check needs a small spec"
     masks = np.arange(1 << n, dtype=np.uint64)
     usable = kernel.usable(masks)
     possible = kernel.possible(masks)
@@ -147,6 +148,16 @@ def _assert_kernel_matches_scalar(spec):
 def test_block_checks_match_scalar_corpus():
     for seed in SEEDS[::5]:
         _assert_kernel_matches_scalar(random_spec(seed))
+
+
+@requires_numpy
+@pytest.mark.parametrize(
+    "build",
+    [build_settop_spec, build_automotive_spec, build_tv_decoder_spec],
+    ids=["settop", "automotive", "tv_decoder"],
+)
+def test_block_checks_match_scalar_case_studies(build):
+    _assert_kernel_matches_scalar(build())
 
 
 @requires_numpy
