@@ -13,15 +13,16 @@ per-candidate rework:
   tests with projection-keyed caches (:class:`CompiledSpec`);
 * each elementary cluster-activation is flattened and tabled once,
   ever (``CompiledSpec.ecs_info``);
-* binding verdicts are memoized across candidates under the key
-  ``(ecs, usable_mask & ecs.support)`` — the *relevance projection* —
-  because the backtracking search reads only the usable units that can
-  own one of the ECS's mapping options or route traffic (see
-  ``docs/performance.md`` for the soundness argument);
-* feasibility is monotone in that projection, so a miss whose
-  projection contains a known-feasible one is answered without the
-  solver, and the binding of such a coverage record is solved only
-  when it is read (outside schedule mode; same document);
+* binding verdicts are memoized across candidates under
+  :func:`verdict_key` — the ECS, its usable option owners, and which
+  of its option tops the usable communication units connect — because
+  that is all the backtracking search, the SAT encoding and the
+  schedule checks read of the allocation (see ``docs/performance.md``
+  for the congruence argument);
+* feasibility is monotone in that key, so a miss whose key contains a
+  known-feasible one is answered without the solver, and the binding
+  of such a coverage record is solved only when it is read (outside
+  schedule mode; same document);
 * the search itself replays :class:`repro.binding.BindingSolver`
   decision-for-decision over precompiled option records, so its
   statistics deltas (invocations, assignments, backtracks, solutions,
@@ -62,7 +63,7 @@ _ZERO_DELTAS = (0, 0, 0, 0, 0)
 
 
 class Verdict:
-    """Cached outcome of solving one ECS under one usable projection."""
+    """Cached outcome of solving one ECS under one verdict key."""
 
     __slots__ = (
         "binding",
@@ -93,7 +94,7 @@ class Verdict:
 
 
 #: The memo entry of a verdict decided by implication: feasible, because
-#: a subset of its usable projection is, with no binding solved yet.
+#: a subset of its key is, with no binding solved yet.
 _IMPLIED = Verdict(None, _ZERO_DELTAS, 0, 0, 0.0)
 
 
@@ -149,13 +150,14 @@ class CompiledEvaluator:
         self.backend = backend
         self.timing_mode = timing_mode
         self.check_utilization = timing_mode == "utilization"
-        #: Cross-candidate binding verdicts keyed by
-        #: ``(ecs_mask, usable_mask & ecs.support)``.
+        #: Cross-candidate binding verdicts keyed by :func:`verdict_key`:
+        #: the ECS mask, its usable option owners and which of its
+        #: option tops the usable comm tops connect.
         self._verdicts: Dict[Tuple[int, int], Verdict] = {}
-        #: Per ECS mask, the minimal usable projections known feasible
-        #: (an antichain): a projection containing one of them is
-        #: feasible too (``docs/performance.md``).  ``None`` in schedule
-        #: mode, whose bounded search is not monotone.
+        #: Per ECS mask, the minimal verdict keys known feasible (an
+        #: antichain): a key containing one of them is feasible too
+        #: (``docs/performance.md``).  ``None`` in schedule mode, whose
+        #: bounded search is not monotone.
         self._feasible: Optional[Dict[int, List[int]]] = (
             None if timing_mode == "schedule" else {}
         )
@@ -287,6 +289,8 @@ class CompiledEvaluator:
         sink = None if detail is not None else self.phase_sink
         timed = detail is not None or sink is not None
         clock = time.perf_counter
+        comm_tops = cs.comm_tops_of(usable)
+        links_of: Dict[int, int] = {}
 
         def solve_selection(sel_mask: int, info: EcsInfo) -> Verdict:
             cached = outcome.get(sel_mask)
@@ -294,7 +298,7 @@ class CompiledEvaluator:
                 return cached
             if solver_counter is not None:
                 solver_counter[0] += 1
-            key = (sel_mask, usable & info.support)
+            key = verdict_key(cs, info, usable, comm_tops, links_of)
             t0 = clock() if timed else 0.0
             verdict = self._verdicts.get(key)
             if verdict is None:
@@ -480,40 +484,41 @@ class CompiledEvaluator:
         return verdict, True
 
     def _implied(self, key: Tuple[int, int]) -> bool:
-        """Whether a known-feasible projection of the ECS lies inside
-        ``key``'s projection."""
-        projection = key[1]
+        """Whether a known-feasible key of the ECS lies inside
+        ``key``."""
+        packed = key[1]
         for feasible in self._feasible.get(key[0], ()):
-            if not feasible & ~projection:
+            if not feasible & ~packed:
                 return True
         return False
 
     def _remember(self, key: Tuple[int, int], verdict: Verdict) -> None:
         """Memoise a solved or loaded verdict; a feasible one joins its
-        ECS's antichain (replacing the projections it is inside of)."""
+        ECS's antichain (replacing the keys it is inside of)."""
         self._verdicts[key] = verdict
         if verdict.binding is None or self._feasible is None:
             return
-        sel_mask, projection = key
+        sel_mask, packed = key
         chain = self._feasible.setdefault(sel_mask, [])
-        # Not implied, so no member lies inside ``projection``: drop
-        # the members it lies inside of.
-        chain[:] = [p for p in chain if projection & ~p]
-        chain.append(projection)
+        # Not implied, so no member lies inside ``packed``: drop the
+        # members it lies inside of.
+        chain[:] = [p for p in chain if packed & ~p]
+        chain.append(packed)
 
     def _resolve(self, info: EcsInfo, usable: int) -> Dict[str, str]:
         """The binding of a coverage record answered by implication:
         the memo's, once a solve has replaced the implied entry, or
         one solve under the candidate's usable mask — the verdict a
         cold miss would have computed.  Counted in no cache counter."""
-        key = (info.mask, usable & info.support)
+        cs = self.cs
+        key = verdict_key(cs, info, usable, cs.comm_tops_of(usable), {})
         verdict = self._verdicts.get(key)
         if verdict is _IMPLIED:
             verdict = self._compute_verdict(info, usable)
             if verdict.binding is None:
                 raise ExplorationError(
                     f"internal: ECS {sorted(info.selection.values())!r} "
-                    f"is infeasible under a usable projection implied "
+                    f"is infeasible under a verdict key implied "
                     f"feasible (binding monotonicity violated)"
                 )
             self._verdicts[key] = verdict
@@ -651,6 +656,25 @@ class CompiledEvaluator:
         )
         search.visit(0)
         return search.found
+
+
+def verdict_key(
+    cs: CompiledSpec,
+    info: EcsInfo,
+    usable: int,
+    comm_tops: int,
+    links_of: Dict[int, int],
+) -> Tuple[int, int]:
+    """The verdict-memo key of ``info`` under ``usable``:
+    ``(ecs mask, usable & info.owners | links)``, where ``links`` is
+    :meth:`CompiledSpec.option_links` of the ECS's option tops under
+    ``comm_tops`` (the usable comm tops).  It holds exactly what the
+    binding search reads (``docs/performance.md``).  ``links_of`` maps
+    ``info.tops`` to its links for one usable mask."""
+    links = links_of.get(info.tops)
+    if links is None:
+        links = links_of[info.tops] = cs.option_links(info.tops, comm_tops)
+    return info.mask, usable & info.owners | links
 
 
 def _take_first(assignment: Dict[str, str]) -> bool:

@@ -80,6 +80,8 @@ class EcsInfo:
         "options",
         "neighbors",
         "support",
+        "owners",
+        "tops",
     )
 
     def __init__(
@@ -91,6 +93,8 @@ class EcsInfo:
         options: Tuple[Tuple[OptionRec, ...], ...],
         neighbors: Dict[str, Tuple[str, ...]],
         support: int,
+        owners: int,
+        tops: int,
     ) -> None:
         self.mask = mask
         self.selection = selection
@@ -101,9 +105,18 @@ class EcsInfo:
         #: Undirected neighbour adjacency of the flattened edges.
         self.neighbors = neighbors
         #: Relevance projection mask: the union of every option's
-        #: ``owner_mask`` plus all communication units — the only unit
-        #: bits this ECS's binding verdict can depend on.
+        #: ``owner_mask`` plus all communication units — every unit bit
+        #: this ECS's binding verdict can depend on.  The warm store
+        #: keys verdicts by ``usable & support``; the in-process memo
+        #: reads less of it (``owners`` and ``tops``).
         self.support = support
+        #: Unit bits of every option's owner: ``usable & owners`` fixes
+        #: the search's domains.
+        self.owners = owners
+        #: Top-node bits of every option's owner: the only tops the
+        #: search asks connectivity about
+        #: (:meth:`CompiledSpec.option_links`).
+        self.tops = tops
 
 
 class _SelectionMemo:
@@ -362,6 +375,7 @@ class CompiledSpec:
         self._flex_cache: Dict[Tuple[bool, int], float] = {}
         self._comm_cache: Dict[int, bool] = {}
         self._reach_cache: Dict[Tuple[int, int], int] = {}
+        self._links_cache: Dict[Tuple[int, int], int] = {}
         self._ecs_table: Dict[int, EcsInfo] = {}
         self._sel_memos: Dict[Tuple[int, Optional[str]], _SelectionMemo] = {}
         #: Last ``(frozenset, mask)`` yielded by a mask enumerator — the
@@ -585,8 +599,10 @@ class CompiledSpec:
         ``comm_tops`` (traffic is forwarded through comm nodes only, so
         the verdict is independent of which *functional* nodes are
         present)."""
-        if a == b:
-            return True
+        return a == b or bool(self._reach(a, comm_tops) >> b & 1)
+
+    def _reach(self, a: int, comm_tops: int) -> int:
+        """Top nodes reachable from ``a`` through ``comm_tops``."""
         key = (comm_tops, a)
         reach = self._reach_cache.get(key)
         if reach is None:
@@ -600,7 +616,29 @@ class CompiledSpec:
                 reach |= new
                 frontier |= new & comm_tops
             self._reach_cache[key] = reach
-        return bool(reach >> b & 1)
+        return reach
+
+    def option_links(self, tops: int, comm_tops: int) -> int:
+        """Which of ``tops`` reach which under ``comm_tops``, packed
+        above the unit bits: the ``k``-th top of ``tops`` in bit order
+        contributes ``reach & tops`` at bit ``unit_count + k * T``
+        (``T`` top nodes in all).  It answers every
+        :meth:`tops_connected` question between two of ``tops``, and it
+        only grows as ``comm_tops`` grows."""
+        key = (tops, comm_tops)
+        links = self._links_cache.get(key)
+        if links is None:
+            links = 0
+            shift = self.unit_count
+            stride = len(self.top_names)
+            remaining = tops
+            while remaining:
+                a = (remaining & -remaining).bit_length() - 1
+                remaining &= remaining - 1
+                links |= (self._reach(a, comm_tops) & tops) << shift
+                shift += stride
+            self._links_cache[key] = links
+        return links
 
     def comm_tops_of(self, usable: int) -> int:
         """Top-node bitmask of the usable communication units."""
@@ -699,9 +737,13 @@ class CompiledSpec:
                 )
         options = tuple(self.leaf_options[leaf] for leaf in leaves)
         support = self.comm_support
+        owners = 0
+        tops = 0
         for recs in options:
             for rec in recs:
                 support |= rec.owner_mask
+                owners |= 1 << rec.owner_bit
+                tops |= 1 << rec.owner_top
         # Undirected neighbour adjacency of the flattened edges
         # (self-loops skipped), exactly as BindingSolver._neighbors.
         adjacency: Dict[str, set] = {}
@@ -712,5 +754,6 @@ class CompiledSpec:
             adjacency.setdefault(dst, set()).add(src)
         neighbors = {k: tuple(v) for k, v in adjacency.items()}
         return EcsInfo(
-            sel_mask, selection, flat, leaves, options, neighbors, support
+            sel_mask, selection, flat, leaves, options, neighbors, support,
+            owners, tops,
         )

@@ -30,14 +30,18 @@ Consequence: :mod:`repro.store.diff` invalidation is pure garbage
 collection.  Correctness never depends on it.
 
 Every warm memo miss digests one key, so the key text is not
-serialised afresh each time.  It depends only on the ECS and on
-``usable & ecs.support`` (every option owner's bit lies inside the
-support), and most of it only on the ECS.  Each evaluator therefore
-keeps a :class:`_KeyMaterial`: the parameter head, per ECS the prefix
-(selection, leaves) and the owner mask of its options, and per leaf
-the canonical JSON fragment of each option record (a leaf has the same
-options in every ECS).  A key is assembled from those pieces, the
-projected names (memoised per projection) and the domain text
+serialised afresh each time.  The in-process memo key
+(:func:`repro.compiled.evaluator.verdict_key`: usable option owners
+plus option-top links) is coarser than this digest, so one memo entry
+may stand for several digests; the digest is taken only on a memo
+miss, for the allocation at hand, and a lookup stays exact.  The key
+text depends only on the ECS and on ``usable & ecs.support`` (every
+option owner's bit lies inside the support), and most of it only on
+the ECS.  Each evaluator therefore keeps a :class:`_KeyMaterial`: the
+parameter head, per ECS the prefix (selection, leaves) and the owner
+mask of its options, and per leaf the canonical JSON fragment of each
+option record (a leaf has the same options in every ECS).  A key is
+assembled from those pieces, the projected names (memoised per projection) and the domain text
 (memoised per ``usable & owner mask``, per ECS and per leaf).  JSON arrays
 serialise element by element with ``,`` between elements and there are
 no objects in a key, so the assembled text is exactly the text

@@ -11,6 +11,12 @@ rest on one rule, checked here against brute force rather than assumed:
   ``_compute_verdict`` calls, all four utilisation/none × csp/sat
   modes); schedule mode, whose bounded search is not monotone, never
   answers by implication;
+* **congruence** — the memo key (:func:`verdict_key`: usable option
+  owners plus option-top links) holds everything a verdict reads:
+  every usable mask with one key gets the identical verdict, in all
+  six utilisation/none/schedule × csp/sat modes, and outside schedule
+  mode feasibility is monotone under key inclusion (the oracle corpus
+  plus bridged platforms, whose links run over several buses);
 * **front points** — the compiled engine's result document, coverage
   bindings included, equals the reference engine's, and every coverage
   binding satisfies binding rules 1–4 and the 69% utilisation bound.
@@ -20,7 +26,7 @@ import functools
 
 import pytest
 
-from .randspec import random_spec
+from .randspec import random_bridged_spec, random_spec
 from repro.activation import flatten
 from repro.binding import Allocation, Binding, is_feasible_binding
 from repro.casestudies import (
@@ -29,6 +35,7 @@ from repro.casestudies import (
     build_tv_decoder_spec,
 )
 from repro.compiled import CompiledEvaluator, compiled_spec_for
+from repro.compiled.evaluator import verdict_key
 from repro.core import explore
 from repro.io import result_to_dict
 from repro.timing import PAPER_UTILIZATION_BOUND, utilization_by_resource
@@ -50,6 +57,15 @@ ORACLE = {
     **{
         f"rand{seed}": functools.partial(random_spec, seed)
         for seed in SEEDS
+    },
+}
+
+#: The congruence corpus adds bridged (bus-to-bus) platforms.
+CONGRUENCE = {
+    **ORACLE,
+    **{
+        f"bridged{seed}": functools.partial(random_bridged_spec, seed)
+        for seed in range(40)
     },
 }
 
@@ -104,6 +120,65 @@ def test_implication_answers_misses_outside_schedule_mode():
             implied[timing_mode] += result.stats.memo_implied
     assert implied["schedule"] == 0
     assert implied["utilization"] > 0
+
+
+def observable(verdict):
+    """Everything of a verdict but its wall-clock: the binding in its
+    key order, the solver deltas and the schedule-check counts."""
+    binding = verdict.binding
+    return (
+        None if binding is None else list(binding.items()),
+        verdict.deltas,
+        verdict.timing_checks,
+        verdict.timing_rejections,
+    )
+
+
+@pytest.mark.parametrize("name", CONGRUENCE)
+def test_the_memo_key_is_a_congruence(name):
+    cs = compiled_spec_for(CONGRUENCE[name]())
+    assert cs.unit_count <= 12
+    all_clusters = sum(cs.cluster_bit.values())
+    usables = {cs.usable_mask(mask) for mask in range(1 << cs.unit_count)}
+    for sel_mask in cs.iter_selection_masks(all_clusters, None):
+        info = cs.ecs_info(sel_mask)
+        # key -> one usable mask per fine (warm-store) projection
+        groups = {}
+        for usable in usables:
+            key = verdict_key(cs, info, usable, cs.comm_tops_of(usable), {})
+            assert key[0] == sel_mask
+            groups.setdefault(key[1], {}).setdefault(
+                usable & info.support, usable
+            )
+        for timing_mode in ("utilization", "none", "schedule"):
+            for backend in ("csp", "sat"):
+                evaluator = CompiledEvaluator(
+                    cs, backend=backend, timing_mode=timing_mode
+                )
+                feasible = {}
+                for packed, members in groups.items():
+                    seen = [
+                        observable(evaluator._compute_verdict(info, u))
+                        for u in members.values()
+                    ]
+                    assert seen.count(seen[0]) == len(seen), (
+                        f"{name} {timing_mode}/{backend}: ECS {sel_mask:#x} "
+                        f"key {packed:#x} covers differing verdicts"
+                    )
+                    feasible[packed] = seen[0][0] is not None
+                if timing_mode == "schedule":
+                    continue
+                for q, ok in feasible.items():
+                    if ok:
+                        continue
+                    inside = [
+                        p for p, f in feasible.items() if f and not p & ~q
+                    ]
+                    assert not inside, (
+                        f"{name} {timing_mode}/{backend}: ECS {sel_mask:#x} "
+                        f"feasible under key {inside[0]:#x} but not under "
+                        f"its superset {q:#x}"
+                    )
 
 
 def comparable(result):
