@@ -2,7 +2,8 @@
 
 Used as the alternative backend of the binding solver and by tests to
 cross-check the backtracking CSP solver.  Implements unit propagation,
-pure-literal elimination and most-occurring-variable branching — more
+pure-literal elimination and most-occurring-variable branching (ties
+to the smallest name, so a model does not depend on hashing) — more
 than enough for the clause sets generated from specification graphs of
 the paper's size.
 """
@@ -14,6 +15,11 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from .cnf import Clause, Literal, tseitin
 from .expr import Expr
+
+#: Version of the branching rule.  A model depends on it, so stored
+#: verdicts of the SAT binding backend are keyed by it
+#: (:mod:`repro.store.digest`): bump it whenever the rule changes.
+BRANCHING_RULE = 2
 
 
 def solve_expr(expr: Expr) -> Optional[Dict[str, bool]]:
@@ -65,9 +71,11 @@ def _dpll(clauses: List[Clause], assignment: Dict[str, bool]) -> bool:
             )
         ]
         return _dpll(remaining, assignment)
-    # branch on the most frequent variable
+    # branch on the most frequent variable, the smallest name among
+    # equals (not the first counted: clause iteration order follows
+    # string hashing, which differs between processes)
     counts = Counter(name for clause in clauses for name, _ in clause)
-    variable = counts.most_common(1)[0][0]
+    variable = min(counts, key=lambda name: (-counts[name], name))
     for value in (True, False):
         trail = dict(assignment)
         trail[variable] = value

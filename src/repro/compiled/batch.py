@@ -333,18 +333,21 @@ def _derivation_costs(costs: Tuple[float, ...]):
 def _tie_keys(masks, n: int):
     """Packed tie keys of ``n``-bit index masks: per level ``j`` (most
     significant first), 0 when the index tuple has ended, 1 when ``j``
-    is a member, 2 otherwise."""
+    is a member, 2 otherwise.
+
+    Closed form: with ``w_j = 4^(n-1-j)`` and ``h`` the highest set
+    bit, the key is ``sum(2 * w_j for j <= h) - sum(w_j for set j)``,
+    the first a table lookup by bit length, the second one byte-table
+    gather."""
     np = _np
-    keys = np.zeros(len(masks), dtype=np.uint64)
-    one = np.uint64(1)
-    two = np.uint64(2)
-    for j in range(n):
-        above = masks >> np.uint64(j)
-        key = np.full(len(masks), two, dtype=np.uint64)
-        key[(above & one) != 0] = one
-        key[above == 0] = 0
-        keys = (keys << two) | key
-    return keys
+    weights = [1 << 2 * (n - 1 - j) for j in range(n)]
+    members = _gather_bytes(_byte_tables(tuple(weights)), masks)
+    # prefix[k]: the key of a bit-length-k mask with no member bits.
+    doubled = np.array([0] + weights, dtype=np.uint64) * np.uint64(2)
+    prefix = np.cumsum(doubled, dtype=np.uint64)
+    # Exact: the masks stay below 2^53.
+    lengths = np.frexp(masks.astype(np.float64))[1]
+    return prefix[lengths] - members
 
 
 def _sorted_rows(cost, masks, n: int):

@@ -23,6 +23,14 @@ per-candidate rework:
   known-feasible one is answered without the solver, and the binding
   of such a coverage record is solved only when it is read (outside
   schedule mode; same document);
+* below the memo, a solver trie answers a miss whose search would
+  repeat an earlier one: same ECS, same domains, same answer to every
+  connectivity question it asks (CSP search only; the memo, antichain
+  and warm store above it, and so every counter, are unchanged);
+* each cover walks the ECS sequence its spec memoises per
+  ``(activatable clusters, target)`` in one flat loop, and a coverage
+  record is built only when read, since most belong to candidates
+  that are then dropped as not improving;
 * the search itself replays :class:`repro.binding.BindingSolver`
   decision-for-decision over precompiled option records, so its
   statistics deltas (invocations, assignments, backtracks, solutions,
@@ -98,31 +106,34 @@ class Verdict:
 _IMPLIED = Verdict(None, _ZERO_DELTAS, 0, 0, 0.0)
 
 
-class _DeferredRecord(EcsRecord):
-    """A coverage record whose binding is solved when first read.
+class _CoverRecord(EcsRecord):
+    """A coverage record built when first read.
 
-    ``resolve`` returns the binding the solver gives under the
-    candidate's usable mask; it is dropped once called, so a resolved
-    record holds no evaluator."""
+    It holds the ECS's :class:`EcsInfo` and its ``source``: the
+    verdict's binding, or for a verdict decided by implication the
+    resolver that solves it under the candidate's usable mask.  Most
+    records belong to candidates dropped as not improving and are never
+    read.  Reading one attribute builds all three and drops both, so a
+    read record holds no ``EcsInfo`` or evaluator."""
 
-    __slots__ = ("_resolve",)
+    __slots__ = ("_info", "_source")
 
-    def __init__(
-        self,
-        selection: Dict[str, str],
-        resolve: Callable[[], Dict[str, str]],
-    ) -> None:
-        self.selection = dict(selection)
-        self.clusters = frozenset(selection.values())
-        self._resolve = resolve
+    def __init__(self, info: EcsInfo, source: Any) -> None:
+        self._info = info
+        self._source = source
 
     def __getattr__(self, name: str) -> Any:
-        # Reached only while the ``binding`` slot is still unset.
-        if name != "binding":
+        # Reached only while the public slots are still unset.
+        if name not in EcsRecord.__slots__:
             raise AttributeError(name)
-        binding = self.binding = dict(self._resolve())
-        self._resolve = None
-        return binding
+        source = self._source
+        binding = dict(source if source.__class__ is dict else source())
+        selection = self._info.selection
+        self.selection = dict(selection)
+        self.clusters = frozenset(selection.values())
+        self.binding = binding
+        self._info = self._source = None
+        return getattr(self, name)
 
 
 class CompiledEvaluator:
@@ -160,6 +171,14 @@ class CompiledEvaluator:
         #: bounded search is not monotone.
         self._feasible: Optional[Dict[int, List[int]]] = (
             None if timing_mode == "schedule" else {}
+        )
+        #: The solver trie below the memo (``_solve``): per root
+        #: ``(ecs mask, usable & owners)``, the connectivity questions
+        #: the search asked, down to the verdict their answers give.
+        #: ``None`` where the SAT solver, which reads the whole
+        #: allocation, decides verdicts.
+        self._trie: Optional[Dict[Tuple[int, int], Any]] = (
+            {} if backend == "csp" or timing_mode == "schedule" else None
         )
         #: One-slot identity-keyed units->mask memo (the shared loop
         #: calls possible/comm/estimate/evaluate on the same frozenset).
@@ -291,98 +310,100 @@ class CompiledEvaluator:
         clock = time.perf_counter
         comm_tops = cs.comm_tops_of(usable)
         links_of: Dict[int, int] = {}
-
-        def solve_selection(sel_mask: int, info: EcsInfo) -> Verdict:
-            cached = outcome.get(sel_mask)
-            if cached is not None:
-                return cached
-            if solver_counter is not None:
-                solver_counter[0] += 1
-            key = verdict_key(cs, info, usable, comm_tops, links_of)
-            t0 = clock() if timed else 0.0
-            verdict = self._verdicts.get(key)
-            if verdict is None:
-                # ``computed`` is False on a warm-store hit or an implied
-                # verdict: no timing_seconds elapsed inside this call.
-                verdict, computed = self._memo_miss(info, usable, key)
-            else:
-                self.memo_hits += 1
-                computed = False
-            if timed:
-                elapsed = clock() - t0 - (
-                    verdict.timing_seconds if computed else 0.0
-                )
-                if detail is not None:
-                    detail["binding_seconds"] += elapsed
-                    detail["timing_seconds"] += verdict.timing_seconds
-                    detail["timing_checks"] += verdict.timing_checks
-                    detail["timing_rejections"] += verdict.timing_rejections
-                    deltas = verdict.deltas
-                    for i in range(5):
-                        acc[i] += deltas[i]
-                else:
-                    sink.charge("binding", elapsed)
-                    if verdict.timing_checks:
-                        sink.charge("timing", verdict.timing_seconds)
-            outcome[sel_mask] = verdict
-            return verdict
-
+        verdicts = self._verdicts
+        cluster_bit = cs.cluster_bit
         covered_mask = 0
+        uncoverable_mask = 0
         coverage: list = []
-
-        def try_cover(target: Optional[str]) -> bool:
-            nonlocal covered_mask
-            for sel_mask in cs.selection_masks(allowed_mask, target):
-                info = cs.ecs_info(sel_mask)
-                verdict = solve_selection(sel_mask, info)
+        hits = calls = 0
+        # Cover the problem root, then each cluster no earlier ECS
+        # covered, with the first feasible ECS of its sequence.
+        for target in cs.cover_targets:
+            if target is not None:
+                bit = cluster_bit[target]
+                if not allowed_mask & bit or (
+                    (covered_mask | uncoverable_mask) & bit
+                ):
+                    continue
+            memo = cs.selection_memo(allowed_mask, target)
+            infos = memo.items
+            position = 0
+            record = None
+            while record is None:
+                if position == len(infos):
+                    if memo.done:
+                        break
+                    memo.advance(cs)
+                    continue
+                info = infos[position]
+                position += 1
+                verdict = outcome.get(info.mask)
+                if verdict is None:
+                    calls += 1
+                    key = verdict_key(cs, info, usable, comm_tops, links_of)
+                    t0 = clock() if timed else 0.0
+                    verdict = verdicts.get(key)
+                    if verdict is None:
+                        # ``computed`` is False unless a search ran
+                        # here: no timing_seconds elapsed in this call.
+                        verdict, computed = self._memo_miss(
+                            info, usable, key
+                        )
+                    else:
+                        hits += 1
+                        computed = False
+                    if timed:
+                        elapsed = clock() - t0 - (
+                            verdict.timing_seconds if computed else 0.0
+                        )
+                        if detail is not None:
+                            detail["binding_seconds"] += elapsed
+                            detail["timing_seconds"] += verdict.timing_seconds
+                            detail["timing_checks"] += verdict.timing_checks
+                            detail["timing_rejections"] += (
+                                verdict.timing_rejections
+                            )
+                            deltas = verdict.deltas
+                            for i in range(5):
+                                acc[i] += deltas[i]
+                        else:
+                            sink.charge("binding", elapsed)
+                            if verdict.timing_checks:
+                                sink.charge("timing", verdict.timing_seconds)
+                    outcome[info.mask] = verdict
                 if verdict is _IMPLIED:
-                    record = _DeferredRecord(
-                        info.selection,
-                        functools.partial(self._resolve, info, usable),
+                    record = _CoverRecord(
+                        info, functools.partial(self._resolve, info, usable)
                     )
                 elif verdict.binding is not None:
-                    record = EcsRecord(info.selection, verdict.binding)
-                else:
-                    continue
-                covered_mask |= sel_mask
+                    record = _CoverRecord(info, verdict.binding)
+            if record is not None:
+                covered_mask |= info.mask
                 coverage.append(record)
-                return True
-            return False
-
-        def snapshot_solver_stats() -> None:
-            if detail is not None:
-                detail["solver"] = {
-                    "invocations": acc[0],
-                    "assignments": acc[1],
-                    "backtracks": acc[2],
-                    "solutions": acc[3],
-                    "util_rejections": acc[4],
-                }
-
-        if not try_cover(None):
-            snapshot_solver_stats()
-            return None
-        uncoverable_mask = 0
-        cluster_bit = cs.cluster_bit
-        for cluster_name in cs.sorted_cluster_names:
-            bit = cluster_bit[cluster_name]
-            if not allowed_mask & bit:
-                continue
-            if (covered_mask | uncoverable_mask) & bit:
-                continue
-            if not try_cover(cluster_name):
+            elif target is None:
+                break
+            else:
                 uncoverable_mask |= bit
-
-        achieved = cs.flex_value(covered_mask, self.weighted)
-        snapshot_solver_stats()
-        covered = frozenset(
-            c for c in cs.cluster_names if covered_mask & cluster_bit[c]
-        )
+        self.memo_hits += hits
+        if solver_counter is not None:
+            solver_counter[0] += calls
+        if detail is not None:
+            detail["solver"] = {
+                "invocations": acc[0],
+                "assignments": acc[1],
+                "backtracks": acc[2],
+                "solutions": acc[3],
+                "util_rejections": acc[4],
+            }
+        if not coverage:
+            return None
         return Implementation(
             unit_set,
             self.spec.units.total_cost(unit_set),
-            achieved,
-            covered,
+            cs.flex_value(covered_mask, self.weighted),
+            frozenset(
+                c for c in cs.cluster_names if covered_mask & cluster_bit[c]
+            ),
             coverage,
         )
 
@@ -452,8 +473,8 @@ class CompiledEvaluator:
         cold compute.
 
         Returns ``(verdict, computed)`` — ``computed`` is ``False``
-        unless the verdict was solved here (a stored verdict's
-        ``timing_seconds`` did not elapse in this process).  An implied
+        unless the verdict was searched for here (a stored or trie
+        verdict's ``timing_seconds`` did not elapse in this call).  An implied
         verdict is counted in ``memo_implied``, not as a miss, and is
         never digested or written to the store.
         """
@@ -473,7 +494,7 @@ class CompiledEvaluator:
                 self._remember(key, verdict)
                 return verdict, False
             self.warm_misses += 1
-        verdict = self._compute_verdict(info, usable)
+        verdict, computed = self._solve(info, usable)
         self._remember(key, verdict)
         if warm is not None and warm.put(
             wkey,
@@ -481,7 +502,7 @@ class CompiledEvaluator:
             self._verdict_to_payload(verdict),
         ):
             self.warm_writes += 1
-        return verdict, True
+        return verdict, computed
 
     def _implied(self, key: Tuple[int, int]) -> bool:
         """Whether a known-feasible key of the ECS lies inside
@@ -514,7 +535,7 @@ class CompiledEvaluator:
         key = verdict_key(cs, info, usable, cs.comm_tops_of(usable), {})
         verdict = self._verdicts.get(key)
         if verdict is _IMPLIED:
-            verdict = self._compute_verdict(info, usable)
+            verdict = self._solve(info, usable)[0]
             if verdict.binding is None:
                 raise ExplorationError(
                     f"internal: ECS {sorted(info.selection.values())!r} "
@@ -585,7 +606,51 @@ class CompiledEvaluator:
             self._last_masks = (mask, usable)
         return mask, usable
 
-    def _compute_verdict(self, info: EcsInfo, usable: int) -> Verdict:
+    def _solve(self, info: EcsInfo, usable: int) -> Tuple[Verdict, bool]:
+        """The verdict of ``info`` under ``usable``, and whether a
+        search ran for it (``False``: the solver trie answered).
+
+        The search is a deterministic function of its domains, fixed by
+        the root ``(ecs mask, usable & info.owners)``, and of the
+        answers to the connectivity questions it asks, so a path of
+        equal answers below the root leads to the verdict it gave
+        (``docs/performance.md``).  A missing branch runs the search
+        and plants the path of its questions."""
+        trie = self._trie
+        if trie is None:
+            return self._compute_verdict(info, usable), True
+        cs = self.cs
+        reach = cs._reach
+        comm_tops = cs.comm_tops_of(usable)
+        root = (info.mask, usable & info.owners)
+        node = trie.get(root)
+        parent = None
+        branch = depth = 0
+        while node.__class__ is list:
+            parent = node
+            branch = 2 + (reach(node[0], comm_tops) >> node[1] & 1)
+            node = node[branch]
+            depth += 1
+        if node is not None:
+            return node, False
+        asked: list = []
+        verdict = tail = self._compute_verdict(info, usable, asked)
+        # The first ``depth`` questions are the path walked: graft the
+        # rest as ``[a, b, child if not connected, child if connected]``.
+        for a, b, answer in reversed(asked[depth:]):
+            tail = [a, b, None, tail] if answer else [a, b, tail, None]
+        if parent is None:
+            trie[root] = tail
+        else:
+            parent[branch] = tail
+        return verdict, True
+
+    def _compute_verdict(
+        self, info: EcsInfo, usable: int, asked: Optional[list] = None
+    ) -> Verdict:
+        """Solve ``info`` under ``usable``; the search appends each
+        connectivity question it asks, ``(a, b, answer)``, to
+        ``asked`` when one is given."""
         counters = [0, 0, 0, 0, 0]
         if self.timing_mode == "schedule":
             # checks, rejections, seconds of the schedule tests
@@ -602,7 +667,8 @@ class CompiledEvaluator:
                 return ok
 
             binding = self._search(
-                info, usable, SCHEDULE_SEARCH_LIMIT, schedulable, counters
+                info, usable, SCHEDULE_SEARCH_LIMIT, schedulable, counters,
+                asked,
             )
             return Verdict(
                 binding, tuple(counters), timing[0], timing[1], timing[2]
@@ -623,7 +689,7 @@ class CompiledEvaluator:
                 0,
                 0.0,
             )
-        binding = self._search(info, usable, 1, _take_first, counters)
+        binding = self._search(info, usable, 1, _take_first, counters, asked)
         return Verdict(binding, tuple(counters), 0, 0, 0.0)
 
     def _search(
@@ -633,6 +699,7 @@ class CompiledEvaluator:
         limit: int,
         accept: Callable[[Dict[str, str]], bool],
         counters: list,
+        asked: Optional[list],
     ) -> Optional[Dict[str, str]]:
         """The first of at most ``limit`` complete assignments that
         ``accept`` takes, or ``None``: a decision-for-decision replay of
@@ -651,11 +718,106 @@ class CompiledEvaluator:
             if not domain:
                 return None
             domains.append(domain)
-        search = _BindingSearch(
-            self, info, usable, domains, limit, accept, counters
+        leaves = info.leaves
+        size = len(leaves)
+        order = sorted(
+            range(size), key=lambda i: (len(domains[i]), leaves[i])
         )
-        search.visit(0)
-        return search.found
+        neighbor_index = info.neighbor_index
+        cs = self.cs
+        reach = cs._reach
+        comm_tops = cs.comm_tops_of(usable)
+        check_util = self.check_utilization
+        ceiling = self.util_bound + 1e-12
+        # Per leaf position, the chosen option record or ``None``.
+        chosen: List[Any] = [None] * size
+        # Per search position, the iterator over its untried options.
+        untried: List[Any] = [None] * size
+        utilization: Dict[str, float] = {}
+        interface_choice: Dict[int, int] = {}
+        interface_count: Dict[int, int] = {}
+        yielded = 0
+        position = 0
+        # The reference recurses; this loop keeps its stack in
+        # ``untried`` and counts at the same moments.
+        while True:
+            if position < size:
+                index = order[position]
+                options = untried[position]
+                if options is None:
+                    options = untried[position] = iter(domains[index])
+                for rec in options:
+                    counters[1] += 1
+                    iface = rec.iface_id
+                    if iface >= 0:
+                        current = interface_choice.get(iface)
+                        if current is not None and current != rec.owner_bit:
+                            continue
+                    increment = 0.0
+                    if check_util and rec.loaded:
+                        increment = rec.util_increment
+                        if (
+                            utilization.get(rec.resource, 0.0) + increment
+                            > ceiling
+                        ):
+                            counters[4] += 1
+                            continue
+                    top = rec.owner_top
+                    for other in neighbor_index[index]:
+                        other_rec = chosen[other]
+                        if other_rec is None or (
+                            rec.owner_bit == other_rec.owner_bit
+                        ):
+                            continue
+                        b = other_rec.owner_top
+                        if top != b:
+                            answer = reach(top, comm_tops) >> b & 1
+                            if asked is not None:
+                                asked.append((top, b, answer))
+                            if not answer:
+                                break
+                    else:
+                        break
+                else:
+                    rec = None
+                if rec is not None:
+                    chosen[index] = rec
+                    if increment:
+                        utilization[rec.resource] = (
+                            utilization.get(rec.resource, 0.0) + increment
+                        )
+                    if iface >= 0:
+                        interface_choice[iface] = rec.owner_bit
+                        interface_count[iface] = (
+                            interface_count.get(iface, 0) + 1
+                        )
+                    position += 1
+                    continue
+                counters[2] += 1
+                untried[position] = None
+            else:
+                counters[3] += 1
+                yielded += 1
+                solution = {leaves[i]: chosen[i].resource for i in order}
+                if accept(solution):
+                    return solution
+            # Back up one position and undo its choice.
+            position -= 1
+            if position < 0:
+                return None
+            index = order[position]
+            rec = chosen[index]
+            chosen[index] = None
+            if check_util and rec.loaded and rec.util_increment:
+                utilization[rec.resource] -= rec.util_increment
+            iface = rec.iface_id
+            if iface >= 0:
+                interface_count[iface] -= 1
+                if not interface_count[iface]:
+                    del interface_count[iface]
+                    del interface_choice[iface]
+            if yielded >= limit:
+                return None
 
 
 def verdict_key(
@@ -679,147 +841,6 @@ def verdict_key(
 
 def _take_first(assignment: Dict[str, str]) -> bool:
     return True
-
-
-class _BindingSearch:
-    """The state of one backtracking search (see
-    :meth:`CompiledEvaluator._search`).  It recurses through a method,
-    not a self-referencing closure, so it is freed by refcount."""
-
-    __slots__ = (
-        "leaves",
-        "domains",
-        "order",
-        "neighbors",
-        "check_util",
-        "util_bound",
-        "tops_connected",
-        "comm_tops",
-        "limit",
-        "accept",
-        "counters",
-        "assignment",
-        "chosen",
-        "utilization",
-        "interface_choice",
-        "interface_count",
-        "yielded",
-        "found",
-    )
-
-    def __init__(
-        self,
-        evaluator: CompiledEvaluator,
-        info: EcsInfo,
-        usable: int,
-        domains: List[list],
-        limit: int,
-        accept: Callable[[Dict[str, str]], bool],
-        counters: list,
-    ) -> None:
-        leaves = info.leaves
-        self.leaves = leaves
-        self.domains = domains
-        self.order = sorted(
-            range(len(leaves)),
-            key=lambda i: (len(domains[i]), leaves[i]),
-        )
-        self.neighbors = info.neighbors
-        self.check_util = evaluator.check_utilization
-        self.util_bound = evaluator.util_bound
-        cs = evaluator.cs
-        self.tops_connected = cs.tops_connected
-        self.comm_tops = cs.comm_tops_of(usable)
-        self.limit = limit
-        self.accept = accept
-        self.counters = counters
-        self.assignment: Dict[str, str] = {}
-        self.chosen: Dict[str, Any] = {}
-        self.utilization: Dict[str, float] = {}
-        self.interface_choice: Dict[int, int] = {}
-        self.interface_count: Dict[int, int] = {}
-        self.yielded = 0
-        self.found: Optional[Dict[str, str]] = None
-
-    def visit(self, position: int) -> bool:
-        """Extend the assignment from ``order[position]`` on; ``True``
-        once the search is over (an assignment accepted, or ``limit``
-        of them offered)."""
-        counters = self.counters
-        order = self.order
-        if position == len(order):
-            counters[3] += 1
-            self.yielded += 1
-            solution = dict(self.assignment)
-            if self.accept(solution):
-                self.found = solution
-                return True
-            return False
-        index = order[position]
-        leaf = self.leaves[index]
-        neighbors = self.neighbors.get(leaf, ())
-        assignment = self.assignment
-        chosen = self.chosen
-        utilization = self.utilization
-        interface_choice = self.interface_choice
-        interface_count = self.interface_count
-        check_util = self.check_util
-        for rec in self.domains[index]:
-            counters[1] += 1
-            iface = rec.iface_id
-            if iface >= 0:
-                current = interface_choice.get(iface)
-                if current is not None and current != rec.owner_bit:
-                    continue
-            increment = 0.0
-            if check_util and rec.loaded:
-                increment = rec.util_increment
-                if (
-                    utilization.get(rec.resource, 0.0) + increment
-                    > self.util_bound + 1e-12
-                ):
-                    counters[4] += 1
-                    continue
-            feasible = True
-            for other in neighbors:
-                other_rec = chosen.get(other)
-                if other_rec is None:
-                    continue
-                if rec.owner_bit == other_rec.owner_bit:
-                    continue
-                if rec.owner_top != other_rec.owner_top and not (
-                    self.tops_connected(
-                        rec.owner_top, other_rec.owner_top, self.comm_tops
-                    )
-                ):
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            assignment[leaf] = rec.resource
-            chosen[leaf] = rec
-            if increment:
-                utilization[rec.resource] = (
-                    utilization.get(rec.resource, 0.0) + increment
-                )
-            if iface >= 0:
-                interface_choice[iface] = rec.owner_bit
-                interface_count[iface] = interface_count.get(iface, 0) + 1
-            if self.visit(position + 1):
-                return True
-            del assignment[leaf]
-            del chosen[leaf]
-            if increment:
-                utilization[rec.resource] -= increment
-            if iface >= 0:
-                interface_count[iface] -= 1
-                if not interface_count[iface]:
-                    del interface_count[iface]
-                    del interface_choice[iface]
-            if self.yielded >= self.limit:
-                return True
-        counters[2] += 1
-        return False
 
 
 def compiled_evaluator(

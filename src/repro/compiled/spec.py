@@ -78,7 +78,7 @@ class EcsInfo:
         "flat",
         "leaves",
         "options",
-        "neighbors",
+        "neighbor_index",
         "support",
         "owners",
         "tops",
@@ -91,7 +91,7 @@ class EcsInfo:
         flat: FlatProblem,
         leaves: Tuple[str, ...],
         options: Tuple[Tuple[OptionRec, ...], ...],
-        neighbors: Dict[str, Tuple[str, ...]],
+        neighbor_index: Tuple[Tuple[int, ...], ...],
         support: int,
         owners: int,
         tops: int,
@@ -102,8 +102,9 @@ class EcsInfo:
         self.leaves = leaves
         #: Per-leaf usable mapping options, aligned with ``leaves``.
         self.options = options
-        #: Undirected neighbour adjacency of the flattened edges.
-        self.neighbors = neighbors
+        #: Undirected neighbour adjacency of the flattened edges, as
+        #: positions in ``leaves``, aligned with ``leaves``.
+        self.neighbor_index = neighbor_index
         #: Relevance projection mask: the union of every option's
         #: ``owner_mask`` plus all communication units — every unit bit
         #: this ECS's binding verdict can depend on.  The warm store
@@ -120,33 +121,39 @@ class EcsInfo:
 
 
 class _SelectionMemo:
-    """Lazily materialised selection-mask sequence of one
-    ``(allowed clusters, cover target)`` pair.
+    """Lazily materialised ECS sequence of one ``(allowed clusters,
+    cover target)`` pair: the interned :class:`EcsInfo` of each
+    selection mask, in enumeration order.
 
-    The underlying generator is pulled exactly once per element, under a
-    lock (interned evaluators may be reached from several threads, e.g.
-    a service slice abandoned by its watchdog, and a generator must
-    never be advanced concurrently); every consumer
-    replays the shared prefix and extends it on demand, so early-exiting
-    covers pay only for the selections they actually inspect."""
+    The underlying generator is pulled exactly once per element, and
+    the element's ``EcsInfo`` looked up, under a lock (interned
+    evaluators may be reached from several threads, e.g. a service
+    slice abandoned by its watchdog, and a generator must never be
+    advanced concurrently); every consumer replays the shared prefix
+    and extends it on demand, so early-exiting covers pay only for the
+    selections they actually inspect."""
 
     __slots__ = ("items", "done", "_gen", "_lock")
 
     def __init__(self, gen: Iterator[int]) -> None:
-        self.items: List[int] = []
+        self.items: List[EcsInfo] = []
         self.done = False
         self._gen = gen
         self._lock = threading.Lock()
 
-    def advance(self) -> None:
+    def advance(self, cs: "CompiledSpec") -> None:
+        """Append the next ECS (``cs`` is passed in, not kept, so the
+        memo does not keep the compiled spec)."""
         with self._lock:
             if self.done:
                 return
             try:
-                self.items.append(next(self._gen))
+                sel_mask = next(self._gen)
             except StopIteration:
                 self.done = True
                 self._gen = None
+                return
+            self.items.append(cs.ecs_info(sel_mask))
 
 
 def _selections(
@@ -283,7 +290,11 @@ class CompiledSpec:
         self.cluster_bit: Dict[str, int] = {
             c: 1 << j for j, c in enumerate(self.cluster_names)
         }
-        self.sorted_cluster_names = tuple(sorted(self.cluster_names))
+        #: What a coverage covers, in order: the problem root, then
+        #: each cluster by name.
+        self.cover_targets: Tuple[Optional[str], ...] = (None,) + tuple(
+            sorted(self.cluster_names)
+        )
         self.iface_of_cluster = dict(pindex.interface_of_cluster)
         # Scope tables: key None is the problem root, otherwise a
         # cluster name; each entry is (vertices, ((iface, clusters), ...))
@@ -669,10 +680,10 @@ class CompiledSpec:
             self.scopes[None][1], 0,
         )
 
-    def selection_masks(
+    def selection_memo(
         self, allowed_mask: int, target: Optional[str]
-    ) -> Iterator[int]:
-        """Memoised :meth:`iter_selection_masks` stream of one cover.
+    ) -> _SelectionMemo:
+        """The shared ECS sequence of one cover (:class:`_SelectionMemo`).
 
         ``target`` is the cluster being covered (``None`` for the
         problem root); its force-chain pins and the enumeration order
@@ -680,23 +691,14 @@ class CompiledSpec:
         sequence is shared across every candidate that projects to the
         same activatable-cluster set — and materialised only as far as
         some candidate has actually consumed it."""
-        memo = self._sel_memos.get((allowed_mask, target))
+        key = (allowed_mask, target)
+        memo = self._sel_memos.get(key)
         if memo is None:
             pins = self.force_pins[target] if target is not None else None
-            memo = _SelectionMemo(
+            memo = self._sel_memos[key] = _SelectionMemo(
                 self.iter_selection_masks(allowed_mask, pins)
             )
-            self._sel_memos[(allowed_mask, target)] = memo
-        items = memo.items
-        position = 0
-        while True:
-            if position < len(items):
-                yield items[position]
-                position += 1
-            elif memo.done:
-                return
-            else:
-                memo.advance()
+        return memo
 
     def selection_dict_of(self, sel_mask: int) -> Dict[str, str]:
         """Reconstruct the selection dict (reference insertion order)."""
@@ -752,8 +754,12 @@ class CompiledSpec:
                 continue
             adjacency.setdefault(src, set()).add(dst)
             adjacency.setdefault(dst, set()).add(src)
-        neighbors = {k: tuple(v) for k, v in adjacency.items()}
+        position = {leaf: i for i, leaf in enumerate(leaves)}
+        neighbor_index = tuple(
+            tuple(position[o] for o in adjacency.get(leaf, ()))
+            for leaf in leaves
+        )
         return EcsInfo(
-            sel_mask, selection, flat, leaves, options, neighbors, support,
-            owners, tops,
+            sel_mask, selection, flat, leaves, options, neighbor_index,
+            support, owners, tops,
         )

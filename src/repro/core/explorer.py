@@ -611,12 +611,13 @@ class ExploreState:
         t0 = time.perf_counter()
         front = final_front(points)
         self.charge("pareto", time.perf_counter() - t0)
-        # The compiled engine binds a coverage record it decided by
-        # implication only when the binding is first read; read them
-        # here, so that no result holds the evaluator.
+        # The compiled engine builds a coverage record when it is first
+        # read, and binds one decided by implication only then; read
+        # them here, so that no result holds an ECS table or the
+        # evaluator.
         for point in front:
             for record in point.coverage:
-                record.binding
+                record.selection, record.clusters, record.binding
         tracer = self.tracer
         # Dominated-point audit records belong to a run's *final*
         # dominance pass; a preempted service slice (truncation

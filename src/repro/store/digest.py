@@ -57,6 +57,8 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..boolexpr.sat import BRANCHING_RULE
+
 #: Version of the key-digest scheme.  Bump on any change to what a key
 #: or verdict payload encodes; old entries then become unreachable
 #: (version skew is a cache miss, never a wrong answer).
@@ -215,13 +217,12 @@ class _KeyMaterial:
 
     def __init__(self, evaluator) -> None:
         cs = self.cs = evaluator.cs
-        self.head = "[%d,%s," % (
-            KEY_VERSION,
-            _canonical(
-                [evaluator.util_bound, evaluator.backend,
-                 evaluator.timing_mode]
-            ),
-        )
+        params = [
+            evaluator.util_bound, evaluator.backend, evaluator.timing_mode
+        ]
+        if evaluator.backend == "sat":
+            params.append(BRANCHING_RULE)
+        self.head = "[%d,%s," % (KEY_VERSION, _canonical(params))
         self.ecs: Dict[int, _EcsMaterial] = {}
         self.leaves: Dict[str, _LeafMaterial] = {}
         self.projections: Dict[int, Tuple[List[str], str]] = {}
@@ -282,7 +283,10 @@ def key_digest(evaluator, info, usable: int) -> str:
          per-leaf option records owned by a usable unit]
 
     with the full spec digest and every usable unit name appended for
-    ``timing_mode="schedule"`` and ``backend="sat"``.  The text is
+    ``timing_mode="schedule"`` and ``backend="sat"``.  For
+    ``backend="sat"`` the parameter list also ends in the SAT solver's
+    :data:`~repro.boolexpr.sat.BRANCHING_RULE`, which decides its
+    models; CSP keys are unchanged.  The text is
     assembled from the evaluator's :class:`_KeyMaterial` rather than
     serialised afresh; see the module docstring.
 

@@ -195,6 +195,32 @@ def test_materialized_order_matches_heap_order():
             assert observed == list(enum.iter_masks())
 
 
+def _tie_keys_by_level(masks, n):
+    """The tie keys built level by level, as first defined."""
+    np = batch._np
+    keys = np.zeros(len(masks), dtype=np.uint64)
+    one = np.uint64(1)
+    two = np.uint64(2)
+    for j in range(n):
+        above = masks >> np.uint64(j)
+        key = np.full(len(masks), two, dtype=np.uint64)
+        key[(above & one) != 0] = one
+        key[above == 0] = 0
+        keys = (keys << two) | key
+    return keys
+
+
+@requires_numpy
+def test_closed_form_tie_keys_match_the_level_loop():
+    """Every ``n``-bit mask, ``n`` = 1..20, gets the level loop's key."""
+    np = batch._np
+    for n in range(1, 21):
+        masks = np.arange(1 << n, dtype=np.uint64)
+        assert np.array_equal(
+            batch._tie_keys(masks, n), _tie_keys_by_level(masks, n)
+        ), n
+
+
 def _synthetic(n_accels):
     """The 15-unit (4 accelerators) or 18-unit (5) benchmark shape."""
     return synthetic_spec(

@@ -1,5 +1,10 @@
 """Unit tests for allocation, binding, routing, feasibility and solvers."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.activation import flatten
@@ -27,6 +32,23 @@ def tv_spec():
 def settop():
     return build_settop_spec()
 
+
+#: Prints the SAT-backend result documents of the bridged randspecs,
+#: coverage bindings included (wall-clock and cache counters removed).
+SAT_DOCUMENTS = """
+import json
+from repro.core import explore
+from repro.io import result_to_dict
+from tests.randspec import random_bridged_spec
+documents = []
+for seed in range(40):
+    result = explore(random_bridged_spec(seed), backend="sat")
+    document = result_to_dict(result)
+    document["stats"].pop("elapsed_seconds")
+    document.pop("cache")
+    documents.append(document)
+print(json.dumps(documents, sort_keys=True))
+"""
 
 TV_D2U1 = {"I_D": "gamma_D2", "I_U": "gamma_U1"}
 TV_D1U1 = {"I_D": "gamma_D1", "I_U": "gamma_U1"}
@@ -307,6 +329,25 @@ class TestSatBackend:
                 assert (csp is None) == (sat is None), (selection, units)
                 if sat is not None:
                     assert is_feasible_binding(tv_spec, alloc, flat, sat)
+
+    def test_sat_bindings_do_not_depend_on_string_hashing(self):
+        """Branching ties go to the smallest variable name, so two
+        processes with different hash seeds bind alike."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join([os.path.join(root, "src"), root])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", SAT_DOCUMENTS],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        documents = json.loads(outputs[0])
+        assert any(p["coverage"] for d in documents for p in d["points"])
+        assert documents == json.loads(outputs[1])
 
     def test_sat_utilization_refinement(self, settop):
         flat = flatten(settop.problem, {"I_App": "gamma_G", "I_G": "gamma_G1"})

@@ -17,12 +17,17 @@ rest on one rule, checked here against brute force rather than assumed:
   six utilisation/none/schedule × csp/sat modes, and outside schedule
   mode feasibility is monotone under key inclusion (the oracle corpus
   plus bridged platforms, whose links run over several buses);
+* **solver trie** — below the memo, a search is answered from the
+  path of connectivity answers an earlier search with the same domains
+  took: in three shuffled orders over every usable mask of the
+  congruence corpus, each answer equals a fresh search;
 * **front points** — the compiled engine's result document, coverage
   bindings included, equals the reference engine's, and every coverage
   binding satisfies binding rules 1–4 and the 69% utilisation bound.
 """
 
 import functools
+import random
 
 import pytest
 
@@ -179,6 +184,42 @@ def test_the_memo_key_is_a_congruence(name):
                         f"feasible under key {inside[0]:#x} but not under "
                         f"its superset {q:#x}"
                     )
+
+
+@pytest.mark.parametrize("name", CONGRUENCE)
+def test_the_solver_trie_answers_as_a_fresh_search(name):
+    """Every ECS under every usable mask, in three shuffled orders
+    through one evaluator's solver trie: each answer equals a fresh
+    search, and only the first visit of a path searches."""
+    cs = compiled_spec_for(CONGRUENCE[name]())
+    all_clusters = sum(cs.cluster_bit.values())
+    usables = sorted(
+        {cs.usable_mask(mask) for mask in range(1 << cs.unit_count)}
+    )
+    visits = [
+        (cs.ecs_info(sel_mask), usable)
+        for sel_mask in cs.iter_selection_masks(all_clusters, None)
+        for usable in usables
+    ]
+    roots = {(info.mask, usable & info.owners) for info, usable in visits}
+    for timing_mode in ("utilization", "none", "schedule"):
+        evaluator = CompiledEvaluator(cs, timing_mode=timing_mode)
+        for order in range(3):
+            random.Random(order).shuffle(visits)
+            searches = 0
+            for info, usable in visits:
+                verdict, searched = evaluator._solve(info, usable)
+                assert observable(verdict) == observable(
+                    evaluator._compute_verdict(info, usable)
+                ), (name, timing_mode, info.mask, usable)
+                searches += searched
+            if order:
+                assert not searches, (name, timing_mode, order)
+                continue
+            # Each root needs a search; the trie answers the other
+            # visits of a root whose questions get answers seen before.
+            assert len(roots) <= searches, (name, timing_mode)
+            assert searches < len(visits) or len(roots) == len(visits)
 
 
 def comparable(result):

@@ -13,6 +13,7 @@ import pytest
 
 from .randspec import random_spec
 from repro.analysis import with_latency, with_unit_costs
+from repro.boolexpr.sat import BRANCHING_RULE
 from repro.casestudies import build_settop_spec, build_tv_decoder_spec
 from repro.core import explore
 from repro.io import spec_from_dict, spec_to_dict
@@ -102,9 +103,12 @@ def reference_key(evaluator, info, usable):
         ]
         for recs in info.options
     ]
+    params = [evaluator.util_bound, evaluator.backend, evaluator.timing_mode]
+    if evaluator.backend == "sat":
+        params.append(BRANCHING_RULE)
     payload = [
         KEY_VERSION,
-        [evaluator.util_bound, evaluator.backend, evaluator.timing_mode],
+        params,
         sorted(info.selection.items()),
         list(info.leaves),
         proj_names,
