@@ -58,8 +58,12 @@ serve(sys.argv[1], ready=ready)
 
 
 def result_doc(result):
+    """The result document without wall-clock time and without the
+    ``cache`` counters, which lie outside the result's fingerprint: a
+    sharded run's shards keep their own memos."""
     document = result_to_dict(result)
     document.get("stats", {}).pop("elapsed_seconds", None)
+    document.pop("cache", None)
     return json.dumps(document, sort_keys=True)
 
 

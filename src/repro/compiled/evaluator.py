@@ -485,9 +485,9 @@ class CompiledEvaluator:
         self.memo_misses += 1
         warm = self._warm
         if warm is not None:
-            # The digest is taken through the module attribute, once
-            # per miss; the store decodes each entry once and keeps it.
-            wkey = self._digest.key_digest(self, info, usable)
+            # The key is built through the module attribute, once per
+            # miss; the store decodes each entry once and keeps it.
+            wkey = self._digest.key_digest(self, info, usable, key[1])
             verdict = warm.get(wkey, self._verdict_from_payload)
             if verdict is not None:
                 self.warm_hits += 1
@@ -498,7 +498,7 @@ class CompiledEvaluator:
         self._remember(key, verdict)
         if warm is not None and warm.put(
             wkey,
-            self._digest.key_deps(self, info, usable),
+            self._digest.key_deps(info),
             self._verdict_to_payload(verdict),
         ):
             self.warm_writes += 1

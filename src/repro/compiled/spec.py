@@ -107,9 +107,8 @@ class EcsInfo:
         self.neighbor_index = neighbor_index
         #: Relevance projection mask: the union of every option's
         #: ``owner_mask`` plus all communication units — every unit bit
-        #: this ECS's binding verdict can depend on.  The warm store
-        #: keys verdicts by ``usable & support``; the in-process memo
-        #: reads less of it (``owners`` and ``tops``).
+        #: this ECS's binding verdict can depend on.  The verdict memo
+        #: and the warm store read less of it (``owners`` and ``tops``).
         self.support = support
         #: Unit bits of every option's owner: ``usable & owners`` fixes
         #: the search's domains.

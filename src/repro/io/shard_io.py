@@ -12,22 +12,16 @@ See ``docs/formats.md`` for the field-by-field description.
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import SerializationError
+from ..store.digest import spec_digest
 
 #: Manifest document format identifier.
 SHARD_MANIFEST_FORMAT = "repro/shard-manifest"
 #: Current manifest document version.
 SHARD_MANIFEST_VERSION = 1
-
-
-def spec_digest(spec_doc: Dict[str, Any]) -> str:
-    """SHA-256 of a canonical specification document (16 hex chars)."""
-    canonical = json.dumps(spec_doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def manifest_to_dict(

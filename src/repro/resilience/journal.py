@@ -167,7 +167,14 @@ def read_journal(path: str) -> Tuple[List[Tuple[str, Any]], int]:
 
 
 def _parse_line(line: bytes) -> Optional[Tuple[str, Any]]:
-    """``(type, payload)`` for a valid journal line, else ``None``."""
+    """``(type, payload)`` for a valid journal line, else ``None``.
+
+    :func:`encode_record` writes ``{"c":crc,"p":payload,"t":type}``
+    (sorted keys), so the raw bytes between ``,"p":`` and the last
+    ``,"t":`` are the payload's canonical text and the CRC is checked
+    over those bytes as written, without re-serialising the payload.
+    A type is a JSON string, in which ``,"t":`` cannot occur.
+    """
     if not line.endswith(b"\n"):
         return None
     try:
@@ -177,10 +184,14 @@ def _parse_line(line: bytes) -> Optional[Tuple[str, Any]]:
     if not isinstance(document, dict):
         return None
     record_type = document.get("t")
-    crc = document.get("c")
     if not isinstance(record_type, str) or "p" not in document:
         return None
-    if record_crc(record_type, document["p"]) != crc:
+    start = line.find(b',"p":') + 5
+    end = line.rfind(b',"t":')
+    if start < 5 or end < start or not line.endswith(b"}\n"):
+        return None
+    canonical = b"[" + line[end + 5:-2] + b"," + line[start:end] + b"]"
+    if zlib.crc32(canonical) != document.get("c"):
         return None
     return record_type, document["p"]
 

@@ -18,9 +18,9 @@ express:
     Same structure (equal namespace digests), only mapping latencies
     and/or unit costs differ.  Costs never enter a verdict, so
     cost-only edits invalidate nothing.  A latency edit of mapping
-    ``(process, resource)`` can only have touched entries whose
-    dependency metadata lists both the process and the unit owning the
-    resource — everything else is kept.
+    ``(process, resource)`` can only have touched entries whose ECS
+    binds the process (their dependency metadata lists it) — everything
+    else is kept.
 ``structural``
     Different namespace digests.  The old namespace's entries are
     unreachable from the new spec by construction — the conservative
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..io import spec_to_dict
+from ..io.json_io import spec_to_dict
 from .digest import namespace_digest
 from .store import WarmStore
 
@@ -116,40 +116,27 @@ def diff_specs(old_spec, new_spec) -> SpecEdit:
     return SpecEdit(kind, old_ns, new_ns, sorted(latency_edits), cost_edits)
 
 
-def touched_keys(store: WarmStore, edit: SpecEdit, old_spec) -> List[str]:
-    """Key digests in the old namespace the edit can have touched.
+def touched_keys(store: WarmStore, edit: SpecEdit) -> List[str]:
+    """Keys in the old namespace the edit can have touched.
 
     A latency edit of ``(process, resource)`` reaches a verdict only
-    through the utilisation increment of that mapping option, which the
-    option carries only if the verdict's projection contains the unit
-    owning ``resource`` *and* its ECS binds ``process`` — exactly the
-    ``deps`` metadata each entry records.  Cost edits reach nothing
-    (costs order the enumeration; they never enter a verdict).
+    through the utilisation increment of that mapping option, which
+    the ECS digest of the verdict's key covers exactly when its ECS
+    binds ``process`` — every ECS that binds a process carries all of
+    its options, the one owned by ``resource``'s unit included.  So
+    the edit touches exactly the entries whose ``deps`` leaves name
+    the process.  Cost edits reach nothing (costs order the
+    enumeration; they never enter a verdict).
     """
     if edit.kind != "local" or not edit.latency_edits:
         return []
-    unit_of_leaf = old_spec.units.unit_of_leaf
-    pairs = [
-        (process, unit_of_leaf.get(resource))
-        for process, resource in edit.latency_edits
-    ]
+    processes = {process for process, _resource in edit.latency_edits}
     ns = store.namespace(edit.old_namespace)
-    keys: List[str] = []
-    for key, entry in ns.entries.items():
-        leaves = entry.deps.get("l") or ()
-        units = entry.deps.get("u") or ()
-        for process, unit in pairs:
-            if unit is None:
-                # A latency edit on a resource no unit owns cannot have
-                # produced any option record; conservatively drop the
-                # entry anyway if the process appears.
-                if process in leaves:
-                    keys.append(key)
-                    break
-            elif process in leaves and unit in units:
-                keys.append(key)
-                break
-    return keys
+    return [
+        key
+        for key, entry in ns.entries.items()
+        if not processes.isdisjoint(entry.deps.get("l") or ())
+    ]
 
 
 def invalidate(
@@ -165,7 +152,7 @@ def invalidate(
         edit = diff_specs(old_spec, new_spec)
     dropped = 0
     if edit.kind == "local":
-        keys = touched_keys(store, edit, old_spec)
+        keys = touched_keys(store, edit)
         if keys:
             dropped = store.drop(edit.old_namespace, keys)
     return {

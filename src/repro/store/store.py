@@ -20,12 +20,12 @@ lost entry can cause is a cold re-evaluation.  The record types:
     A segment whose header is missing, version-skewed or from another
     namespace is ignored wholesale (counted in ``skewed_segments``).
 ``entry``
-    One verdict: ``{"k": key digest, "deps": {"l": leaves, "u": units},
-    "v": verdict payload}``.  Later segments win on duplicate keys.
+    One verdict: ``{"k": key, "deps": {"l": leaves}, "v": verdict
+    payload}``.  Later segments win on duplicate keys.
     In memory an entry also keeps the verdict its first successful
     decode produced, so later reads skip the payload validation.
 ``drop``
-    Invalidation tombstone: ``{"k": [key digests]}`` — appended by
+    Invalidation tombstone: ``{"k": [keys]}`` — appended by
     :func:`repro.store.diff.invalidate`; compaction erases both the
     tombstone and its targets.
 
@@ -54,8 +54,9 @@ logger = logging.getLogger(__name__)
 #: Segment-file format identifier (first record of every segment).
 SEGMENT_FORMAT = "repro/warm-segment"
 #: Current segment-file version.  Bumping it orphans old segments:
-#: they are skipped loudly and eventually collected by ``gc``.
-SEGMENT_VERSION = 1
+#: they are skipped loudly and eventually collected by ``gc``.  Version
+#: 2 entries carry ``KEY_VERSION`` 2 keys and ``{"l": leaves}`` deps.
+SEGMENT_VERSION = 2
 
 _NS_PREFIX = "ns-"
 _SEG_PREFIX = "seg-"
@@ -87,7 +88,7 @@ class _Namespace:
     def __init__(self, digest: str, path: str) -> None:
         self.digest = digest
         self.path = path
-        #: key digest -> entry (deps, verdict payload, decoded value)
+        #: key -> entry (deps, verdict payload, decoded value)
         self.entries: Dict[str, _Entry] = {}
         self._writer = None
         self._writer_dead = False
@@ -281,38 +282,14 @@ class WarmStore:
         key: str,
         decode: Optional[Callable[[Any], Any]] = None,
     ) -> Any:
-        """The payload stored under ``key``, or ``None`` on a miss.
-
-        With ``decode``, returns ``decode(payload)`` instead, computed
-        on the first read and kept in the entry while it is not
-        ``None`` — a decoder signals a malformed payload with ``None``,
-        so such a payload is decoded (and rejected) on every read.
-        """
-        entry = self.namespace(digest).entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if decode is None:
-            return entry.payload
-        value = entry.value
-        if value is None:
-            value = entry.value = decode(entry.payload)
-        return value
+        """:meth:`WarmBinding.get` in namespace ``digest``."""
+        return self.binding(digest).get(key, decode)
 
     def put(
         self, digest: str, key: str, deps: Dict[str, Any], payload: Any
     ) -> bool:
-        """Record a new entry; returns whether it was appended to disk
-        (``False`` for a known key or when the writer is disabled)."""
-        ns = self.namespace(digest)
-        if key in ns.entries:
-            return False
-        ns.entries[key] = _Entry(deps, payload)
-        if ns._append("entry", {"k": key, "deps": deps, "v": payload}):
-            self.writes += 1
-            return True
-        return False
+        """:meth:`WarmBinding.put` in namespace ``digest``."""
+        return self.binding(digest).put(key, deps, payload)
 
     def drop(self, digest: str, keys: Iterable[str]) -> int:
         """Invalidate ``keys`` in a namespace (tombstone + in-memory).
@@ -445,10 +422,14 @@ class WarmStore:
             ns.close()
         compacted = 0
         for digest in self.namespace_digests():
-            ns = self._namespaces.pop(digest, None)
-            if ns is not None:
-                ns.close()
-            ns = self.namespace(digest)  # fresh load of live entries
+            # A fresh load of the live entries, in place: bindings hold
+            # the namespace object.
+            ns = self._namespaces.get(digest)
+            if ns is None:
+                ns = self.namespace(digest)
+            else:
+                ns.entries.clear()
+                ns.load(self)
             self._compact_namespace(ns)
             compacted += 1
         evicted: List[str] = []
@@ -461,9 +442,10 @@ class WarmStore:
             )
             while ordered and _dir_bytes(self.root) > max_bytes:
                 digest = ordered.pop(0)
-                ns = self._namespaces.pop(digest, None)
+                ns = self._namespaces.get(digest)
                 if ns is not None:
                     ns.close()
+                    ns.entries.clear()
                 _remove_tree(os.path.join(self.root, _NS_PREFIX + digest))
                 evicted.append(digest)
         self.evicted += len(evicted)
@@ -523,21 +505,49 @@ class WarmStore:
 
 
 class WarmBinding:
-    """One evaluator's handle into one store namespace."""
+    """One evaluator's handle into one store namespace.
 
-    __slots__ = ("store", "digest")
+    It holds the namespace, so a read is one dict lookup."""
+
+    __slots__ = ("store", "ns")
 
     def __init__(self, store: WarmStore, digest: str) -> None:
         self.store = store
-        self.digest = digest
+        self.ns = store.namespace(digest)
 
     def get(
         self, key: str, decode: Optional[Callable[[Any], Any]] = None
     ) -> Any:
-        return self.store.get(self.digest, key, decode)
+        """The payload stored under ``key``, or ``None`` on a miss.
+
+        With ``decode``, returns ``decode(payload)`` instead, computed
+        on the first read and kept in the entry while it is not
+        ``None`` — a decoder signals a malformed payload with ``None``,
+        so such a payload is decoded (and rejected) on every read.
+        """
+        entry = self.ns.entries.get(key)
+        if entry is None:
+            self.store.misses += 1
+            return None
+        self.store.hits += 1
+        if decode is None:
+            return entry.payload
+        value = entry.value
+        if value is None:
+            value = entry.value = decode(entry.payload)
+        return value
 
     def put(self, key: str, deps: Dict[str, Any], payload: Any) -> bool:
-        return self.store.put(self.digest, key, deps, payload)
+        """Record a new entry; returns whether it was appended to disk
+        (``False`` for a known key or when the writer is disabled)."""
+        ns = self.ns
+        if key in ns.entries:
+            return False
+        ns.entries[key] = _Entry(deps, payload)
+        if ns._append("entry", {"k": key, "deps": deps, "v": payload}):
+            self.store.writes += 1
+            return True
+        return False
 
 
 # --- process-wide interning ------------------------------------------------

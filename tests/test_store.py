@@ -17,7 +17,7 @@ from repro.boolexpr.sat import BRANCHING_RULE
 from repro.casestudies import build_settop_spec, build_tv_decoder_spec
 from repro.core import explore
 from repro.io import spec_from_dict, spec_to_dict
-from repro.resilience.journal import encode_record
+from repro.resilience.journal import _parse_line, encode_record, record_crc
 from repro.store import (
     KEY_VERSION,
     SEGMENT_FORMAT,
@@ -83,43 +83,43 @@ class TestNamespaceDigest:
         assert namespace_digest(clone) == namespace_digest(settop)
 
 
-def reference_key(evaluator, info, usable):
-    """The key digest and deps as first defined: the canonical JSON of
-    the whole payload, serialised afresh for every key."""
-    cs = evaluator.cs
-    proj_names = sorted(cs.names_of(usable & info.support))
-    domains = [
-        [
-            [
-                rec.resource,
-                rec.owner_bit,
-                rec.owner_top,
-                rec.iface_id,
-                1 if rec.loaded else 0,
-                rec.util_increment,
-            ]
-            for rec in recs
-            if usable >> rec.owner_bit & 1
-        ]
-        for recs in info.options
-    ]
+def reference_key(evaluator, info, usable, packed):
+    """The v2 store key and deps, serialised from scratch: the SHA-256
+    of the canonical JSON of the whole per-ECS payload, then the memo
+    key's integer part (and, where the verdict reads the whole spec,
+    the usable mask) in hex."""
     params = [evaluator.util_bound, evaluator.backend, evaluator.timing_mode]
     if evaluator.backend == "sat":
         params.append(BRANCHING_RULE)
     payload = [
-        KEY_VERSION,
+        2,
         params,
         sorted(info.selection.items()),
         list(info.leaves),
-        proj_names,
-        domains,
+        [
+            [
+                [
+                    rec.resource,
+                    rec.owner_bit,
+                    rec.owner_top,
+                    rec.iface_id,
+                    1 if rec.loaded else 0,
+                    rec.util_increment,
+                ]
+                for rec in recs
+            ]
+            for recs in info.options
+        ],
     ]
-    if evaluator.timing_mode == "schedule" or evaluator.backend == "sat":
+    pinned = evaluator.timing_mode == "schedule" or evaluator.backend == "sat"
+    if pinned:
         payload.append(full_spec_digest(evaluator.spec))
-        payload.append(sorted(cs.names_of(usable)))
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
-    return digest, {"l": list(info.leaves), "u": proj_names}
+    key = hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+    key += ":" + format(packed, "x")
+    if pinned:
+        key += ":" + format(usable, "x")
+    return key, {"l": list(info.leaves)}
 
 
 MODES = [
@@ -130,18 +130,18 @@ MODES = [
 
 
 def checked_keys(monkeypatch, tmp_path, spec, timing_mode, backend):
-    """Explore ``spec`` into a fresh store, asserting every key digest
-    (and its deps) equals the reference; returns the digests."""
+    """Explore ``spec`` into a fresh store, asserting every key (and
+    its deps) equals the reference; returns the keys."""
     keys = []
     key_digest = store_digest.key_digest
 
-    def checked(evaluator, info, usable):
-        digest = key_digest(evaluator, info, usable)
-        expected, deps = reference_key(evaluator, info, usable)
-        assert digest == expected
-        assert store_digest.key_deps(evaluator, info, usable) == deps
-        keys.append(digest)
-        return digest
+    def checked(evaluator, info, usable, packed):
+        key = key_digest(evaluator, info, usable, packed)
+        expected, deps = reference_key(evaluator, info, usable, packed)
+        assert key == expected
+        assert store_digest.key_deps(info) == deps
+        keys.append(key)
+        return key
 
     monkeypatch.setattr(store_digest, "key_digest", checked)
     explore(
@@ -155,8 +155,8 @@ def checked_keys(monkeypatch, tmp_path, spec, timing_mode, backend):
 
 
 class TestKeyDigest:
-    """The key digest is assembled from precomputed per-ECS material;
-    its bytes must equal the canonical JSON of the whole payload."""
+    """The key is a per-ECS digest taken once plus the memo key; its
+    bytes must equal the whole payload serialised from scratch."""
 
     @pytest.mark.parametrize("timing_mode,backend", MODES)
     @pytest.mark.parametrize(
@@ -181,22 +181,85 @@ class TestKeyDigest:
     def test_settop_digest_is_pinned(self, monkeypatch, tmp_path):
         """Changing the key bytes orphans every existing store, so it
         must come with a ``KEY_VERSION`` bump (and a new literal)."""
+        hashes = []
+
+        def sha256(data):
+            hashes.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(
+            store_digest, "hashlib", type("H", (), {"sha256": sha256})
+        )
         keys = checked_keys(
             monkeypatch, tmp_path, build_settop_spec(), "utilization", "csp"
         )
-        assert KEY_VERSION == 1
-        # Only memo misses are digested: a verdict implied by a feasible
+        assert KEY_VERSION == 2
+        # Only memo misses are keyed: a verdict implied by a feasible
         # subset key is not, and neither is a verdict the in-process
-        # memo already holds under the coarser key (usable option
-        # owners plus option-top links) for another allocation.
+        # memo already holds.  One store key per memo key.
         assert len(keys) == 85
-        assert keys[0] == "0441c0e810ad5e6fefaf9ceb372b9331"
+        assert keys[0] == "b07779e5004b5e1ba2e2e101b6ac1f36:200020002"
+        # One SHA-256 per distinct ECS (plus the namespace digest).
+        ecs = {key.split(":")[0] for key in keys}
+        assert len(ecs) == 10
+        assert len(hashes) == len(ecs) + 1
+
+
+def reparsed(line):
+    """``(type, payload)`` of a line, its CRC checked by re-serialising
+    the payload (the check the raw-bytes CRC replaces)."""
+    document = json.loads(line)
+    if record_crc(document["t"], document["p"]) != document["c"]:
+        return None
+    return document["t"], document["p"]
+
+
+class TestSegmentLines:
+    """Lines are CRC-checked over their raw payload bytes."""
+
+    RECORDS = [
+        ("header", {"format": SEGMENT_FORMAT, "version": SEGMENT_VERSION}),
+        ("entry", {"k": "ab:1f", "deps": {"l": ["p", "q"]},
+                   "v": {"b": {"p": "u"}, "d": [1, 2], "ts": 1e-07}}),
+        ("drop", {"k": ["a", "b"]}),
+        ("entry", {"t": ',"t":"x"', "p": [0.1, -2.5e300, None, True]}),
+        ("w\u00e9ird \"type\" ,\"t\":", "caf\u00e9 \u2603 \n\\"),
+        ("empty", {}),
+    ]
+
+    def store_lines(self, tmp_path):
+        explore(build_settop_spec(), warm_store=str(tmp_path))
+        lines = []
+        for dirpath, _dirs, files in os.walk(str(tmp_path)):
+            for name in files:
+                with open(os.path.join(dirpath, name), "rb") as handle:
+                    lines.extend(handle.read().splitlines(keepends=True))
+        return lines
+
+    def test_encoded_lines_parse_as_before(self, tmp_path):
+        lines = self.store_lines(tmp_path)
+        assert len(lines) > 80
+        lines += [
+            encode_record(t, p).encode("utf-8") for t, p in self.RECORDS
+        ]
+        for line in lines:
+            parsed = _parse_line(line)
+            assert parsed is not None and parsed == reparsed(line)
+
+    def test_changed_payload_or_crc_byte_is_rejected(self):
+        for rtype, payload in self.RECORDS:
+            line = encode_record(rtype, payload).encode("utf-8")
+            start = line.index(b":") + 1  # the first CRC digit
+            end = line.rindex(b',"t":')  # past the payload
+            for at in range(start, end):
+                changed = line[:at] + bytes([line[at] ^ 1]) + line[at + 1:]
+                assert _parse_line(changed) is None, (rtype, at, changed)
 
 
 class TestSegmentStore:
     def test_put_get_and_reload(self, tmp_path):
         store = open_store(str(tmp_path))
-        store.put("ns1", "k1", {"l": ["p"], "u": ["u"]}, {"v": 1})
+        store.put("ns1", "k1", {"l": ["p"]}, {"v": 1})
         assert store.get("ns1", "k1") == {"v": 1}
         # a fresh process (simulated by dropping the intern table)
         # reads the entry back from disk
@@ -456,7 +519,7 @@ class TestDiff:
     def test_cost_edit_invalidates_nothing(self, settop, tmp_path):
         store = open_store(str(tmp_path))
         ns = namespace_digest(settop)
-        store.put(ns, "k1", {"l": ["p"], "u": ["u"]}, 1)
+        store.put(ns, "k1", {"l": ["p"]}, 1)
         unit = sorted(settop.units.names())[0]
         patched = with_unit_costs(settop, {unit: 9.0})
         report = invalidate(store, settop, patched)
@@ -465,25 +528,22 @@ class TestDiff:
 
     def test_latency_edit_drops_only_dependent_entries(self, settop, tmp_path):
         process, resource, latency = first_mapping(settop)
-        unit = settop.units.unit_of_leaf[resource]
         store = open_store(str(tmp_path))
         ns = namespace_digest(settop)
-        store.put(ns, "dependent", {"l": [process], "u": [unit]}, 1)
-        store.put(ns, "other-process", {"l": ["nope"], "u": [unit]}, 2)
-        store.put(ns, "other-unit", {"l": [process], "u": ["nope"]}, 3)
+        store.put(ns, "dependent", {"l": ["other", process]}, 1)
+        store.put(ns, "other-process", {"l": ["nope"]}, 2)
         patched = with_latency(settop, {(process, resource): latency + 1})
         edit = diff_specs(settop, patched)
-        assert touched_keys(store, edit, settop) == ["dependent"]
+        assert touched_keys(store, edit) == ["dependent"]
         report = invalidate(store, settop, patched, edit)
         assert report["invalidated"] == 1
         assert store.get(ns, "dependent") is None
         assert store.get(ns, "other-process") == 2
-        assert store.get(ns, "other-unit") == 3
 
     def test_structural_edit_drops_nothing(self, settop, tmp_path):
         store = open_store(str(tmp_path))
         ns = namespace_digest(settop)
-        store.put(ns, "k1", {"l": [], "u": []}, 1)
+        store.put(ns, "k1", {"l": []}, 1)
         document = spec_to_dict(settop)
         document["mappings"] = document["mappings"][1:]
         report = invalidate(store, settop, spec_from_dict(document))
