@@ -8,8 +8,8 @@ determinism seam, so it must satisfy two claims at once:
   document byte-identical to an unobserved run.
 * **Cheapness** — the end-to-end overhead of full telemetry on the
   settop case study stays within :data:`OVERHEAD_BUDGET` (5%) on the
-  serial path; the batched replay (the path of budgeted, checkpointed,
-  sharded and service runs) is measured too.
+  serial path; the batched replay (the path of budgeted, checkpointed
+  and service runs) is measured too.
 
 Plus mechanism microbenchmarks: raw counter increments, histogram
 observations, phase charges, and whole-process resource snapshots

@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=None, metavar="N",
         help=(
             "candidates per batch of the batched replay that runs "
-            "budgets, checkpoints and shards"
+            "budgets and checkpoints"
         ),
     )
     explore_cmd.add_argument(
@@ -228,55 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
             "recorded by earlier runs in DIR and record this run's "
             "(results are byte-identical either way; see 'repro cache' "
             "and docs/performance.md)"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=(
-            "partition the allocation space into N disjoint shards, "
-            "explore each independently and replay-merge the fronts "
-            "(byte-identical to an unsharded run; see docs/distributed.md)"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--shard-strategy", choices=("band", "prefix"), default="band",
-        help=(
-            "partition by total-cost bands (default) or by allocation "
-            "prefixes over the most balanced BDD variables"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--shard-mode", choices=("inline", "service", "remote"),
-        default="inline",
-        help=(
-            "dispatch shards in this process (default), through an "
-            "exploration service, or to 'repro shard-worker' servers"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--shard-workers", metavar="HOST:PORT,...", default=None,
-        help="comma-separated shard-worker addresses (remote mode)",
-    )
-    explore_cmd.add_argument(
-        "--shard-dir", metavar="DIR", default=None,
-        help=(
-            "durable workdir for the shard manifest and per-shard "
-            "checkpoint journals (a rerun resumes finished shards); "
-            "default: a temporary directory"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--heartbeat-seconds", type=float, default=None, metavar="S",
-        help=(
-            "remote mode: ask workers to stream heartbeat frames every "
-            "S seconds while a shard runs (default 1; 0 disables)"
-        ),
-    )
-    explore_cmd.add_argument(
-        "--heartbeat-timeout", type=float, default=None, metavar="S",
-        help=(
-            "remote mode: declare a worker hung (and fail the shard "
-            "over) after S seconds without a frame (default 30)"
         ),
     )
     explore_cmd.add_argument(
@@ -550,34 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump output format (default json)",
     )
 
-    shard_worker = commands.add_parser(
-        "shard-worker",
-        help="serve shard runs for distributed exploration",
-        description=(
-            "Run a shard-worker server: accept 'run' requests from a "
-            "sharded 'repro explore' coordinator over the CRC-framed "
-            "shard protocol, journal each shard into DIR and reply "
-            "with the result and journal.  A worker killed mid-run and "
-            "restarted on the same DIR resumes every shard from its "
-            "newest snapshot — the coordinator's bounded retries make "
-            "the merged front identical to an uninterrupted run."
-        ),
-    )
-    shard_worker.add_argument(
-        "dir", help="worker journal directory (created if missing)"
-    )
-    shard_worker.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    shard_worker.add_argument(
-        "--port", type=int, default=0,
-        help="bind port (default 0 = ephemeral; the bound port is printed)",
-    )
-    shard_worker.add_argument(
-        "--max-requests", type=int, default=None, metavar="N",
-        help="exit after serving N connections (default: until shutdown)",
-    )
-
     submit = commands.add_parser(
         "submit",
         help="spool a job for an exploration service",
@@ -739,24 +662,6 @@ def _export_tracer(tracer, jsonl, chrome, out) -> None:
 
 
 def _cmd_explore(args, out) -> int:
-    if args.shards is not None and (
-        args.checkpoint is not None or args.resume is not None
-    ):
-        print(
-            "error: --shards manages its own per-shard journals under "
-            "--shard-dir; do not combine it with --checkpoint/--resume",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    if args.shards is None and args.shard_workers is not None:
-        print(
-            "error: --shard-workers requires --shards N "
-            "--shard-mode remote",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    if args.shards is not None:
-        return _cmd_explore_sharded(args, out)
     if args.resume is not None:
         if args.spec is not None:
             print(
@@ -841,115 +746,6 @@ def _cmd_explore(args, out) -> int:
         _print(f"wrote {args.svg}", out)
     _export_tracer(tracer, args.trace, args.chrome_trace, out)
     return EXIT_OK if result.completed else EXIT_TRUNCATED
-
-
-def _cmd_explore_sharded(args, out) -> int:
-    """The --shards branch of explore: partition, dispatch, merge."""
-    from .distributed import explore_sharded
-
-    if args.spec is None:
-        print("error: a specification file is required", file=sys.stderr)
-        return EXIT_ERROR
-    spec = load_spec(args.spec)
-    tracer = _build_tracer(args, spec)
-    workers = None
-    if args.shard_workers is not None:
-        workers = [
-            address.strip()
-            for address in args.shard_workers.split(",")
-            if address.strip()
-        ]
-    supervision_kwargs = {}
-    if args.heartbeat_seconds is not None:
-        # 0 disables beats (legacy single end-of-run receive).
-        supervision_kwargs["heartbeat_seconds"] = (
-            args.heartbeat_seconds or None
-        )
-    if args.heartbeat_timeout is not None:
-        supervision_kwargs["heartbeat_timeout"] = args.heartbeat_timeout
-    sharded = explore_sharded(
-        spec,
-        shards=args.shards,
-        strategy=args.shard_strategy,
-        mode=args.shard_mode,
-        workers=workers,
-        workdir=args.shard_dir,
-        checkpoint_every=args.checkpoint_every,
-        **supervision_kwargs,
-        tracer=tracer,
-        util_bound=args.util_bound,
-        max_cost=args.max_cost,
-        check_utilization=not args.no_timing,
-        keep_ties=args.keep_ties,
-        timing_mode=args.timing_mode,
-        batch_size=args.batch_size,
-        deadline_seconds=args.deadline,
-        max_evaluations=args.max_evaluations,
-        engine=args.engine,
-    )
-    result = sharded.result
-    _print(
-        f"sharded explore: {len(sharded.shards)} "
-        f"{sharded.strategy} shards via {sharded.mode} "
-        f"(merge {sharded.merge_seconds:.3f}s)",
-        out,
-    )
-    lost = sharded.lost_shards
-    if lost:
-        _print(
-            f"LOST shards {[s.index for s in lost]}: front degraded to "
-            f"the sound prefix below (see the gap)",
-            out,
-        )
-    _print(pareto_table(result), out)
-    if not result.completed and result.gap is not None:
-        gap = result.gap
-        _print(
-            f"TRUNCATED ({gap.reason}): best-so-far front; any missed "
-            f"implementation costs >= ${gap.next_cost_bound:g} and no "
-            f"implementation exceeds flexibility "
-            f"{gap.flexibility_bound:g} (achieved "
-            f"{gap.achieved_flexibility:g})",
-            out,
-        )
-    if args.plot:
-        _print(tradeoff_plot(result.front()), out)
-    if args.stats:
-        _print(stats_table(result), out)
-    if args.json:
-        dump_result(result, args.json)
-        _print(f"wrote {args.json}", out)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(result_to_csv(result))
-        _print(f"wrote {args.csv}", out)
-    if args.svg:
-        from .report import save_front_svg
-
-        save_front_svg(
-            result.front(), args.svg, title=f"{spec.name}: front"
-        )
-        _print(f"wrote {args.svg}", out)
-    _export_tracer(tracer, args.trace, args.chrome_trace, out)
-    return EXIT_OK if result.completed else EXIT_TRUNCATED
-
-
-def _cmd_shard_worker(args, out) -> int:
-    from .distributed import serve
-
-    def ready(bound) -> None:
-        _print(f"shard-worker listening on {bound[0]}:{bound[1]}", out)
-        if out is sys.stdout:
-            out.flush()
-
-    serve(
-        args.dir,
-        host=args.host,
-        port=args.port,
-        max_requests=args.max_requests,
-        ready=ready,
-    )
-    return EXIT_OK
 
 
 def _cmd_explain(args, out) -> int:
@@ -1346,7 +1142,6 @@ _HANDLERS = {
     "cache": _cmd_cache,
     "top": _cmd_top,
     "telemetry": _cmd_telemetry,
-    "shard-worker": _cmd_shard_worker,
     "submit": _cmd_submit,
     "jobs": _cmd_jobs,
     "watch": _cmd_watch,

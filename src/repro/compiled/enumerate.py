@@ -30,7 +30,7 @@ class MaskAllocationEnumerator:
     :meth:`peek_cost` / :meth:`next_band` expose the heap a *cost band*
     at a time — every candidate of the next (equal) cost value in one
     call, in the exact global pop order — so block consumers (the
-    vectorized batch kernel, shard planners) never reach into the heap
+    vectorized batch kernel) never reach into the heap
     internals.  The band cursor is stateful and single-stream: it is
     independent of the fresh streams :meth:`iter_masks` / ``__iter__``
     create, but interleaving two band consumers on one enumerator would

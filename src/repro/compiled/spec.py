@@ -79,7 +79,6 @@ class EcsInfo:
         "leaves",
         "options",
         "neighbor_index",
-        "support",
         "owners",
         "tops",
     )
@@ -92,7 +91,6 @@ class EcsInfo:
         leaves: Tuple[str, ...],
         options: Tuple[Tuple[OptionRec, ...], ...],
         neighbor_index: Tuple[Tuple[int, ...], ...],
-        support: int,
         owners: int,
         tops: int,
     ) -> None:
@@ -105,11 +103,6 @@ class EcsInfo:
         #: Undirected neighbour adjacency of the flattened edges, as
         #: positions in ``leaves``, aligned with ``leaves``.
         self.neighbor_index = neighbor_index
-        #: Relevance projection mask: the union of every option's
-        #: ``owner_mask`` plus all communication units — every unit bit
-        #: this ECS's binding verdict can depend on.  The verdict memo
-        #: and the warm store read less of it (``owners`` and ``tops``).
-        self.support = support
         #: Unit bits of every option's owner: ``usable & owners`` fixes
         #: the search's domains.
         self.owners = owners
@@ -368,13 +361,6 @@ class CompiledSpec:
             for c in self.cluster_names
         }
         self.root_support = self._scope_support(None, supports, support_memo)
-        #: Every binding verdict may additionally depend on which
-        #: communication units are usable (they route traffic).
-        comm_support = 0
-        for i in range(n):
-            if comm_mask >> i & 1:
-                comm_support |= self.with_anc_masks[i]
-        self.comm_support = comm_support
 
         # --- cross-candidate caches (parameter-independent) ----------------
         self._supported_cache: Dict[int, bool] = {}
@@ -737,12 +723,10 @@ class CompiledSpec:
                     f"got {period}"
                 )
         options = tuple(self.leaf_options[leaf] for leaf in leaves)
-        support = self.comm_support
         owners = 0
         tops = 0
         for recs in options:
             for rec in recs:
-                support |= rec.owner_mask
                 owners |= 1 << rec.owner_bit
                 tops |= 1 << rec.owner_top
         # Undirected neighbour adjacency of the flattened edges
@@ -760,5 +744,5 @@ class CompiledSpec:
         )
         return EcsInfo(
             sel_mask, selection, flat, leaves, options, neighbor_index,
-            support, owners, tops,
+            owners, tops,
         )

@@ -21,11 +21,10 @@ to the progress emitter, tracer and profiler.  Every way of running
 EXPLORE is a driver that only supplies candidates in cost order and a
 probe answering the rule's questions — the serial loop below (the
 evaluator itself), the block kernel of :mod:`repro.compiled.batch`
-(its arrays), the batched replay of :mod:`repro.parallel` and the
-shard merge of :mod:`repro.distributed` (recorded outcomes), and the
-upgrade search of :mod:`repro.core.incremental`.  Their pruning
-decisions, statistics and tie-breaking therefore agree by
-construction.
+(its arrays), the batched replay of :mod:`repro.parallel` (recorded
+outcomes), and the upgrade search of :mod:`repro.core.incremental`.
+Their pruning decisions, statistics and tie-breaking therefore agree
+by construction.
 """
 
 from __future__ import annotations
@@ -107,18 +106,13 @@ class ExplorationSetup(NamedTuple):
 #
 # Every ``explore()`` parameter after ``spec`` is declared once, below,
 # with its role; every other list of parameter names in the package
-# (merge, resume, checkpoint header, service jobs, shard-worker runs,
-# evaluator and pipeline parameters) is derived from this table.
+# (resume, checkpoint header, service jobs, evaluator and pipeline
+# parameters) is derived from this table.
 
-#: Changes the front: shard runs and their merge must agree on it, and
-#: a resume may not change it.
+#: Changes the front: a resume may not change it.
 RESULT = "result"
-#: Counts enumeration positions (``max_candidates``): meaningless
-#: across shards, frozen on resume.
+#: Counts enumeration positions (``max_candidates``): frozen on resume.
 POSITION = "position"
-#: The candidate slice a shard run owns: frozen on resume, because the
-#: journaled cursor counts positions of that slice.
-SHARD = "shard"
 #: How the work runs; never changes the result, so a resume may
 #: override it.
 GEOMETRY = "geometry"
@@ -135,8 +129,7 @@ class ExploreParam(NamedTuple):
     name: str
     role: str
     #: Where the parameter travels besides its role: ``job`` (a service
-    #: submission may set it), ``run`` (a shard-worker run request may
-    #: carry it), ``evaluator`` (an argument of
+    #: submission may set it), ``evaluator`` (an argument of
     #: :func:`~repro.core.evaluation.make_evaluator`) and ``pipeline``
     #: (a switch of the per-candidate pipeline).
     tags: FrozenSet[str]
@@ -147,29 +140,28 @@ EXPLORE_PARAMS = tuple(
     ExploreParam(name, role, frozenset(tags.split()))
     for name, role, tags in (
         # name                 role      tags
-        ("util_bound",          RESULT,   "job run evaluator"),
-        ("max_cost",            RESULT,   "job run"),
+        ("util_bound",          RESULT,   "job evaluator"),
+        ("max_cost",            RESULT,   "job"),
         ("max_candidates",      POSITION, "job"),
-        ("use_possible_filter", RESULT,   "job run pipeline"),
-        ("use_estimation",      RESULT,   "job run pipeline"),
-        ("prune_comm",          RESULT,   "job run pipeline"),
-        ("check_utilization",   RESULT,   "job run evaluator"),
-        ("weighted",            RESULT,   "job run evaluator"),
-        ("backend",             RESULT,   "job run evaluator"),
-        ("keep_ties",           RESULT,   "job run pipeline"),
-        ("timing_mode",         RESULT,   "job run evaluator"),
-        ("require_units",       RESULT,   "job run"),
-        ("forbid_units",        RESULT,   "job run"),
-        ("batch_size",          GEOMETRY, "job run"),
-        ("deadline_seconds",    BUDGET,   "run"),
-        ("max_evaluations",     BUDGET,   "run"),
+        ("use_possible_filter", RESULT,   "job pipeline"),
+        ("use_estimation",      RESULT,   "job pipeline"),
+        ("prune_comm",          RESULT,   "job pipeline"),
+        ("check_utilization",   RESULT,   "job evaluator"),
+        ("weighted",            RESULT,   "job evaluator"),
+        ("backend",             RESULT,   "job evaluator"),
+        ("keep_ties",           RESULT,   "job pipeline"),
+        ("timing_mode",         RESULT,   "job evaluator"),
+        ("require_units",       RESULT,   "job"),
+        ("forbid_units",        RESULT,   "job"),
+        ("batch_size",          GEOMETRY, "job"),
+        ("deadline_seconds",    BUDGET,   ""),
+        ("max_evaluations",     BUDGET,   ""),
         ("checkpoint",          SESSION,  ""),
         ("checkpoint_every",    GEOMETRY, ""),
         ("progress",            SESSION,  ""),
         ("progress_every",      SESSION,  ""),
         ("tracer",              SESSION,  ""),
-        ("engine",              GEOMETRY, "job run evaluator"),
-        ("shard",               SHARD,    "job"),
+        ("engine",              GEOMETRY, "job evaluator"),
         ("warm_store",          GEOMETRY, "evaluator"),
         ("telemetry",           SESSION,  ""),
     )
@@ -335,8 +327,8 @@ class ExploreState:
     candidates, in cost order, each with a *probe*: any object with the
     evaluator protocol ``possible`` / ``comm_pruned`` / ``estimate`` /
     ``evaluate`` / ``infeasibility_reason``.  The serial loop passes
-    the evaluator itself; the batched replay and the shard merge pass
-    an :class:`~repro.parallel.worker.OutcomeProbe` over recorded
+    the evaluator itself; the batched replay passes an
+    :class:`~repro.parallel.worker.OutcomeProbe` over recorded
     outcomes; the block kernel passes a view of its arrays.
 
     Per candidate, a driver calls :meth:`admit` (the flexibility and
@@ -344,8 +336,8 @@ class ExploreState:
     :meth:`step` (count it and decide it); either returning ``False``
     ends the run.  The block kernel's fast mode counts the rows it
     skips itself and calls :meth:`bind` for each survivor.
-    Driver-specific stops (anytime budgets, the shard gap) go through
-    :meth:`stop`; :meth:`finish` builds the result.
+    Driver-specific stops (anytime budgets) go through :meth:`stop`;
+    :meth:`finish` builds the result.
 
     ``timed`` — the probe computes in this process, so its estimate
     and evaluate calls are charged to the tracer/profiler phases and
@@ -601,8 +593,8 @@ class ExploreState:
         self, truncation: Optional[OptimalityGap] = None
     ) -> ExplorationResult:
         """The final dominance pass, end events and the result;
-        ``truncation`` is the gap of a run a budget or a shard gap cut
-        short (``None`` for a complete run)."""
+        ``truncation`` is the gap of a run a budget cut short
+        (``None`` for a complete run)."""
         points = self.points
         # Cost-ordered discovery with strictly increasing flexibility
         # makes the points mutually non-dominated except for one corner
@@ -698,7 +690,6 @@ def explore(
     progress_every: Optional[int] = None,
     tracer=None,
     engine: Optional[str] = None,
-    shard=None,
     warm_store=None,
     telemetry=None,
 ) -> ExplorationResult:
@@ -742,9 +733,9 @@ def explore(
         variants of the case study.
     batch_size:
         Candidates per batch of the batched replay (default
-        :data:`repro.parallel.BATCH_SIZE_DEFAULT`), which runs a budget,
-        a checkpoint or a shard; the returned Pareto set, statistics
-        and tie-breaking are identical to the serial loop (see
+        :data:`repro.parallel.BATCH_SIZE_DEFAULT`), which runs a budget
+        or a checkpoint; the returned Pareto set, statistics and
+        tie-breaking are identical to the serial loop (see
         :mod:`repro.parallel` and ``docs/parallel.md``).  Ignored by a
         run that needs none of them.
     deadline_seconds / max_evaluations:
@@ -788,14 +779,6 @@ def explore(
         differentially tested against the reference on every corpus —
         so this is purely a performance/debugging escape hatch (see
         ``docs/performance.md``).
-    shard:
-        A :class:`repro.distributed.Shard`: restrict the run to the
-        candidates one member of a disjoint, exhaustive partition owns
-        (in global enumeration order).  Shard runs are building blocks
-        of distributed exploration — their merge reproduces the
-        whole-space result byte-for-byte; see :mod:`repro.distributed`
-        and ``docs/distributed.md``.  Incompatible with
-        ``max_candidates``.
     warm_store:
         Directory of a persistent warm-start verdict store (or a
         :class:`repro.store.WarmStore`): the compiled kernel's binding
@@ -833,9 +816,8 @@ def explore(
         deadline_seconds is not None
         or max_evaluations is not None
         or checkpoint is not None
-        or shard is not None
     ):
-        # Budgets, checkpoints and shards live in the batched replay
+        # Budgets and checkpoints live in the batched replay
         # loop, which reproduces this serial loop exactly
         # (differentially tested).
         from ..parallel import explore_batched

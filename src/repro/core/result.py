@@ -191,7 +191,7 @@ class ExplorationStats:
         The :attr:`events` log is not a counter and is excluded, and so
         are the memo/warm cache counters (:attr:`CACHE_COUNTERS`):
         everything here is replay-deterministic — identical for serial,
-        batched, sharded and resumed runs — while cache hit/miss splits
+        batched and resumed runs — while cache hit/miss splits
         are execution-dependent diagnostics (:meth:`cache_dict`).
         """
         skip = set(self.CACHE_COUNTERS)

@@ -79,28 +79,15 @@ class TraceError(ReproError):
     """A trace was configured inconsistently or failed validation."""
 
 
-class ProtocolError(ReproError):
-    """A distributed worker message is truncated, garbled or has an
-    unsupported format/version.
-
-    The shard-worker wire protocol (:mod:`repro.distributed.protocol`)
-    rejects every malformed frame loudly with this error — corruption
-    is never silently dropped, mirroring the CRC-journal contract of
-    :mod:`repro.resilience.journal`.
-    """
-
-
 class HangError(ReproError):
     """A supervised activity stopped making observable progress.
 
-    Raised by the supervision plane (:mod:`repro.supervision`) when a
-    watchdog's heartbeat timeout elapses: a shard worker that accepted
-    a run but stopped heartbeating, or a service job slice that wedged
-    inside an evaluation.  A hang is distinct from a *death*
-    (``ConnectionError`` — the peer is gone) and from mere slowness
-    (heartbeats still arriving): the activity is alive but not
-    progressing, so the supervisor preempts it rather than waiting
-    forever.
+    Raised by :func:`repro.supervision.run_bounded` when a supervised
+    call overruns its wall-clock budget: a service job slice that
+    wedged inside an evaluation.  A hang is distinct from a failure
+    (the call raised) and from mere slowness (the call finished within
+    its budget): the activity is alive but not progressing, so the
+    supervisor preempts it rather than waiting forever.
     """
 
 

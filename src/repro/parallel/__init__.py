@@ -18,8 +18,8 @@ monotone non-decreasing), the replay reproduces the serial loop's
 pruning decisions, statistics, Pareto set and tie-breaking *bit for
 bit* — see :mod:`repro.parallel.batched` for the invariant and
 ``tests/test_parallel_explore.py`` for the differential proof.  The
-batch boundaries are where anytime budgets, checkpoints, shards and
-service slices hook in.
+batch boundaries are where anytime budgets, checkpoints and service
+slices hook in.
 
 Evaluation outcomes are memoised across batches in an
 :class:`EvaluationCache` keyed on the canonical allocation signature

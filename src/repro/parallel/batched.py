@@ -11,7 +11,7 @@ every incumbent-dependent decision — estimate pruning, tie handling,
 stops, Pareto recording — is the serial loop's by construction.  This
 module only batches, evaluates, advances the replay cursor, checks the
 anytime budgets and writes checkpoints: every budgeted, checkpointed,
-resumed, sharded or service-sliced run goes through it.
+resumed or service-sliced run goes through it.
 
 Why the replay always has what it needs
 ---------------------------------------
@@ -214,7 +214,6 @@ def explore_batched(
     progress_every: Optional[int] = None,
     tracer=None,
     engine: Optional[str] = None,
-    shard=None,
     warm_store=None,
     telemetry=None,
     _resume=None,
@@ -244,21 +243,6 @@ def explore_batched(
     """
     options = bound_params(locals())
     validate_bound_options(options)
-    if shard is not None:
-        from ..distributed.partition import Shard
-
-        if isinstance(shard, dict):
-            shard = Shard.from_dict(shard)
-        if not isinstance(shard, Shard):
-            raise ExplorationError(
-                f"shard must be a repro.distributed.Shard (or its "
-                f"dictionary form), got {type(shard).__name__}"
-            )
-        if max_candidates is not None:
-            raise ExplorationError(
-                "max_candidates counts enumeration positions, which "
-                "differ per shard; it cannot be combined with shard"
-            )
     from ..resilience.anytime import AnytimeBudget
 
     emitter = ProgressEmitter(progress, progress_every)
@@ -326,11 +310,7 @@ def explore_batched(
         writer = CheckpointWriter(
             checkpoint,
             spec,
-            header_params(
-                options,
-                checkpoint_every=every,
-                shard=shard.to_dict() if shard is not None else None,
-            ),
+            header_params(options, checkpoint_every=every),
             resume_length=(
                 _resume.valid_length if _resume is not None else None
             ),
@@ -352,14 +332,6 @@ def explore_batched(
     if tracer is not None or profiler is not None:
         candidate_stream = _charged_enumeration(
             candidate_stream, (tracer, profiler)
-        )
-    if shard is not None:
-        # The shard's sub-stream preserves global enumeration order, so
-        # the replay below — and the checkpoint cursor — count positions
-        # in the shard's own deterministic sequence.
-        shard.validate_for(setup.extra_names)
-        candidate_stream = shard.filter_stream(
-            candidate_stream, setup.required_cost
         )
     if cursor:
         skipped = sum(

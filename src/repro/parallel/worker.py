@@ -110,9 +110,8 @@ class CandidateOutcome:
 class OutcomeProbe:
     """The evaluator protocol answered from recorded outcomes.
 
-    The replay drivers (the batched replay and the shard merge) set
-    :attr:`outcome` to the current candidate's
-    :class:`CandidateOutcome` and hand the probe to
+    The batched replay sets :attr:`outcome` to the current candidate's
+    :class:`CandidateOutcome` and hands the probe to
     :class:`repro.core.explorer.ExploreState`, which asks it exactly
     what it would ask a live evaluator.
     """

@@ -17,13 +17,10 @@ return a *valid, bounded* answer under all of that:
   candidate whose evaluation fails with a worker error is quarantined
   (counted and recorded as an event in ``ExplorationResult.stats``),
   then rescued by a fault-free re-evaluation — never silently dropped;
-* **retry schedules** (:mod:`.retry`) — deterministic exponential
-  backoff with jitter, used by the shard-dispatch circuit breakers;
 * a **fault-injection harness** (:mod:`.faults`) — deterministic
   transient/permanent worker errors, delays, cache corruption
-  and process aborts, plus ``"net"`` (stall / truncate / duplicate /
-  reset) and ``"disk"`` (torn write / ENOSPC / fsync failure) seams
-  for the chaos matrix in ``tests/test_chaos.py``.
+  and process aborts, plus the ``"disk"`` (torn write / ENOSPC /
+  fsync failure) seam for the chaos matrix in ``tests/test_chaos.py``.
 
 Submodules are imported lazily (PEP 562) so that low-level users —
 :func:`.faults.install` sets the seam in ``repro.parallel.worker`` —
@@ -42,7 +39,6 @@ __all__ = [
     "JournalWriter",
     "LoadedCheckpoint",
     "OptimalityGap",
-    "RetryPolicy",
     "SimulatedCrash",
     "corrupt_cache_entry",
     "inject",
@@ -69,7 +65,6 @@ _LAZY = {
     "maybe_action": ("faults", "maybe_action"),
     "JournalWriter": ("journal", "JournalWriter"),
     "read_journal": ("journal", "read_journal"),
-    "RetryPolicy": ("retry", "RetryPolicy"),
 }
 
 

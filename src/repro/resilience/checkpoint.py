@@ -34,7 +34,6 @@ from ..core.explorer import (
     GEOMETRY,
     POSITION,
     RESULT,
-    SHARD,
     bound_params,
     param_names,
 )
@@ -230,6 +229,16 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('version')!r}"
         )
+    params = dict(header.get("params", {}))
+    if params.get("shard") is not None:
+        # The journal of a run over one slice of the allocation space
+        # (a parameter this version no longer has): its front is not
+        # the answer for the whole space, so refuse it loudly.
+        raise CheckpointError(
+            f"checkpoint journal {path!r} records a 'shard' run; its "
+            f"front covers only part of the allocation space and it "
+            f"cannot be resumed"
+        )
     spec = spec_from_dict(header["spec"])
     cache = EvaluationCache()
     snapshot: Optional[Dict[str, Any]] = None
@@ -267,7 +276,7 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
     ]
     return LoadedCheckpoint(
         spec=spec,
-        params=dict(header.get("params", {})),
+        params=params,
         cursor=int(snapshot["cursor"]),
         f_cur=float(snapshot["f_cur"]),
         points=points,
@@ -282,10 +291,10 @@ def load_checkpoint(path: str) -> LoadedCheckpoint:
 #: ``explore_batched`` keyword arguments persisted in the header and
 #: restored verbatim on resume: every parameter but the per-session
 #: seams.  Execution geometry and budgets are overridable on resume.
-_RESUMABLE_PARAMS = param_names(RESULT, POSITION, SHARD, GEOMETRY, BUDGET)
+_RESUMABLE_PARAMS = param_names(RESULT, POSITION, GEOMETRY, BUDGET)
 #: The resumable parameters a resume may not change: the journaled
 #: outcomes and cursor were computed under them.
-_FROZEN_PARAMS = param_names(RESULT, POSITION, SHARD)
+_FROZEN_PARAMS = param_names(RESULT, POSITION)
 
 
 def header_params(options: Dict[str, Any], **values: Any) -> Dict[str, Any]:
@@ -348,8 +357,6 @@ def resume_explore(
         raise CheckpointError(
             f"unknown resume override(s) {sorted(unknown)!r}"
         )
-    if hasattr(overrides.get("shard"), "to_dict"):
-        overrides["shard"] = overrides["shard"].to_dict()
     bad = {
         name
         for name in overrides

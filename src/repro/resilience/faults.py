@@ -2,22 +2,16 @@
 
 Flexibility claims about the *runtime* deserve the same standard the
 paper applies to designs: quantified behaviour under disturbance.  This
-module injects disturbances at four seams of the runtime —
+module injects disturbances at three seams of the runtime —
 
 * ``"worker"`` — fired at the top of
   :func:`repro.parallel.worker.evaluate_candidate`;
 * ``"checkpoint"`` — fired right after a checkpoint record reaches
   stable storage (used to simulate a process killed at a checkpoint
   boundary);
-* ``"net"`` — fired per frame in the shard wire protocol
-  (:meth:`repro.distributed.protocol.MessageStream.send`).  Actions:
-  ``delay`` (slow link), ``stall`` (link wedges for ``stall_seconds``
-  — the heartbeat watchdog's job to catch), ``truncate`` (connection
-  dies mid-frame; the peer sees a torn frame), ``duplicate`` (the
-  frame is delivered twice), ``reset`` (connection reset by peer);
-* ``"disk"`` — fired per journal/manifest write
-  (:meth:`repro.resilience.journal.JournalWriter.append`,
-  :func:`repro.io.shard_io.dump_manifest`).  Actions: ``torn`` (half
+* ``"disk"`` — fired per journal write
+  (:meth:`repro.resilience.journal.JournalWriter.append`).  Actions:
+  ``torn`` (half
   the record reaches disk, then the process dies —
   :class:`SimulatedCrash`), ``enospc`` (``OSError(ENOSPC)``),
   ``fsync_fail`` (data written, durability barrier fails).
@@ -29,11 +23,11 @@ which one: a transient error, a permanent error, a worker crash
 or a whole-process abort (:class:`SimulatedCrash`).
 
 The ``worker``/``checkpoint`` seams call :func:`maybe_inject`,
-which *performs* the generic actions.  The ``net``/``disk`` seams call
+which *performs* the generic actions.  The ``disk`` seam calls
 :func:`maybe_action` instead, which only *names* the scheduled action —
-tearing a frame or failing an fsync needs the site's own file handles
-and sockets, so the site implements the behaviour and the plan stays a
-pure schedule.
+tearing a record or failing an fsync needs the site's own file handle,
+so the site implements the behaviour and the plan stays a pure
+schedule.
 
 Install a plan with :func:`inject` (a context manager) and keep
 correctness paths honest with :func:`suppressed`, which the quarantine
@@ -51,21 +45,16 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..errors import PermanentWorkerError, TransientWorkerError
 
-#: Network fault actions (implemented by the ``"net"`` seam).
-NET_ACTIONS = ("delay", "stall", "truncate", "duplicate", "reset")
-
 #: Disk fault actions (implemented by the ``"disk"`` seam).
 DISK_ACTIONS = ("torn", "enospc", "fsync_fail")
 
 #: Fault actions a plan may schedule.
 ACTIONS = (
-    ("transient", "permanent", "crash", "delay", "abort")
-    + tuple(a for a in NET_ACTIONS if a != "delay")
-    + DISK_ACTIONS
-)
+    "transient", "permanent", "crash", "delay", "abort"
+) + DISK_ACTIONS
 
 #: The seams at which :func:`maybe_inject` / :func:`maybe_action` fire.
-SITES = ("worker", "checkpoint", "net", "disk")
+SITES = ("worker", "checkpoint", "disk")
 
 
 class SimulatedCrash(RuntimeError):
@@ -102,7 +91,6 @@ class FaultPlan:
         crash_rate: float = 0.0,
         delay_rate: float = 0.0,
         delay_seconds: float = 0.0,
-        stall_seconds: float = 30.0,
         max_faults: Optional[int] = None,
     ) -> None:
         self.seed = seed
@@ -121,11 +109,6 @@ class FaultPlan:
         self.crash_rate = crash_rate
         self.delay_rate = delay_rate
         self.delay_seconds = delay_seconds
-        #: How long a ``stall`` wedges the link.  Finite (not literally
-        #: forever) so chaos tests terminate even when supervision is
-        #: deliberately disabled; with it enabled, the heartbeat
-        #: watchdog preempts the stall long before this elapses.
-        self.stall_seconds = stall_seconds
         self.max_faults = max_faults
         self._rng = random.Random(seed)
         self._calls: Dict[str, int] = {site: 0 for site in SITES}
@@ -157,8 +140,8 @@ class FaultPlan:
 
         Returns the action name (logged, counted against
         ``max_faults``) or ``None``.  The caller implements the
-        behaviour — this is the API of the ``"net"``/``"disk"`` seams,
-        whose faults need the site's own sockets and file handles.
+        behaviour — this is the API of the ``"disk"`` seam, whose
+        faults need the site's own file handle.
         """
         self._calls[site] = self._calls.get(site, 0) + 1
         call_index = self._calls[site]
@@ -199,7 +182,7 @@ class FaultPlan:
             )
         raise ValueError(
             f"action {action!r} scheduled at generic seam {site!r}; "
-            f"net/disk actions are implemented by their seams via "
+            f"disk actions are implemented by their seam via "
             f"maybe_action()"
         )
 
@@ -240,8 +223,8 @@ def maybe_action(site: str, **context: Any) -> Optional[str]:
     """Name the active plan's scheduled action at ``site`` (or ``None``).
 
     The caller-implemented twin of :func:`maybe_inject`, used by the
-    ``"net"`` and ``"disk"`` seams whose faults require the site's own
-    sockets and file handles.  Respects :func:`suppressed`.
+    ``"disk"`` seam whose faults require the site's own file handle.
+    Respects :func:`suppressed`.
     """
     plan = _ACTIVE
     if plan is None or getattr(_LOCAL, "suppressed", False):

@@ -38,21 +38,6 @@ def validate_options(options: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         raise ServiceError(
             f"trace option must be 'spans' or 'audit', got {trace!r}"
         )
-    shard = options.get("shard")
-    if shard is not None:
-        if hasattr(shard, "to_dict"):
-            # Ledger records are JSON; journal the descriptor form.
-            shard = options["shard"] = shard.to_dict()
-        if not isinstance(shard, dict):
-            raise ServiceError(
-                f"shard option must be a shard descriptor object, "
-                f"got {type(shard).__name__}"
-            )
-        if options.get("max_candidates") is not None:
-            raise ServiceError(
-                "max_candidates is incompatible with a sharded job: "
-                "it counts enumeration positions, which differ per shard"
-            )
     return options
 
 

@@ -73,7 +73,7 @@ class Counter:
         """Synchronise with an externally accumulated monotone total.
 
         Collectors that mirror another component's lifetime counters
-        (warm-store hits, fleet heartbeats, ...) set the absolute value
+        (warm-store hits, ...) set the absolute value
         instead of computing deltas; monotonicity is still enforced.
         """
         total = float(total)

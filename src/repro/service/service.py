@@ -138,9 +138,9 @@ class ExplorationService:
         # builds on repro.service.metrics, so a module-level import
         # here would be circular).  ``self.metrics`` keeps its historic
         # name/API; it is now a collector-refreshing MetricRegistry
-        # carrying the service instruments, breaker gauges, trace
-        # bridge, process resources, phase histograms and — when a
-        # warm store is configured — the store's lifetime counters.
+        # carrying the service instruments, trace bridge, process
+        # resources, phase histograms and — when a warm store is
+        # configured — the store's lifetime counters.
         from ..telemetry import MetricRegistry, Telemetry
 
         self.telemetry = Telemetry(registry=MetricRegistry())

@@ -558,7 +558,7 @@ _STORES: Dict[str, WarmStore] = {}
 def open_store(path: str) -> WarmStore:
     """The process-wide :class:`WarmStore` for ``path`` (interned).
 
-    Every explore run, service job and shard run naming the same
+    Every explore run and service job naming the same
     directory shares one store instance, its read cache and its
     counters — the "named jobs on one host share one store" contract.
     """

@@ -1,12 +1,12 @@
-"""Runtime telemetry plane: unified metrics, resources, fleet, `top`.
+"""Runtime telemetry plane: unified metrics, resources, `top`.
 
 Everything in this package lives strictly on the *wall-clock* side of
 the determinism seam (``docs/observability.md``): with telemetry on or
 off, exploration results, progress events and logical trace
-fingerprints are byte-identical.  The plane has four parts:
+fingerprints are byte-identical.  The plane has three parts:
 
 * :class:`MetricRegistry` — one namespace absorbing the service
-  instruments, breaker gauges, warm-store counters and trace-bridge
+  instruments, warm-store counters and trace-bridge
   metrics, with registered *collectors* refreshed before every export
   and a :meth:`MetricRegistry.validate` grammar/collision check;
 * :class:`ResourceSampler` and :class:`PhaseProfiler` — process
@@ -14,9 +14,6 @@ fingerprints are byte-identical.  The plane has four parts:
   per-phase wall-clock histograms riding the explorer's existing
   injectable-clock seam, bundled by :class:`Telemetry` for
   ``explore(telemetry=...)``;
-* :class:`FleetTelemetry` — coordinator-side aggregation of worker
-  resource snapshots carried on the PR-7 heartbeat frames
-  (version-tolerant: old workers simply carry no ``resources`` key);
 * operator surfaces — :func:`top_snapshot`/:func:`run_top` behind
   ``repro top``, and snapshot reconstruction/diffing behind
   ``repro telemetry dump|diff``.
@@ -31,12 +28,10 @@ from .registry import (
 from .resources import ResourceSampler
 from .profiler import PHASE_BUCKETS, PhaseProfiler
 from .runtime import Telemetry
-from .fleet import FleetTelemetry
 from .bridge import export_store_metrics, store_collector
 from .top import format_top, run_top, top_snapshot
 
 __all__ = [
-    "FleetTelemetry",
     "MetricRegistry",
     "PHASE_BUCKETS",
     "PhaseProfiler",

@@ -33,8 +33,7 @@ PHASE_BUCKETS = (
 )
 
 #: Phase names become metric-name segments; anything outside the
-#: Prometheus grammar is mapped to ``_`` (same policy as the breaker
-#: registry's key sanitiser).
+#: Prometheus grammar is mapped to ``_``.
 _PHASE_SAFE = re.compile(r"[^a-zA-Z0-9_]")
 
 

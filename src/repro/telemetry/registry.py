@@ -4,8 +4,8 @@
 :class:`~repro.service.metrics.MetricsRegistry` with *collectors* —
 callables invoked in registration order immediately before every
 snapshot export (``as_dict``/``to_prometheus``), so surfaces whose
-truth lives elsewhere (process resources, warm-store counters, fleet
-heartbeat state) are always current without a background thread.  A
+truth lives elsewhere (process resources, warm-store counters) are
+always current without a background thread.  A
 collector that raises never breaks an export; failures are counted on
 ``repro_telemetry_collector_errors_total``.
 

@@ -4,10 +4,9 @@
 without a single dependency: CPU time from :func:`os.times`, peak RSS
 from :mod:`resource` (``ru_maxrss``; kilobytes on Linux, bytes on
 macOS — normalised to bytes here, 0 where the module is unavailable),
-and collector pressure from :mod:`gc`.  Snapshots are plain dicts so
-they travel unmodified on distributed heartbeat frames
-(:mod:`repro.distributed`), and :meth:`ResourceSampler.export` mirrors
-them into ``repro_process_*`` gauges.
+and collector pressure from :mod:`gc`.  Snapshots are plain dicts, and
+:meth:`ResourceSampler.export` mirrors them into ``repro_process_*``
+gauges.
 
 Sampling reads OS accounting and never touches exploration state, so
 it sits entirely on the wall-clock side of the determinism seam.

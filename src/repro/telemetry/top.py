@@ -2,8 +2,8 @@
 
 Reads what a running (or finished) ``repro serve`` left on disk — the
 job ledger, the exported ``metrics.json``, and each job's event stream
-— and renders a refreshing terminal summary: fleet-level counters on
-top, one row per job below.  Everything is read-only and tolerant of
+— and renders a refreshing terminal summary: service-level counters
+on top, one row per job below.  Everything is read-only and tolerant of
 torn/partial files, so ``repro top`` can point at a directory that a
 live service is writing this instant.
 """

@@ -253,8 +253,7 @@ def phase_text(records: List[Dict[str, Any]]) -> str:
     lines = ["# Per-phase time breakdown (wall-clock channel)"]
     if not totals:
         lines.append(
-            "(no wall-clock channel — e.g. a shard merge, which "
-            "replays outcomes evaluated elsewhere)"
+            "(no wall-clock channel recorded in this trace)"
         )
         return "\n".join(lines)
     start = (grouped.get("explore_start") or [{}])[0]

@@ -165,7 +165,6 @@ class Tracer:
         "records",
         "record_truncation",
         "phase_totals",
-        "tags",
         "_seq",
         "_started",
         "_now",
@@ -176,7 +175,6 @@ class Tracer:
         level: str = "spans",
         clock=None,
         trace_id: Optional[str] = None,
-        tags: Optional[Dict[str, Any]] = None,
     ) -> None:
         if level not in TRACE_LEVELS:
             raise TraceError(
@@ -192,12 +190,6 @@ class Tracer:
         self.record_truncation = True
         #: Wall-clock totals per phase: ``{phase: [calls, seconds]}``.
         self.phase_totals: Dict[str, List[float]] = {}
-        #: Optional static labels stamped on the ``explore_start``
-        #: record — distributed shard workers tag their spans with
-        #: ``{"shard": i, "shards": n, "strategy": ...}`` so per-shard
-        #: traces stay attributable after collection.  ``None`` (the
-        #: default) changes nothing, including the fingerprint.
-        self.tags = dict(tags) if tags else None
         self._seq = 0
         self._started = False
         self._now = clock.now if clock is not None else time.monotonic
@@ -240,10 +232,6 @@ class Tracer:
             # process.  Recorded so explain() does not misreport the
             # partial trace as a complete run.
             record["resumed_from_cursor"] = cursor
-        if self.tags:
-            record["tags"] = {
-                key: self.tags[key] for key in sorted(self.tags)
-            }
         self._record(record)
 
     def prune(

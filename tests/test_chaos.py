@@ -1,15 +1,13 @@
-"""The chaos matrix: every net/disk fault lands in the trichotomy.
+"""The chaos matrix: every disk fault lands in the trichotomy.
 
-Each scenario injects one deterministic fault plan — network faults at
-the shard wire protocol's send seam (delay, stall, mid-frame
-truncation, duplicate delivery, connection reset) or disk faults at
-the journal/manifest write seam (torn write, ENOSPC, fsync failure) —
-into an end-to-end exploration of a real case study, and asserts the
-run ends in **exactly one** of three states:
+Each scenario injects one deterministic disk fault (torn write,
+ENOSPC, fsync failure) at the checkpoint journal's write seam of an
+end-to-end exploration of a real case study, and asserts the run ends
+in **exactly one** of three states:
 
 1. *byte-identical recovery* — the run (after the typed failure, a
-   retry, a failover, or a resume) produces the same front as the
-   undisturbed run;
+   resume or a fresh start) produces the same front as the undisturbed
+   run;
 2. *sound degradation* — ``completed=False`` with an
    :class:`OptimalityGap` that ``verify_gap`` accepts against the full
    run;
@@ -25,12 +23,15 @@ import pytest
 
 from repro.casestudies import build_settop_spec, build_tv_decoder_spec
 from repro.core import explore
-from repro.distributed import explore_sharded
-from repro.errors import CheckpointError, SerializationError
-from repro.resilience import resume_explore, verify_gap
-from repro.resilience.faults import FaultPlan, SimulatedCrash, inject
+from repro.errors import CheckpointError
+from repro.resilience import resume_explore
+from repro.resilience.faults import (
+    DISK_ACTIONS,
+    FaultPlan,
+    SimulatedCrash,
+    inject,
+)
 from repro.supervision import run_bounded
-from .test_distributed_faults import start_worker
 
 #: Wall-clock budget per scenario.  A scenario that exceeds it *is* a
 #: hang, and the matrix fails with a typed HangError rather than
@@ -42,60 +43,18 @@ SPECS = {
     "tv": build_tv_decoder_spec,
 }
 
-#: The matrix.  ``kind`` selects the runner; ``expect`` the trichotomy
-#: branch a scenario must land in (``recover`` = typed failure then
-#: byte-identical recovery; ``complete`` = the fault is absorbed and
-#: the run completes identically; ``gap`` = sound degraded result).
+#: The matrix: ``(id, case study, disk fault schedule)``.  Every
+#: scenario must end in a typed failure, then byte-identical recovery.
 SCENARIOS = [
-    # --- disk: checkpoint journal (torn / ENOSPC / fsync) ----------------
-    ("journal-torn-mid-settop", "journal", "settop",
-     {"disk": {6: "torn"}}, {}, "recover"),
-    ("journal-torn-mid-tv", "journal", "tv",
-     {"disk": {6: "torn"}}, {}, "recover"),
-    ("journal-torn-header-settop", "journal", "settop",
-     {"disk": {1: "torn"}}, {}, "recover"),
-    ("journal-torn-header-tv", "journal", "tv",
-     {"disk": {1: "torn"}}, {}, "recover"),
-    ("journal-enospc-settop", "journal", "settop",
-     {"disk": {6: "enospc"}}, {}, "recover"),
-    ("journal-enospc-tv", "journal", "tv",
-     {"disk": {6: "enospc"}}, {}, "recover"),
-    ("journal-enospc-header-settop", "journal", "settop",
-     {"disk": {1: "enospc"}}, {}, "recover"),
-    ("journal-fsync-settop", "journal", "settop",
-     {"disk": {1: "fsync_fail"}}, {}, "recover"),
-    ("journal-fsync-tv", "journal", "tv",
-     {"disk": {1: "fsync_fail"}}, {}, "recover"),
-    # --- disk: shard manifest --------------------------------------------
-    ("manifest-torn-settop", "manifest", "settop",
-     {"disk": {1: "torn"}}, {}, "recover"),
-    ("manifest-torn-tv", "manifest", "tv",
-     {"disk": {1: "torn"}}, {}, "recover"),
-    ("manifest-enospc-settop", "manifest", "settop",
-     {"disk": {1: "enospc"}}, {}, "recover"),
-    ("manifest-fsync-settop", "manifest", "settop",
-     {"disk": {1: "fsync_fail"}}, {}, "recover"),
-    # --- net: shard wire protocol ----------------------------------------
-    # Coordinator-side send order: shard 0 hello=#1 run=#2, then the
-    # next attempt / shard continues the per-site call count.
-    ("net-delay-hello-settop", "net", "settop",
-     {"net": {1: "delay"}}, {"delay_seconds": 0.2}, "complete"),
-    ("net-delay-run-settop", "net", "settop",
-     {"net": {2: "delay"}}, {"delay_seconds": 0.2}, "complete"),
-    ("net-stall-run-settop", "net", "settop",
-     {"net": {2: "stall"}}, {"stall_seconds": 0.4}, "complete"),
-    ("net-truncate-hello-settop", "net", "settop",
-     {"net": {1: "truncate"}}, {}, "complete"),
-    ("net-truncate-run-settop", "net", "settop",
-     {"net": {2: "truncate"}}, {}, "complete"),
-    ("net-truncate-run-tv", "net", "tv",
-     {"net": {2: "truncate"}}, {}, "complete"),
-    ("net-reset-run-settop", "net", "settop",
-     {"net": {2: "reset"}}, {}, "complete"),
-    ("net-duplicate-run-settop", "net", "settop",
-     {"net": {2: "duplicate"}}, {}, "complete"),
-    ("net-reset-no-retry-settop", "net", "settop",
-     {"net": {1: "reset"}}, {"retry_attempts": 1}, "gap"),
+    ("journal-torn-mid-settop", "settop", {"disk": {6: "torn"}}),
+    ("journal-torn-mid-tv", "tv", {"disk": {6: "torn"}}),
+    ("journal-torn-header-settop", "settop", {"disk": {1: "torn"}}),
+    ("journal-torn-header-tv", "tv", {"disk": {1: "torn"}}),
+    ("journal-enospc-settop", "settop", {"disk": {6: "enospc"}}),
+    ("journal-enospc-tv", "tv", {"disk": {6: "enospc"}}),
+    ("journal-enospc-header-settop", "settop", {"disk": {1: "enospc"}}),
+    ("journal-fsync-settop", "settop", {"disk": {1: "fsync_fail"}}),
+    ("journal-fsync-tv", "tv", {"disk": {1: "fsync_fail"}}),
 ]
 
 _SOLO_CACHE = {}
@@ -123,19 +82,11 @@ def assert_identical(result, name):
     )
 
 
-def assert_sound_gap(result, name):
-    assert not result.completed
-    assert result.gap is not None
-    assert verify_gap(result, solo(name)) == [], (
-        "the degraded result's optimality gap is unsound"
-    )
-
-
-def run_journal_scenario(name, schedule, extra, expect, tmp_path):
+def run_journal_scenario(name, schedule, tmp_path):
     """Inject at the checkpoint-journal seam of a solo explore."""
     spec = SPECS[name]()
     path = str(tmp_path / "run.ckpt")
-    plan = FaultPlan(schedule=schedule, **extra)
+    plan = FaultPlan(schedule=schedule)
     with pytest.raises((SimulatedCrash, CheckpointError)):
         with inject(plan):
             explore(spec, checkpoint=path, checkpoint_every=8)
@@ -152,70 +103,17 @@ def run_journal_scenario(name, schedule, extra, expect, tmp_path):
     assert_identical(result, name)
 
 
-def run_manifest_scenario(name, schedule, extra, expect, tmp_path):
-    """Inject at the shard-manifest seam of a sharded explore."""
-    spec = SPECS[name]()
-    workdir = str(tmp_path / "coord")
-    plan = FaultPlan(schedule=schedule, **extra)
-    with pytest.raises((SimulatedCrash, SerializationError)):
-        with inject(plan):
-            explore_sharded(
-                spec, shards=2, mode="inline", workdir=workdir,
-                engine="compiled",
-            )
-    assert plan.log, "the scheduled fault never fired"
-    # A half-written or undurable manifest must never anchor a resume;
-    # the clean rerun repartitions from scratch.
-    sharded = explore_sharded(
-        spec, shards=2, mode="inline", workdir=workdir, resume=False,
-        engine="compiled",
-    )
-    assert_identical(sharded.result, name)
-
-
-def run_net_scenario(name, schedule, extra, expect, tmp_path):
-    """Inject at the wire seam of a remote sharded explore."""
-    extra = dict(extra)
-    retry_attempts = extra.pop("retry_attempts", 3)
-    spec = SPECS[name]()
-    plan = FaultPlan(schedule=schedule, **extra)
-    process, port = start_worker(str(tmp_path / "worker"))
-    try:
-        with inject(plan):
-            sharded = explore_sharded(
-                spec,
-                shards=2,
-                strategy="band",
-                mode="remote",
-                workers=[f"127.0.0.1:{port}"],
-                workdir=str(tmp_path / "coord"),
-                engine="compiled",
-                retry_attempts=retry_attempts,
-                retry_delay=0.05,
-            )
-    finally:
-        process.kill()
-        process.wait(timeout=30)
-    assert plan.log, "the scheduled fault never fired"
-    if expect == "complete":
-        assert_identical(sharded.result, name)
-    else:
-        assert_sound_gap(sharded.result, name)
-        assert len(sharded.lost_shards) == 1
-        lost = [o for o in sharded.outcomes if o.lost]
-        assert lost[0].failures[0]["kind"] == "dead"
-
-
-RUNNERS = {
-    "journal": run_journal_scenario,
-    "manifest": run_manifest_scenario,
-    "net": run_net_scenario,
-}
-
-
-def test_matrix_is_large_enough():
-    """The acceptance bar: at least twenty distinct chaos scenarios."""
-    assert len(SCENARIOS) >= 20
+def test_matrix_covers_every_disk_fault_on_every_case_study():
+    """The acceptance bar: each disk fault action is injected into
+    each case study, under a distinct scenario id."""
+    covered = {
+        (action, name)
+        for _, name, schedule in SCENARIOS
+        for action in schedule["disk"].values()
+    }
+    assert covered >= {
+        (action, name) for action in DISK_ACTIONS for name in SPECS
+    }
     assert len({s[0] for s in SCENARIOS}) == len(SCENARIOS)
 
 
@@ -223,9 +121,9 @@ def test_matrix_is_large_enough():
     "scenario", SCENARIOS, ids=[s[0] for s in SCENARIOS]
 )
 def test_chaos_trichotomy(scenario, tmp_path):
-    scenario_id, kind, name, schedule, extra, expect = scenario
+    scenario_id, name, schedule = scenario
     run_bounded(
-        lambda: RUNNERS[kind](name, schedule, extra, expect, tmp_path),
+        lambda: run_journal_scenario(name, schedule, tmp_path),
         CHAOS_BUDGET_SECONDS,
         name=f"chaos scenario {scenario_id}",
     )

@@ -145,6 +145,14 @@ class TestExplore:
         assert code == EXIT_OK
         assert "$170" in text  # the schedule-mode f=4 point
 
+    def test_removed_shards_flag_is_a_usage_error(
+        self, settop_json, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["explore", settop_json, "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
     def test_missing_file_error(self):
         code, _ = run(["explore", "/nonexistent/spec.json"])
         assert code == 1

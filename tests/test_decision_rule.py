@@ -8,8 +8,8 @@ properties guard each driver independently of the others:
   brute-force Pareto front over all ``2^n`` allocations;
 * **taxonomy reachability** — on the audit corpus every prune reason
   of :data:`repro.trace.PRUNE_REASONS` and every bound stop is emitted
-  by the serial, batched and merge drivers alike, so no driver lost a
-  branch of the rule.
+  by the serial and batched drivers alike, so no driver lost a branch
+  of the rule.
 """
 
 import pytest
@@ -17,9 +17,7 @@ import pytest
 from .randspec import random_spec
 from repro.compiled import batch
 from repro.core import exhaustive_front, explore
-from repro.distributed import make_partition, merge_shard_runs
-from repro.distributed.merge import ShardRun
-from repro.parallel import EvaluationCache, explore_batched
+from repro.parallel import explore_batched
 from repro.trace import PRUNE_REASONS, Tracer
 
 #: The randspec oracle corpus (<= 8 allocatable units each, so the
@@ -43,18 +41,6 @@ BOUND_STOPS = ("flexibility_bound_reached", "cost_bound", "max_candidates")
 needs_numpy = pytest.mark.skipif(
     batch.active_numpy() is None, reason="block kernel needs numpy"
 )
-
-
-def merged(spec, shards=2, tracer=None, **options):
-    """Run every shard of a band partition in memory, then merge."""
-    runs = []
-    for shard in make_partition(spec, shards, "band"):
-        cache = EvaluationCache()
-        explore_batched(
-            spec, shard=shard, cache=cache, **options
-        )
-        runs.append(ShardRun(shard, cache, None, True))
-    return merge_shard_runs(spec, runs, tracer=tracer, **options)
 
 
 @pytest.fixture
@@ -106,10 +92,6 @@ class TestOracle:
         )
         assert result.front() == self.exact(spec)
 
-    def test_two_shard_merge(self, seed):
-        spec = random_spec(seed)
-        assert merged(spec).front() == self.exact(spec)
-
 
 def emitted_reasons(run):
     """Every prune and stop reason ``run`` emits over the audit corpus."""
@@ -118,8 +100,7 @@ def emitted_reasons(run):
         spec = random_spec(seed)
         for options in VARIANTS:
             tracer = Tracer(level="audit")
-            if run(spec, tracer, **options) is None:
-                continue
+            run(spec, tracer, **options)
             seen.update(
                 record["reason"]
                 for record in tracer.records
@@ -138,22 +119,13 @@ def run_batched(spec, tracer, **options):
     )
 
 
-def run_merge(spec, tracer, **options):
-    # Shard runs refuse max_candidates: it counts enumeration positions,
-    # which differ per shard, so the merge has no such stop to reach.
-    if "max_candidates" in options:
-        return None
-    return merged(spec, tracer=tracer, **options)
-
-
 @pytest.mark.parametrize(
     "run, stops",
     [
         (run_serial, BOUND_STOPS),
         (run_batched, BOUND_STOPS),
-        (run_merge, BOUND_STOPS[:2]),
     ],
-    ids=["serial", "batched", "merge"],
+    ids=["serial", "batched"],
 )
 def test_every_reason_is_reachable(run, stops):
     seen = emitted_reasons(run)

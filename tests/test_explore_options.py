@@ -20,8 +20,6 @@ from repro.core import (
     validate_explore_options,
 )
 from repro.core import explorer
-from repro.distributed import WORKER_RUN_OPTIONS, merge_shard_runs
-from repro.distributed.merge import RESULT_PARAMS
 from repro.errors import ExplorationError, ReproError
 from repro.parallel import BATCH_SIZE_DEFAULT, EvalParams, explore_batched
 from repro.resilience import checkpoint
@@ -167,7 +165,6 @@ class TestParameterTable:
     ROLES = {
         explorer.RESULT,
         explorer.POSITION,
-        explorer.SHARD,
         explorer.GEOMETRY,
         explorer.BUDGET,
         explorer.SESSION,
@@ -181,9 +178,6 @@ class TestParameterTable:
         assert set(_parameters(
             explore_batched, "spec", "cache", "_resume"
         )) == set(names)
-        assert set(_parameters(merge_shard_runs, "spec", "runs")) <= set(
-            names
-        )
 
     def test_derived_lists(self):
         result = {
@@ -192,20 +186,16 @@ class TestParameterTable:
             "weighted", "backend", "keep_ties", "timing_mode",
             "require_units", "forbid_units",
         }
-        frozen = result | {"max_candidates", "shard"}
+        frozen = result | {"max_candidates"}
         resumable = frozen | {
             "batch_size", "checkpoint_every", "deadline_seconds",
             "max_evaluations", "engine", "warm_store",
         }
-        assert set(RESULT_PARAMS) == result
+        assert set(explorer.param_names(explorer.RESULT)) == result
         assert set(checkpoint._FROZEN_PARAMS) == frozen
         assert set(checkpoint._RESUMABLE_PARAMS) == resumable
         assert set(SUBMIT_OPTIONS) == result | {
-            "max_candidates", "batch_size", "engine", "shard", "trace",
-        }
-        assert set(WORKER_RUN_OPTIONS) == result | {
-            "batch_size", "engine", "deadline_seconds",
-            "max_evaluations", "trace",
+            "max_candidates", "batch_size", "engine", "trace",
         }
         assert set(EvalParams._fields) == {
             "util_bound", "check_utilization", "weighted", "backend",

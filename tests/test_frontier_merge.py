@@ -156,148 +156,3 @@ class TestMerge:
         # cpu_a alone now hosts everything: cheaper than 160
         assert result.front()[0] == (100.0, 3.0)
 
-
-# --- property-based shard-merge tests --------------------------------
-#
-# The distributed subsystem (repro.distributed) claims that *any*
-# disjoint, exhaustive partition of the allocation space — including
-# adversarially skewed ones with empty shards — replay-merges to the
-# byte-identical single-host result.  Hypothesis searches that claim
-# over the seeded random-spec corpus and randomly drawn partitions.
-
-import json
-
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
-from .randspec import random_spec
-from repro.distributed import (
-    Shard,
-    ShardRun,
-    make_partition,
-    merge_shard_runs,
-    validate_partition,
-)
-from repro.core.explorer import prepare_exploration
-from repro.errors import ExplorationError
-from repro.io.result_io import result_to_dict
-from repro.parallel import EvaluationCache, explore_batched
-
-
-def _result_doc(result):
-    document = result_to_dict(result)
-    document.get("stats", {}).pop("elapsed_seconds", None)
-    document.pop("cache", None)
-    return json.dumps(document, sort_keys=True)
-
-
-def _merge_partition(spec, shards, **options):
-    runs = []
-    for shard in shards:
-        cache = EvaluationCache()
-        explore_batched(
-            spec, shard=shard, cache=cache,
-            engine="compiled", **options,
-        )
-        runs.append(ShardRun(shard, cache, None, True))
-    return merge_shard_runs(spec, runs, engine="compiled", **options)
-
-
-_SOLO_DOCS = {}
-
-
-def _solo_doc(seed, **options):
-    key = (seed, tuple(sorted(options.items())))
-    if key not in _SOLO_DOCS:
-        _SOLO_DOCS[key] = _result_doc(
-            explore(random_spec(seed), engine="compiled", **options)
-        )
-    return _SOLO_DOCS[key]
-
-
-class TestShardMergeProperties:
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        seed=st.integers(0, 29),
-        boundaries=st.lists(
-            st.floats(0.0, 2500.0, allow_nan=False), max_size=6
-        ),
-    )
-    def test_random_band_partitions(self, seed, boundaries):
-        """Arbitrary cost boundaries — skewed, duplicated (empty
-        bands), beyond the dearest allocation — all merge exactly."""
-        spec = random_spec(seed)
-        edges = sorted(boundaries)
-        count = len(edges) + 1
-        shards, lo = [], 0.0
-        for i, edge in enumerate(edges):
-            hi = max(lo, edge)
-            shards.append(Shard("band", i, count, cost_lo=lo, cost_hi=hi))
-            lo = hi
-        shards.append(
-            Shard("band", count - 1, count, cost_lo=lo, cost_hi=None)
-        )
-        shards = validate_partition(shards)
-        merged = _merge_partition(spec, shards)
-        assert _result_doc(merged) == _solo_doc(seed)
-
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(seed=st.integers(0, 29), data=st.data())
-    def test_random_prefix_partitions(self, seed, data):
-        """Prefix partitions over a randomly chosen unit subset."""
-        spec = random_spec(seed)
-        setup = prepare_exploration(
-            spec, None, None, max_cost=0.0, weighted=False
-        )
-        extras = sorted(setup.extra_names)
-        if not extras:
-            return
-        width = data.draw(
-            st.integers(1, min(2, len(extras))), label="width"
-        )
-        units = tuple(
-            data.draw(
-                st.permutations(extras), label="units"
-            )[:width]
-        )
-        count = 1 << width
-        shards = validate_partition([
-            Shard("prefix", pattern, count,
-                  prefix_units=units, pattern=pattern)
-            for pattern in range(count)
-        ])
-        merged = _merge_partition(spec, shards)
-        assert _result_doc(merged) == _solo_doc(seed)
-
-    @settings(
-        max_examples=25,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        seed=st.integers(0, 29),
-        count=st.sampled_from([1, 2, 4, 8]),
-        strategy=st.sampled_from(["band", "prefix"]),
-        keep_ties=st.booleans(),
-    )
-    def test_builtin_partitions_with_options(
-        self, seed, count, strategy, keep_ties
-    ):
-        """The built-in partitioner across the option that most
-        perturbs incumbent-dependent control flow."""
-        spec = random_spec(seed)
-        try:
-            shards = make_partition(spec, count, strategy)
-        except ExplorationError as error:
-            assert "cannot fix" in str(error)
-            return
-        merged = _merge_partition(spec, shards, keep_ties=keep_ties)
-        assert _result_doc(merged) == _solo_doc(seed, keep_ties=keep_ties)

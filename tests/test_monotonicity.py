@@ -78,12 +78,27 @@ CONGRUENCE = {
 FRONTS = {"settop": build_settop_spec, **ORACLE}
 
 
+def support(cs, info):
+    """Every unit bit an ECS's binding verdict can depend on: the
+    communication units and each option's owner, with their
+    ancestors."""
+    mask = 0
+    for i in range(cs.unit_count):
+        if cs.comm_units_mask >> i & 1:
+            mask |= cs.with_anc_masks[i]
+    for recs in info.options:
+        for rec in recs:
+            mask |= rec.owner_mask
+    return mask
+
+
 def feasible_projections(cs, evaluator, sel_mask):
     """``{projection: feasible}`` over every usable projection of one
     ECS, each solved directly."""
     info = cs.ecs_info(sel_mask)
+    relevant = support(cs, info)
     projections = {
-        cs.usable_mask(mask) & info.support
+        cs.usable_mask(mask) & relevant
         for mask in range(1 << cs.unit_count)
     }
     return {
@@ -147,13 +162,14 @@ def test_the_memo_key_is_a_congruence(name):
     usables = {cs.usable_mask(mask) for mask in range(1 << cs.unit_count)}
     for sel_mask in cs.iter_selection_masks(all_clusters, None):
         info = cs.ecs_info(sel_mask)
+        relevant = support(cs, info)
         # key -> one usable mask per fine (warm-store) projection
         groups = {}
         for usable in usables:
             key = verdict_key(cs, info, usable, cs.comm_tops_of(usable), {})
             assert key[0] == sel_mask
             groups.setdefault(key[1], {}).setdefault(
-                usable & info.support, usable
+                usable & relevant, usable
             )
         for timing_mode in ("utilization", "none", "schedule"):
             for backend in ("csp", "sat"):

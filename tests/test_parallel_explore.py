@@ -1,7 +1,7 @@
 """Differential tests: batched EXPLORE is exactly the serial EXPLORE.
 
 The batched replay (``explore_batched``, which runs every budgeted,
-checkpointed, sharded and service-sliced exploration) must return the
+checkpointed and service-sliced exploration) must return the
 same Pareto front, the same allocations, the same achieved
 flexibilities, the same statistics (minus wall-clock) and the same
 tie-breaking as the serial loop — on every input.  These tests prove

@@ -20,7 +20,6 @@ from repro.resilience import (
     AnytimeBudget,
     FaultPlan,
     JournalWriter,
-    RetryPolicy,
     SimulatedCrash,
     inject,
     load_checkpoint,
@@ -213,7 +212,6 @@ class TestCheckpointing:
             '"max_candidates": null, "max_cost": 430, '
             '"max_evaluations": null, '
             '"prune_comm": true, "require_units": ["muP2"], '
-            '"shard": null, '
             '"timing_mode": null, "use_estimation": true, '
             '"use_possible_filter": true, "util_bound": 0.69, '
             '"weighted": false}'
@@ -312,6 +310,41 @@ class TestCheckpointing:
         assert fingerprint(resumed) == fingerprint(reference)
         with pytest.raises(CheckpointError, match="unknown"):
             resume_explore(path, parallel="thread")
+
+    def test_null_shard_key_in_header_resumes(self, settop, tmp_path):
+        """Journals of unsharded runs written while sharded
+        exploration existed carry ``"shard": null``: they still load
+        and resume to the uninterrupted run."""
+        from repro.resilience.journal import encode_record
+
+        reference = explore(settop)
+        path = str(tmp_path / "old.ckpt")
+        with pytest.raises(SimulatedCrash):
+            with inject(FaultPlan(schedule={"checkpoint": {2: "abort"}})):
+                explore(settop, checkpoint=path, checkpoint_every=1024)
+        records, _ = read_journal(path)
+        with open(path, "w", encoding="utf-8") as handle:
+            for record_type, payload in records:
+                if record_type == "header":
+                    payload = dict(
+                        payload, params=dict(payload["params"], shard=None)
+                    )
+                handle.write(encode_record(record_type, payload))
+        assert load_checkpoint(path).params["shard"] is None
+        assert resume_explore(path).front() == reference.front()
+
+    def test_shard_journal_is_refused(self):
+        """A journal of one shard holds the front of a slice of the
+        allocation space: resuming it must fail loudly rather than
+        present that front as the answer for the whole space."""
+        path = os.path.join(
+            os.path.dirname(__file__), "golden", "journals",
+            "tv_decoder-shard-000.checkpoint",
+        )
+        with pytest.raises(CheckpointError, match="shard"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="shard"):
+            resume_explore(path)
 
     def test_checkpoint_cursor_must_fit_the_spec(self, settop, tmp_path):
         """A cursor past the enumeration means journal/spec mismatch."""
@@ -415,29 +448,6 @@ class TestAnytimeBudgets:
         finished = resume_explore(path, max_evaluations=None)
         assert finished.completed
         assert finished.front() == settop_full.front()
-
-
-class TestRetryPolicy:
-    def test_delays_are_deterministic_and_bounded(self):
-        policy = RetryPolicy(attempts=5, base_delay=0.1, max_delay=0.5,
-                             jitter=0.5, seed=3)
-        first = policy.schedule()
-        second = policy.schedule()
-        assert first == second
-        assert len(first) == 4
-        for delay in first:
-            assert 0.0 < delay <= 0.5 * 1.5
-
-    def test_dict_roundtrip(self):
-        policy = RetryPolicy(attempts=4, base_delay=0.2, seed=9)
-        clone = RetryPolicy.from_dict(policy.as_dict())
-        assert clone.schedule() == policy.schedule()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
 
 
 class TestResultSerialization:

@@ -249,3 +249,15 @@ def test_validation(tmp_path):
             service.job("nope")
     with pytest.raises(ServiceError):
         ExplorationService(str(tmp_path / "x"), slice_evaluations=0)
+
+
+def test_shard_option_is_refused(tmp_path):
+    """A submission restricted to one shard of the allocation space is
+    refused loudly: the service only explores whole spaces."""
+    shard = {
+        "strategy": "band", "index": 0, "count": 2,
+        "cost_lo": 0.0, "cost_hi": 125.0,
+    }
+    with make_service(tmp_path) as service:
+        with pytest.raises(ServiceError, match="shard"):
+            service.submit(random_spec(0), options={"shard": shard})

@@ -1,43 +1,22 @@
-"""The supervision plane: watchdogs, circuit breakers, admission.
+"""The supervision plane: bounded slices, admission.
 
-Unit tests drive every state machine against a
-:class:`~repro.service.clock.ManualClock` (deterministic, no sleeps);
-the integration tests prove the wiring — a silent (hung-but-connected)
-worker is classified ``hung`` and failed over by the coordinator, a
+Unit tests drive the admission controller directly and the bounded
+call against real threads; the integration tests prove the wiring — a
 wedged service slice becomes a typed ``hung`` event, an overloaded
-service rejects or sheds loudly — and that the legacy paths
-(heartbeats disabled, unbounded queue, no slice timeout) are
-untouched.  The chaos matrix proper lives in ``tests/test_chaos.py``.
+service rejects or sheds loudly — and that the legacy paths (unbounded
+queue, no slice timeout) are untouched.  The chaos matrix proper lives
+in ``tests/test_chaos.py``.
 """
 
-import socket
 import threading
-import time
 
 import pytest
 
 from .randspec import random_spec
-from repro.casestudies import build_settop_spec
 from repro.core import explore
-from repro.distributed import explore_sharded
-from repro.distributed.protocol import (
-    MessageStream,
-    connect,
-    hello_payload,
-)
 from repro.errors import HangError, OverloadedError
-from repro.resilience import RetryPolicy
 from repro.service import ExplorationService, ManualClock, ServiceError
-from repro.service.metrics import MetricsRegistry
-from repro.supervision import (
-    AdmissionController,
-    BreakerRegistry,
-    CircuitBreaker,
-    Watchdog,
-    run_bounded,
-)
-from repro.supervision.breaker import CLOSED, HALF_OPEN, OPEN
-from .test_distributed_faults import start_worker
+from repro.supervision import AdmissionController, run_bounded
 
 
 def fingerprint(result):
@@ -46,60 +25,6 @@ def fingerprint(result):
         for p in result.points
     ]
     return points, result.max_flexibility_bound, result.completed
-
-
-class TestWatchdog:
-    def test_beating_key_never_expires(self):
-        clock = ManualClock()
-        dog = Watchdog(timeout_seconds=10.0, clock=clock)
-        dog.arm("w")
-        for _ in range(20):
-            clock.advance(9.0)
-            dog.beat("w")
-        assert not dog.expired("w")
-        assert dog.check() == []
-        assert dog.beats("w") == 20
-
-    def test_silence_past_timeout_expires(self):
-        clock = ManualClock()
-        dog = Watchdog(timeout_seconds=10.0, clock=clock)
-        dog.arm("w")
-        clock.advance(10.0)
-        assert not dog.expired("w")  # exactly at the bound: still alive
-        clock.advance(0.5)
-        assert dog.expired("w")
-        assert dog.check() == ["w"]
-        assert dog.silence("w") == pytest.approx(10.5)
-
-    def test_disarm_stops_supervision(self):
-        clock = ManualClock()
-        dog = Watchdog(timeout_seconds=1.0, clock=clock)
-        dog.arm("w")
-        dog.disarm("w")
-        clock.advance(100.0)
-        assert not dog.expired("w")
-        assert dog.silence("w") is None
-        assert dog.check() == []
-
-    def test_info_keeps_the_latest_beat_payload(self):
-        dog = Watchdog(timeout_seconds=1.0, clock=ManualClock())
-        dog.arm("w")
-        dog.beat("w", cursor=10, evaluations=4)
-        dog.beat("w", cursor=20)
-        assert dog.info("w") == {"cursor": 20, "evaluations": 4}
-
-    def test_multiple_keys_are_independent(self):
-        clock = ManualClock()
-        dog = Watchdog(timeout_seconds=5.0, clock=clock)
-        dog.arm("a")
-        dog.arm("b")
-        clock.advance(6.0)
-        dog.beat("b")
-        assert dog.check() == ["a"]
-
-    def test_timeout_validation(self):
-        with pytest.raises(ValueError, match="timeout_seconds"):
-            Watchdog(timeout_seconds=0.0)
 
 
 class TestRunBounded:
@@ -128,111 +53,6 @@ class TestRunBounded:
     def test_timeout_validation(self):
         with pytest.raises(ValueError, match="timeout_seconds"):
             run_bounded(lambda: None, 0.0)
-
-
-class TestCircuitBreaker:
-    def make(self, clock=None, threshold=3):
-        return CircuitBreaker(
-            "10.0.0.1:7000",
-            failure_threshold=threshold,
-            clock=clock or ManualClock(),
-        )
-
-    def test_closed_until_threshold(self):
-        breaker = self.make()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_count(self):
-        breaker = self.make()
-        for _ in range(10):
-            breaker.record_failure()
-            breaker.record_failure()
-            breaker.record_success()
-        assert breaker.state == CLOSED
-
-    def test_half_open_admits_one_probe(self):
-        clock = ManualClock()
-        breaker = self.make(clock=clock)
-        for _ in range(3):
-            breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(breaker.next_probe_at() - clock.now())
-        assert breaker.allow()  # the probe
-        assert breaker.state == HALF_OPEN
-        assert not breaker.allow()  # one probe at a time
-        assert breaker.probes == 1
-
-    def test_probe_success_closes_and_resets_the_ladder(self):
-        clock = ManualClock()
-        breaker = self.make(clock=clock)
-        for _ in range(3):
-            breaker.record_failure()
-        first_cool_down = breaker.next_probe_at() - clock.now()
-        clock.advance(first_cool_down)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        # Re-trip: the cool-down ladder restarted from rung one.
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.next_probe_at() - clock.now() == pytest.approx(
-            first_cool_down
-        )
-
-    def test_probe_failure_reopens_longer(self):
-        clock = ManualClock()
-        breaker = self.make(clock=clock)
-        for _ in range(3):
-            breaker.record_failure()
-        first = breaker.next_probe_at() - clock.now()
-        clock.advance(first)
-        assert breaker.allow()
-        breaker.record_failure()  # failed probe
-        assert breaker.state == OPEN
-        assert breaker.trips == 2
-        second = breaker.next_probe_at() - clock.now()
-        assert second > first  # exponential ladder, jitter < growth
-
-    def test_schedules_are_deterministic_and_desynchronised(self):
-        ladder = lambda key: CircuitBreaker(key)._schedule  # noqa: E731
-        assert ladder("a:1") == ladder("a:1")
-        assert ladder("a:1") != ladder("b:1")
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker("k", failure_threshold=0)
-
-
-class TestBreakerRegistry:
-    def test_metrics_export(self):
-        metrics = MetricsRegistry()
-        registry = BreakerRegistry(clock=ManualClock(), metrics=metrics)
-        for _ in range(3):
-            registry.record_failure("10.0.0.1:7000")
-        assert registry.open_keys() == ["10.0.0.1:7000"]
-        assert metrics.get("repro_breaker_state_10_0_0_1_7000").value == 2
-        assert metrics.get("repro_breaker_trips_10_0_0_1_7000").value == 1
-        registry.record_success("10.0.0.1:7000")
-        assert registry.open_keys() == []
-        assert metrics.get("repro_breaker_state_10_0_0_1_7000").value == 0
-        # Trip counters are cumulative, never rewound.
-        assert metrics.get("repro_breaker_trips_10_0_0_1_7000").value == 1
-
-    def test_as_dict_snapshots_every_breaker(self):
-        registry = BreakerRegistry(clock=ManualClock())
-        registry.record_failure("b:2")
-        registry.allow("a:1")
-        snapshot = registry.as_dict()
-        assert list(snapshot) == ["a:1", "b:2"]
-        assert snapshot["b:2"]["failures"] == 1
-        assert snapshot["a:1"]["state"] == CLOSED
 
 
 class TestAdmissionController:
@@ -374,241 +194,3 @@ class TestSliceWatchdog:
             assert job.state == "completed"
             assert service.metrics.get("repro_hangs_total").value == 0
             assert fingerprint(job.result) == fingerprint(explore(spec))
-
-
-class TestRetrySiteKeys:
-    def test_site_key_is_deterministic(self):
-        policy = RetryPolicy(attempts=6, jitter=0.5, seed=3)
-        assert policy.schedule(site_key="w:1") == policy.schedule(
-            site_key="w:1"
-        )
-
-    def test_site_keys_desynchronise_peers(self):
-        policy = RetryPolicy(attempts=6, jitter=0.5, seed=3)
-        assert policy.schedule(site_key="w:1") != policy.schedule(
-            site_key="w:2"
-        )
-
-    def test_no_site_key_matches_the_journaled_legacy_schedule(self):
-        policy = RetryPolicy(attempts=6, jitter=0.5, seed=3)
-        assert policy.schedule() == policy.schedule(site_key=None)
-        # The header round-trip is unchanged: site keys are a call-time
-        # derivation, never serialized state.
-        assert RetryPolicy.from_dict(policy.as_dict()).schedule() == \
-            policy.schedule()
-
-
-class SilentWorker:
-    """Accepts connections, completes the handshake, then goes silent.
-
-    The model of a *hung* peer: reachable (TCP fine, handshake fine),
-    consumes the run request, never replies, never beats.
-    """
-
-    def __init__(self):
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(8)
-        self.port = self._listener.getsockname()[1]
-        self._stop = threading.Event()
-        self._streams = []
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while not self._stop.is_set():
-            try:
-                connection, _ = self._listener.accept()
-            except OSError:
-                return
-            stream = MessageStream(connection)
-            self._streams.append(stream)
-            try:
-                stream.receive()  # hello
-                stream.send("hello", hello_payload())
-                stream.receive()  # the run request -- then silence
-            except Exception:
-                pass
-
-    def close(self):
-        self._stop.set()
-        self._listener.close()
-        for stream in self._streams:
-            try:
-                stream.close()
-            except OSError:
-                pass
-
-
-@pytest.fixture(scope="module")
-def settop_solo():
-    return explore(build_settop_spec(), engine="compiled")
-
-
-class TestCoordinatorSupervision:
-    def test_heartbeats_flow_on_a_healthy_run(self, tmp_path, settop_solo):
-        process, port = start_worker(str(tmp_path / "worker"))
-        try:
-            sharded = explore_sharded(
-                build_settop_spec(),
-                shards=2,
-                mode="remote",
-                workers=[f"127.0.0.1:{port}"],
-                workdir=str(tmp_path / "coord"),
-                engine="compiled",
-                heartbeat_seconds=0.02,
-                heartbeat_timeout=30.0,
-            )
-        finally:
-            process.kill()
-            process.wait(timeout=30)
-        assert fingerprint(sharded.result) == fingerprint(settop_solo)
-        assert sum(o.heartbeats for o in sharded.outcomes) > 0
-        assert all(not o.failures for o in sharded.outcomes)
-
-    def test_hung_worker_fails_over_to_a_live_peer(
-        self, tmp_path, settop_solo
-    ):
-        silent = SilentWorker()
-        process, port = start_worker(str(tmp_path / "worker"))
-        try:
-            started = time.monotonic()
-            sharded = explore_sharded(
-                build_settop_spec(),
-                shards=2,
-                mode="remote",
-                workers=[
-                    f"127.0.0.1:{silent.port}",
-                    f"127.0.0.1:{port}",
-                ],
-                workdir=str(tmp_path / "coord"),
-                engine="compiled",
-                retry_attempts=2,
-                retry_delay=0.05,
-                heartbeat_seconds=0.05,
-                heartbeat_timeout=0.5,
-            )
-            elapsed = time.monotonic() - started
-        finally:
-            silent.close()
-            process.kill()
-            process.wait(timeout=30)
-        assert fingerprint(sharded.result) == fingerprint(settop_solo)
-        assert sharded.result.completed
-        hung = [f for o in sharded.outcomes for f in o.failures]
-        assert hung and all(f["kind"] == "hung" for f in hung)
-        assert any(o.hangs > 0 for o in sharded.outcomes)
-        # The watchdog, not a blocking receive, bounded the wait.
-        assert elapsed < 30.0
-
-    def test_hung_worker_without_failover_degrades_soundly(
-        self, tmp_path, settop_solo
-    ):
-        silent = SilentWorker()
-        process, port = start_worker(str(tmp_path / "worker"))
-        try:
-            sharded = explore_sharded(
-                build_settop_spec(),
-                shards=2,
-                mode="remote",
-                workers=[
-                    f"127.0.0.1:{silent.port}",
-                    f"127.0.0.1:{port}",
-                ],
-                workdir=str(tmp_path / "coord"),
-                engine="compiled",
-                retry_attempts=1,
-                retry_delay=0.01,
-                heartbeat_seconds=0.05,
-                heartbeat_timeout=0.5,
-            )
-        finally:
-            silent.close()
-            process.kill()
-            process.wait(timeout=30)
-        from repro.resilience.anytime import verify_gap
-
-        assert not sharded.result.completed
-        assert sharded.result.gap is not None
-        assert verify_gap(sharded.result, settop_solo) == []
-        lost = [o for o in sharded.outcomes if o.lost]
-        assert len(lost) == 1
-        assert lost[0].failures[0]["kind"] == "hung"
-
-    def test_heartbeats_disabled_restores_the_legacy_path(
-        self, tmp_path, settop_solo
-    ):
-        process, port = start_worker(str(tmp_path / "worker"))
-        try:
-            sharded = explore_sharded(
-                build_settop_spec(),
-                shards=2,
-                mode="remote",
-                workers=[f"127.0.0.1:{port}"],
-                workdir=str(tmp_path / "coord"),
-                engine="compiled",
-                heartbeat_seconds=None,
-            )
-        finally:
-            process.kill()
-            process.wait(timeout=30)
-        assert fingerprint(sharded.result) == fingerprint(settop_solo)
-        assert all(o.heartbeats == 0 for o in sharded.outcomes)
-
-    def test_breakers_skip_a_tripped_address(self):
-        from repro.distributed.coordinator import _pick_address
-
-        registry = BreakerRegistry(clock=ManualClock())
-        addresses = [("10.0.0.1", 1), ("10.0.0.2", 2)]
-        for _ in range(3):
-            registry.record_failure("10.0.0.1:1")
-        assert _pick_address(addresses, 0, registry) == ("10.0.0.2", 2)
-        # Every breaker open: fall back to the rotation address (losing
-        # the shard outright would be strictly worse than probing).
-        for _ in range(3):
-            registry.record_failure("10.0.0.2:2")
-        assert _pick_address(addresses, 0, registry) == ("10.0.0.1", 1)
-
-    def test_classification_table(self):
-        from repro.distributed.coordinator import _classify_failure
-        from repro.errors import ProtocolError
-
-        assert _classify_failure(HangError("x")) == "hung"
-        assert _classify_failure(socket.timeout()) == "hung"
-        assert _classify_failure(ProtocolError("x")) == "protocol"
-        assert _classify_failure(ConnectionResetError()) == "dead"
-        assert _classify_failure(OSError("x")) == "dead"
-
-
-class TestHandshakeTimeout:
-    def test_unresponsive_accept_loop_times_out(self):
-        # A listener that never accepts: the TCP connect succeeds (the
-        # backlog answers the SYN) but no hello ever arrives.  Without
-        # the finite handshake bound this receive blocks forever.
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        try:
-            started = time.monotonic()
-            with pytest.raises(OSError):
-                connect(listener.getsockname(), handshake_timeout=0.3)
-            assert time.monotonic() - started < 5.0
-        finally:
-            listener.close()
-
-    def test_tighter_caller_timeout_wins(self):
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        try:
-            started = time.monotonic()
-            with pytest.raises(OSError):
-                connect(
-                    listener.getsockname(),
-                    timeout=0.2,
-                    handshake_timeout=30.0,
-                )
-            assert time.monotonic() - started < 5.0
-        finally:
-            listener.close()

@@ -1,12 +1,11 @@
-"""The telemetry plane: registry, sampler, profiler, fleet, top, CLI.
+"""The telemetry plane: registry, sampler, profiler, top, CLI.
 
 Covers the unified metric namespace (collectors, grammar validation,
 snapshot algebra), the process resource sampler, the phase profiler on
-the tracer seam, the warm-store bridge, coordinator-side fleet
-telemetry, the ``repro top`` renderer, and the new CLI surfaces —
-including the satellite requirement that the merged export of *every*
-metric surface stays inside the Prometheus grammar with no name
-collisions.
+the tracer seam, the warm-store bridge, the ``repro top`` renderer, and
+the new CLI surfaces — including the satellite requirement that the
+merged export of *every* metric surface stays inside the Prometheus
+grammar with no name collisions.
 """
 
 import io
@@ -23,7 +22,6 @@ from repro.service import ExplorationService, MetricError
 from repro.store import open_store
 from repro.telemetry import (
     PHASE_BUCKETS,
-    FleetTelemetry,
     MetricRegistry,
     PhaseProfiler,
     ResourceSampler,
@@ -263,50 +261,6 @@ class TestStoreBridge:
         assert second == first + 1
 
 
-class TestFleetTelemetry:
-    def test_beats_and_outcomes_aggregate(self):
-        fleet = FleetTelemetry()
-        fleet.record_beat(0, {
-            "job": "s0", "cursor": 10, "evaluations": 4,
-            "resources": {"rss_max_bytes": 1000,
-                          "cpu_user_seconds": 1.0,
-                          "cpu_system_seconds": 0.5},
-        })
-        fleet.record_beat(0, {"job": "s0", "cursor": 20, "evaluations": 9})
-        # An old worker's beat: no resources key at all.
-        fleet.record_beat(1, {"job": "s1", "cursor": 5, "evaluations": 2})
-        fleet.record_outcome({
-            "shard": 0, "worker": "127.0.0.1:7000", "completed": True,
-            "attempts": 1, "heartbeats": 2, "hangs": 0, "failures": 0,
-            "elapsed_seconds": 0.2, "cursor": 32,
-            "resources": {"rss_max_bytes": 2000,
-                          "cpu_user_seconds": 2.0,
-                          "cpu_system_seconds": 0.5},
-        })
-        view = fleet.as_dict()
-        assert view["fleet"]["shards"] == 2
-        assert view["fleet"]["shards_completed"] == 1
-        assert view["fleet"]["heartbeats"] == 3
-        assert view["fleet"]["evaluations"] == 11
-        assert view["fleet"]["rss_max_bytes"] == 2000
-        assert view["fleet"]["workers"] == 1
-        assert view["shards"]["0"]["cursor"] == 32
-
-    def test_export_grammar(self):
-        fleet = FleetTelemetry()
-        fleet.record_beat(0, {
-            "cursor": 1, "evaluations": 1,
-            "resources": {"rss_max_bytes": 7, "cpu_user_seconds": 0.1},
-        })
-        fleet.record_outcome({"shard": 0, "completed": True,
-                              "attempts": 1, "elapsed_seconds": 0.1})
-        document = fleet.registry.as_dict()
-        assert document["repro_shard_000_heartbeats_total"]["value"] == 1
-        assert document["repro_fleet_shards_completed"]["value"] == 1
-        assert fleet.registry.validate(strict=True) == []
-        validate_prometheus_text(fleet.registry.to_prometheus())
-
-
 def _service_run(directory, specs=None):
     service = ExplorationService(str(directory), slice_evaluations=200)
     try:
@@ -354,7 +308,7 @@ class TestTop:
 
 class TestServiceUnifiedRegistry:
     def test_merged_namespace_is_collision_free(self, tmp_path):
-        """Satellite (a): service + breaker + store + process + phase
+        """Satellite (a): service + store + process + phase
         metrics merge into one registry that survives strict grammar
         and collision validation, and the exposition parses."""
         service = _service_run(tmp_path)

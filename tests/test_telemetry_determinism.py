@@ -5,25 +5,21 @@ registry) lives strictly on the wall-clock side of the determinism
 seam, so attaching it must change *nothing* observable: the result
 document, the progress-event stream and the logical trace fingerprint
 are byte-identical with telemetry on vs off — across the serial loop,
-the batched replay, the exploration service and sharded dispatch, over a
-12-seed random corpus plus the settop case study.
+the batched replay and the exploration service, over a 12-seed random
+corpus plus the settop case study.
 """
 
 import json
-import tempfile
-import threading
 
 import pytest
 
 from .randspec import random_spec
 from repro.casestudies import build_settop_spec
 from repro.core import explore
-from repro.distributed import explore_sharded
-from repro.distributed.worker import serve
 from repro.io.result_io import result_to_dict
 from repro.parallel import explore_batched
 from repro.service import ExplorationService
-from repro.telemetry import FleetTelemetry, PhaseProfiler, Telemetry
+from repro.telemetry import PhaseProfiler, Telemetry
 from repro.trace import Tracer, trace_fingerprint
 
 #: The differential corpus (satellite requirement: 12 seeds).
@@ -146,73 +142,3 @@ def test_service_differential(seed, tmp_path):
     assert observed == service_doc(explore(spec)), (
         f"seed {seed}: service telemetry changed the result"
     )
-
-
-@pytest.mark.parametrize("seed", SEEDS[:6])
-def test_sharded_inline_differential(seed, tmp_path):
-    spec = random_spec(seed)
-    telemetry = FleetTelemetry()
-    off = explore_sharded(
-        spec, shards=2, mode="inline",
-        workdir=str(tmp_path / "off"),
-    )
-    on = explore_sharded(
-        spec, shards=2, mode="inline",
-        workdir=str(tmp_path / "on"), telemetry=telemetry,
-    )
-    assert result_doc(on.result) == result_doc(off.result), (
-        f"seed {seed}: fleet telemetry changed the sharded result"
-    )
-    view = telemetry.as_dict()
-    assert view["fleet"]["shards"] == 2
-    assert view["fleet"]["shards_completed"] == 2
-
-
-def worker_in_thread(directory, max_requests):
-    bound = {}
-    ready_event = threading.Event()
-
-    def ready(address):
-        bound["port"] = address[1]
-        ready_event.set()
-
-    thread = threading.Thread(
-        target=serve,
-        args=(directory,),
-        kwargs={"max_requests": max_requests, "ready": ready},
-        daemon=True,
-    )
-    thread.start()
-    assert ready_event.wait(timeout=10)
-    return bound["port"], thread
-
-
-def test_remote_differential_with_worker_resources(tmp_path):
-    """A real wire run: the worker's resource snapshots ride the
-    existing frames into FleetTelemetry, and the merged result still
-    matches the solo run exactly."""
-    spec = build_settop_spec()
-    solo = result_doc(explore(spec))
-    port, thread = worker_in_thread(str(tmp_path / "worker"), 2)
-    telemetry = FleetTelemetry()
-    sharded = explore_sharded(
-        spec, shards=2, mode="remote",
-        workers=[f"127.0.0.1:{port}"],
-        workdir=str(tmp_path / "coord"),
-        heartbeat_seconds=0.05,
-        telemetry=telemetry,
-    )
-    thread.join(timeout=10)
-    assert result_doc(sharded.result) == solo
-    view = telemetry.as_dict()
-    assert view["fleet"]["shards_completed"] == 2
-    # The result frame always carries a final snapshot, so every shard
-    # row has worker resources even if no heartbeat fired in time.
-    for state in view["shards"].values():
-        assert state["resources"].get("rss_max_bytes", 0) > 0
-    assert view["fleet"]["rss_max_bytes"] > 0
-    registry = telemetry.registry
-    assert registry.validate(strict=True) == []
-    assert registry.as_dict()["repro_fleet_shards_completed"][
-        "value"
-    ] == 2

@@ -34,7 +34,6 @@ PACKAGES = [
     "repro.resilience",
     "repro.supervision",
     "repro.service",
-    "repro.distributed",
     "repro.telemetry",
     "repro.trace",
     "repro.adaptive",
@@ -111,7 +110,6 @@ argument.
 |---|---|
 | `explore(spec, telemetry=Telemetry())` | profile phases + sample resources; results, progress events and trace fingerprints stay **byte-identical** (12-seed differential in `tests/test_telemetry_determinism.py`) |
 | `ExplorationService(dir)` | always instrumented: `service.metrics` is the unified `MetricRegistry`, exported to `DIR/metrics.json` + `DIR/metrics.prom` |
-| `explore_sharded(..., telemetry=FleetTelemetry())` | fold worker resource snapshots from heartbeat/result frames into per-shard + fleet metrics |
 | `repro top DIR` | live job/metric dashboard over a service directory |
 | `repro telemetry dump\\|diff` | re-validated snapshot export and per-series deltas |
 | `tools/bench_trend.py` | perf-trend ledger over committed `BENCH_*.json` (`--check` gates CI) |
