@@ -6,7 +6,7 @@ evaluation engines, verifies the *identical* Pareto front and
 statistics (the differential guarantee of :mod:`repro.compiled`), and
 records wall clock, candidates/second and the per-phase breakdown
 (enumerate / filter / estimate / evaluate / binding / timing /
-pareto / dispatch, from the tracer's phase accounting) to
+pareto, from the tracer's phase accounting) to
 ``BENCH_kernel.json``.
 
 When numpy is importable the compiled engine runs its block-vectorized
@@ -67,19 +67,18 @@ SIZES = [
 #: materialized block order), "filter" the block mask checks,
 #: "estimate" the pruning bound, "evaluate" the full per-candidate
 #: evaluation ("binding" and "timing" are its solver / schedule-test
-#: shares), "pareto" the final front pass and "dispatch" the batched
-#: runner's hand-off (serial runs report it as zero).  Whatever wall
-#: clock remains unattributed is reported as "other".
+#: shares) and "pareto" the final front pass.  Whatever wall clock
+#: remains unattributed is reported as "other".
 PHASES = (
     "enumerate", "filter", "estimate", "evaluate", "binding", "timing",
-    "pareto", "dispatch",
+    "pareto",
 )
 
 #: The phases that partition the elapsed wall clock ("binding" and
 #: "timing" are sub-shares of "evaluate" and must not be double
 #: counted when computing the unattributed "other" remainder).
 TOP_PHASES = (
-    "enumerate", "filter", "estimate", "evaluate", "pareto", "dispatch",
+    "enumerate", "filter", "estimate", "evaluate", "pareto",
 )
 
 #: Conservative smoke-mode floor on the compiled engine's end-to-end

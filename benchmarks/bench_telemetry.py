@@ -7,9 +7,9 @@ determinism seam, so it must satisfy two claims at once:
   sampler + phase profiler + metric registry) produces a result
   document byte-identical to an unobserved run.
 * **Cheapness** — the end-to-end overhead of full telemetry on the
-  settop case study stays within :data:`OVERHEAD_BUDGET` (5%) on the
-  serial path; the batched replay (the path of budgeted, checkpointed
-  and service runs) is measured too.
+  settop case study stays within :data:`OVERHEAD_BUDGET` (5%) on a
+  plain run; a budgeted, checkpointed run (the route of service
+  slices) is measured too.
 
 Plus mechanism microbenchmarks: raw counter increments, histogram
 observations, phase charges, and whole-process resource snapshots
@@ -27,12 +27,12 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 
 from repro.casestudies import build_settop_spec
 from repro.core import explore
 from repro.io.result_io import result_to_dict
-from repro.parallel import explore_batched
 from repro.telemetry import MetricRegistry, ResourceSampler, Telemetry
 
 #: The acceptance budget: full telemetry may cost at most this
@@ -49,10 +49,22 @@ def result_doc(result):
     return json.dumps(document, sort_keys=True)
 
 
+def budgeted(spec, **options):
+    """``explore()`` under a deadline with a checkpoint journal."""
+    with tempfile.TemporaryDirectory() as directory:
+        return explore(
+            spec,
+            deadline_seconds=1e9,
+            checkpoint=os.path.join(directory, "run.ckpt"),
+            **options,
+        )
+
+
 def end_to_end(spec, repeat, batched, verbose):
-    """Best-of-``repeat`` settop wall clock, telemetry off vs on."""
-    run = explore_batched if batched else explore
-    label = "batched" if batched else "serial"
+    """Best-of-``repeat`` settop wall clock, telemetry off vs on; a
+    plain run, or a budgeted, checkpointed one when ``batched``."""
+    run = budgeted if batched else explore
+    label = "budgeted" if batched else "serial"
     baseline = observed = None
     docs_identical = True
     phases = {}
@@ -191,8 +203,9 @@ def main(argv=None):
     )
     document = run(repeat, args.smoke, args.out)
     # Byte-identity with telemetry attached is the hard requirement;
-    # the serial overhead budget is the headline claim.  (The batched
-    # path reports its overhead but does not gate on it.)
+    # the serial overhead budget is the headline claim.  (The
+    # budgeted route, kept under the "batched" key of the document,
+    # reports its overhead but does not gate on it.)
     serial, batched = document["serial"], document["batched"]
     ok = (
         serial["identical"] and batched["identical"]

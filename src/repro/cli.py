@@ -182,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     explore_cmd.add_argument(
-        "--batch-size", type=int, default=None, metavar="N",
-        help=(
-            "candidates per batch of the batched replay that runs "
-            "budgets and checkpoints"
-        ),
-    )
-    explore_cmd.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help=(
             "anytime wall-clock budget: stop gracefully after this many "
@@ -206,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument(
         "--checkpoint", metavar="FILE", default=None,
         help=(
-            "journal outcomes and replay snapshots to FILE so a killed "
-            "run can be continued with --resume FILE"
+            "journal snapshots of the search to FILE so a killed run "
+            "can be continued with --resume FILE"
         ),
     )
     explore_cmd.add_argument(
@@ -324,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing-mode", choices=("utilization", "schedule", "none"),
         default=None,
     )
-    trace_cmd.add_argument("--batch-size", type=int, default=None)
     trace_cmd.add_argument(
         "--engine", choices=("compiled", "reference"), default=None,
         help="candidate-evaluation engine (identical results)",
@@ -524,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing-mode", choices=("utilization", "schedule", "none"),
         default=None,
     )
-    submit.add_argument("--batch-size", type=int, default=None)
     submit.add_argument(
         "--engine", choices=("compiled", "reference"), default=None,
         help="candidate-evaluation engine (identical results)",
@@ -677,8 +668,6 @@ def _cmd_explore(args, out) -> int:
             overrides["deadline_seconds"] = args.deadline
         if args.max_evaluations is not None:
             overrides["max_evaluations"] = args.max_evaluations
-        if args.batch_size is not None:
-            overrides["batch_size"] = args.batch_size
         if args.checkpoint_every is not None:
             overrides["checkpoint_every"] = args.checkpoint_every
         if args.engine is not None:
@@ -706,7 +695,6 @@ def _cmd_explore(args, out) -> int:
             check_utilization=not args.no_timing,
             keep_ties=args.keep_ties,
             timing_mode=args.timing_mode,
-            batch_size=args.batch_size,
             deadline_seconds=args.deadline,
             max_evaluations=args.max_evaluations,
             checkpoint=args.checkpoint,
@@ -789,7 +777,6 @@ def _cmd_trace(args, out) -> int:
         max_cost=args.max_cost,
         keep_ties=args.keep_ties,
         timing_mode=args.timing_mode,
-        batch_size=args.batch_size,
         tracer=tracer,
         engine=args.engine,
     )
@@ -1029,8 +1016,6 @@ def _cmd_submit(args, out) -> int:
         options["keep_ties"] = True
     if args.timing_mode is not None:
         options["timing_mode"] = args.timing_mode
-    if args.batch_size is not None:
-        options["batch_size"] = args.batch_size
     if args.engine is not None:
         options["engine"] = args.engine
     path = job_io.write_submission(

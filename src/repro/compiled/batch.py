@@ -556,18 +556,22 @@ class BlockContext:
         for sink in self.sinks:
             sink.charge(phase, seconds)
 
-    def _blocks(self):
+    def _blocks(self, skip: int = 0):
+        """The block stream, without its first ``skip`` rows (the
+        candidates a resumed run consumed before)."""
         if self.materialized:
-            return _iter_materialized_blocks(
+            blocks = _iter_materialized_blocks(
                 self.enum,
                 self.include_empty,
                 self.block_rows,
                 self._charge,
                 self.clock,
             )
-        return _iter_band_blocks(
-            self.enum, self.block_rows, self._charge, self.clock
-        )
+        else:
+            blocks = _iter_band_blocks(
+                self.enum, self.block_rows, self._charge, self.clock
+            )
+        return _drop_rows(blocks, skip) if skip else blocks
 
     def _checks(self, full_masks):
         """``(possible, comm_pruned, alive, estimate)`` arrays for a
@@ -597,15 +601,15 @@ class BlockContext:
 
     # -- eventful mode --------------------------------------------------
     def candidates(
-        self,
+        self, skip: int = 0
     ) -> Iterator[Tuple[Tuple[float, FrozenSet[str]], "_RowProbe"]]:
-        """The scalar enumerator's ``(cost, extras)`` stream, each
-        candidate paired with a probe answering its pre-filter checks
-        from the block arrays."""
+        """The scalar enumerator's ``(cost, extras)`` stream from row
+        ``skip`` on, each candidate paired with a probe answering its
+        pre-filter checks from the block arrays."""
         cs = self.cs
         names_of = cs.names_of
         evaluator = self.evaluator
-        for ecosts, emasks in self._blocks():
+        for ecosts, emasks in self._blocks(skip):
             possible, comm, _, estimates = self._checks(
                 emasks | self.required_mask
             )
@@ -630,21 +634,29 @@ class BlockContext:
         A vectorized scan finds the next survivor whose estimate beats
         ``f_cur``; the rows skipped on the way are charged to the
         statistics in bulk, exactly as the scalar loop would count them,
-        and the survivor is bound through the state.
+        and the survivor is bound through the state.  The run starts at
+        the state's cursor.  The anytime budget, which only a bind or
+        the clock can spend, is checked before each block and after
+        each bind; bulk counts are split at the checkpoint cadence, so
+        snapshots land on the same candidates as in the scalar loop.
         """
         np = _np
         stats = state.stats
         f_max = state.f_max
         max_cost = state.max_cost
+        budget = state.budget
+        every = state.every  # 0 without a checkpoint journal
         evaluator = self.evaluator
         use_filter = self.use_possible_filter
         use_comm = self.prune_comm
         use_est = self.use_estimation
-        for ecosts, emasks in self._blocks():
-            if state.f_cur >= f_max:
-                break
-            limit = len(ecosts)
+        for ecosts, emasks in self._blocks(state.cursor):
             tot = self.required_cost + ecosts
+            if budget is not None and state.out_of_budget(float(tot[0])):
+                return
+            if state.f_cur >= f_max:
+                return
+            limit = len(ecosts)
             over_budget = False
             if max_cost is not None:
                 over = np.nonzero(tot > max_cost)[0]
@@ -652,16 +664,14 @@ class BlockContext:
                     limit = int(over[0])
                     over_budget = True
                     if limit == 0:
-                        break
+                        return
             full = emasks[:limit] | self.required_mask
             possible, comm, alive, estimates = self._checks(full)
             # Rows [0, counted) have been charged to the statistics.
             counted = 0
 
-            def count_to(row: int) -> None:
+            def count(row: int) -> None:
                 nonlocal counted
-                if row <= counted:
-                    return
                 stats.candidates_enumerated += row - counted
                 if use_filter:
                     stats.possible_allocations += int(
@@ -677,7 +687,19 @@ class BlockContext:
                     )
                 counted = row
 
-            stopped = False
+            def consume_to(row: int) -> None:
+                """Count rows up to ``row`` and move the cursor past
+                them, snapshotting at each multiple of the cadence."""
+                while counted < row:
+                    end = row
+                    if every:
+                        end = min(row, counted + every - state.cursor % every)
+                    state.cursor += end - counted
+                    count(end)
+                    if every and state.cursor % every == 0:
+                        state.flush()
+
+            stopped = last = False
             survivors = np.nonzero(alive)[0]
             position = 0
             while position < len(survivors):
@@ -690,22 +712,53 @@ class BlockContext:
                     position += int(passing[0])
                 row = int(survivors[position])
                 position += 1
-                count_to(row + 1)
+                consume_to(row)
+                count(row + 1)
                 state.bind(
                     float(tot[row]),
                     self._materialise_units(int(emasks[row])),
                     float(estimates[row]) if use_est else None,
                     evaluator,
                 )
+                state.advance()
+                last = row + 1 == len(ecosts)
+                if (
+                    budget is not None
+                    and not last
+                    and state.out_of_budget(float(tot[row + 1]))
+                ):
+                    return
                 if state.f_cur >= f_max:
-                    # The scalar loop breaks at the *next* candidate
-                    # before counting it.
                     stopped = True
                     break
-            if not stopped:
-                count_to(limit)
-            if stopped or over_budget:
-                break
+            if stopped:
+                # The scalar loop stops at the *next* candidate before
+                # counting it; past a block's last row the next block
+                # decides (a spent budget truncates there first).
+                if budget is None or not last:
+                    return
+                continue
+            consume_to(limit)
+            if over_budget:
+                return
+
+
+def _drop_rows(blocks, skip: int):
+    """``blocks`` without their first ``skip`` rows; raises
+    :class:`~repro.errors.CheckpointError` when there are fewer."""
+    from ..core.explorer import check_cursor
+
+    dropped = 0
+    for ecosts, emasks in blocks:
+        rest = skip - dropped
+        if rest >= len(ecosts):
+            dropped += len(ecosts)
+            continue
+        if rest:
+            dropped = skip
+            ecosts, emasks = ecosts[rest:], emasks[rest:]
+        yield ecosts, emasks
+    check_cursor(skip, dropped)
 
 
 class _RowProbe:
@@ -778,63 +831,12 @@ def make_block_context(
     )
 
 
-def batch_outcomes(
-    evaluator, unit_sets: List[FrozenSet[str]], params, f_entry: float
-) -> Optional[List[object]]:
-    """Vectorized :func:`repro.parallel.worker.evaluate_candidate` over
-    one dispatched batch, or ``None`` when the kernel cannot run.
-
-    The pre-filter checks run as one block; the worker's own pipeline
-    then reads them through a row probe, and candidates that survive
-    speculation fall through to the scalar evaluator (memoised binding
-    verdicts).
-    """
-    np = active_numpy()
-    if np is None or not unit_sets:
-        return None
-    cs = evaluator.cs
-    if not 0 < cs.unit_count <= 64:
-        return None
-    from ..parallel.worker import evaluate_candidate
-
-    kernel = kernel_for(cs)
-    mask_ints = [cs.mask_of(units) for units in unit_sets]
-    masks = np.array(mask_ints, dtype=np.uint64)
-    possible, comm, alive = _filter_rows(
-        kernel, masks, params.use_possible_filter, params.prune_comm
-    )
-    if params.use_estimation:
-        estimates = _estimate_rows(kernel, masks, alive, evaluator.weighted)
-    else:
-        estimates = np.zeros(len(masks))
-    outcomes: List[object] = []
-    for units, mask, ok, pruned, estimate in zip(
-        unit_sets,
-        mask_ints,
-        possible.tolist(),
-        comm.tolist(),
-        estimates.tolist(),
-    ):
-        # Handed off by identity: the evaluator skips re-encoding.
-        cs._enum_memo = (units, mask)
-        outcomes.append(
-            evaluate_candidate(
-                _RowProbe(evaluator, ok, pruned, estimate),
-                params,
-                units,
-                f_entry,
-            )
-        )
-    return outcomes
-
-
 __all__ = [
     "BLOCK_ROWS",
     "BlockContext",
     "BlockKernel",
     "MATERIALIZE_MAX_BITS_DEFAULT",
     "active_numpy",
-    "batch_outcomes",
     "kernel_for",
     "make_block_context",
     "materialized_order",

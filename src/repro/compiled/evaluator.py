@@ -255,17 +255,6 @@ class CompiledEvaluator:
             sinks=sinks,
         )
 
-    def block_outcomes(
-        self, unit_sets, params, f_entry: float
-    ) -> Optional[list]:
-        """Vectorized batch evaluation for the parallel replay loop
-        (one :class:`~repro.parallel.worker.CandidateOutcome` per unit
-        set), or ``None`` when the kernel cannot run — the caller then
-        evaluates the batch with the scalar per-candidate pipeline."""
-        from .batch import batch_outcomes
-
-        return batch_outcomes(self, unit_sets, params, f_entry)
-
     def possible(self, units: Iterable[str]) -> bool:
         """The possible-resource-allocation equation (BDD mask walk)."""
         mask, _usable = self._masks_of(units)

@@ -19,7 +19,6 @@ This module provides
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..boolexpr import Expr, FALSE, Var, all_of, any_of, evaluate_over_set
@@ -149,27 +148,6 @@ class AllocationEnumerator:
                         indices[:-1] + (last + 1,),
                     ),
                 )
-
-
-def iter_cost_batches(
-    candidates: Iterable[Tuple[float, FrozenSet[str]]],
-    batch_size: int,
-) -> Iterator[List[Tuple[float, FrozenSet[str]]]]:
-    """Chunk a cost-ordered candidate stream into dispatch batches.
-
-    Consumes the stream lazily — at most ``batch_size`` candidates are
-    materialised ahead of the consumer, so an early-stopping exploration
-    never enumerates far past its stop point.  Order within and across
-    batches is the enumeration order (non-decreasing cost).
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-    iterator = iter(candidates)
-    while True:
-        batch = list(itertools.islice(iterator, batch_size))
-        if not batch:
-            return
-        yield batch
 
 
 def iter_possible_allocations(

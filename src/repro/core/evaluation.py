@@ -250,7 +250,7 @@ def infeasibility_reason(
     the timing test disabled.  Used by the pruning audit trail
     (:mod:`repro.trace`); the classification re-evaluates the
     allocation with ``timing_mode="none"``, which is deterministic, so
-    serial and batched replays agree on it.
+    every driver agrees on it.
     """
     if timing_mode is None:
         timing_mode = "utilization" if check_utilization else "none"
@@ -424,9 +424,8 @@ def charge_cache_counters(stats, evaluator, base: Optional[dict]) -> None:
     process lifetime; a run snapshots them at start (``base``) and
     records only its own delta.  Counters live outside the
     deterministic result fingerprint (``stats.cache_dict()``, not
-    ``stats.as_dict()``) — batched speculation and in-process
-    interning legitimately change hit/miss splits without changing
-    results.
+    ``stats.as_dict()``) — in-process interning and warm stores
+    legitimately change hit/miss splits without changing results.
     """
     if base is None:
         return

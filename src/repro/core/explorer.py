@@ -17,14 +17,15 @@ the *achieved* flexibility does.
 
 The decision rule is written once, in :class:`ExploreState`: it owns
 the incumbent, ties, the stop rules, the statistics and all emission
-to the progress emitter, tracer and profiler.  Every way of running
-EXPLORE is a driver that only supplies candidates in cost order and a
-probe answering the rule's questions — the serial loop below (the
-evaluator itself), the block kernel of :mod:`repro.compiled.batch`
-(its arrays), the batched replay of :mod:`repro.parallel` (recorded
-outcomes), and the upgrade search of :mod:`repro.core.incremental`.
-Their pruning decisions, statistics and tie-breaking therefore agree
-by construction.
+to the progress emitter, tracer and profiler, and — for budgeted or
+checkpointed runs — the anytime budget, the enumeration cursor and the
+snapshots a checkpoint journals.  Every way of running EXPLORE is a
+driver that only supplies candidates in cost order and a probe
+answering the rule's questions — the serial loop below (the evaluator
+itself), the block kernel of :mod:`repro.compiled.batch` (its arrays)
+and the upgrade search of :mod:`repro.core.incremental`.  Their
+pruning decisions, statistics and tie-breaking therefore agree by
+construction, with or without budgets, checkpoints and resumption.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import (
 )
 
 from ..boolexpr import Expr
-from ..errors import ExplorationError
+from ..errors import CheckpointError, ExplorationError
 from ..spec import SpecificationGraph
 from ..timing import PAPER_UTILIZATION_BOUND
 from .candidates import possible_allocation_expr
@@ -85,8 +86,7 @@ def warm_store_path(warm_store) -> Optional[str]:
 
 
 class ExplorationSetup(NamedTuple):
-    """Validated, precomputed inputs shared by the serial and batched
-    exploration loops."""
+    """Validated, precomputed inputs of one exploration run."""
 
     #: Units every candidate must contain (resolved names).
     required: FrozenSet[str]
@@ -106,8 +106,8 @@ class ExplorationSetup(NamedTuple):
 #
 # Every ``explore()`` parameter after ``spec`` is declared once, below,
 # with its role; every other list of parameter names in the package
-# (resume, checkpoint header, service jobs, evaluator and pipeline
-# parameters) is derived from this table.
+# (resume, checkpoint header, service jobs, evaluator parameters) is
+# derived from this table.
 
 #: Changes the front: a resume may not change it.
 RESULT = "result"
@@ -129,9 +129,8 @@ class ExploreParam(NamedTuple):
     name: str
     role: str
     #: Where the parameter travels besides its role: ``job`` (a service
-    #: submission may set it), ``evaluator`` (an argument of
-    #: :func:`~repro.core.evaluation.make_evaluator`) and ``pipeline``
-    #: (a switch of the per-candidate pipeline).
+    #: submission may set it) and ``evaluator`` (an argument of
+    #: :func:`~repro.core.evaluation.make_evaluator`).
     tags: FrozenSet[str]
 
 
@@ -143,17 +142,16 @@ EXPLORE_PARAMS = tuple(
         ("util_bound",          RESULT,   "job evaluator"),
         ("max_cost",            RESULT,   "job"),
         ("max_candidates",      POSITION, "job"),
-        ("use_possible_filter", RESULT,   "job pipeline"),
-        ("use_estimation",      RESULT,   "job pipeline"),
-        ("prune_comm",          RESULT,   "job pipeline"),
+        ("use_possible_filter", RESULT,   "job"),
+        ("use_estimation",      RESULT,   "job"),
+        ("prune_comm",          RESULT,   "job"),
         ("check_utilization",   RESULT,   "job evaluator"),
         ("weighted",            RESULT,   "job evaluator"),
         ("backend",             RESULT,   "job evaluator"),
-        ("keep_ties",           RESULT,   "job pipeline"),
+        ("keep_ties",           RESULT,   "job"),
         ("timing_mode",         RESULT,   "job evaluator"),
         ("require_units",       RESULT,   "job"),
         ("forbid_units",        RESULT,   "job"),
-        ("batch_size",          GEOMETRY, "job"),
         ("deadline_seconds",    BUDGET,   ""),
         ("max_evaluations",     BUDGET,   ""),
         ("checkpoint",          SESSION,  ""),
@@ -191,7 +189,6 @@ def bound_params(
 def validate_explore_options(
     backend: str,
     timing_mode: Optional[str],
-    batch_size: Optional[int] = None,
     *,
     deadline_seconds: Optional[float] = None,
     max_evaluations: Optional[int] = None,
@@ -213,10 +210,6 @@ def validate_explore_options(
         raise ExplorationError(
             f"unknown timing_mode {timing_mode!r}; "
             f"expected one of {TIMING_MODES}"
-        )
-    if batch_size is not None and batch_size < 1:
-        raise ExplorationError(
-            f"batch_size must be a positive integer, got {batch_size!r}"
         )
     if deadline_seconds is not None and deadline_seconds < 0:
         raise ExplorationError(
@@ -317,6 +310,31 @@ def _charged_enumeration(stream, sinks):
         yield item
 
 
+class Snapshot(NamedTuple):
+    """What a checkpoint journals of an :class:`ExploreState`."""
+
+    #: Candidates consumed in the enumeration order.
+    cursor: int
+    #: The incumbent flexibility.
+    f_cur: float
+    #: The incumbent points (discovery order, before the final
+    #: dominance pass).
+    points: List
+    #: :meth:`ExplorationStats.as_dict` without ``elapsed_seconds``.
+    counters: Dict[str, Any]
+    #: The statistics' event log.
+    events: List[Dict[str, Any]]
+
+
+#: The counters :meth:`ExploreState.restore` takes from a snapshot
+#: (the design-space size is the specification's own).
+_RESTORED_COUNTERS = frozenset(ExplorationStats.__slots__) - {
+    "design_space_size",
+    "elapsed_seconds",
+    "events",
+}
+
+
 class ExploreState:
     """EXPLORE's decision rule, written once for every driver.
 
@@ -327,24 +345,27 @@ class ExploreState:
     candidates, in cost order, each with a *probe*: any object with the
     evaluator protocol ``possible`` / ``comm_pruned`` / ``estimate`` /
     ``evaluate`` / ``infeasibility_reason``.  The serial loop passes
-    the evaluator itself; the batched replay passes an
-    :class:`~repro.parallel.worker.OutcomeProbe` over recorded
-    outcomes; the block kernel passes a view of its arrays.
+    the evaluator itself; the block kernel passes a view of its arrays.
 
-    Per candidate, a driver calls :meth:`admit` (the flexibility and
+    Per candidate, a driver checks :meth:`out_of_budget` (when a
+    :attr:`budget` is set), calls :meth:`admit` (the flexibility and
     cost bounds, checked before the candidate is counted) and then
     :meth:`step` (count it and decide it); either returning ``False``
-    ends the run.  The block kernel's fast mode counts the rows it
-    skips itself and calls :meth:`bind` for each survivor.
-    Driver-specific stops (anytime budgets) go through :meth:`stop`;
+    ends the run, and :meth:`advance` then moves the :attr:`cursor`
+    past the consumed candidate.  The block kernel's fast mode counts
+    the rows it skips itself and calls :meth:`bind` for each survivor.
     :meth:`finish` builds the result.
 
-    ``timed`` — the probe computes in this process, so its estimate
-    and evaluate calls are charged to the tracer/profiler phases and
-    evaluations carry wall-clock; replay drivers, whose work happened
-    elsewhere, leave it off.  ``evaluator`` — the run's engine, whose
-    memo/warm counter deltas from here on are charged to the statistics.
-    ``name`` labels the run's log records (the specification name).
+    The cursor counts the candidates consumed in the deterministic
+    enumeration order.  With a checkpoint :attr:`journal` attached,
+    :meth:`flush` journals a :meth:`snapshot` at every multiple of
+    :attr:`every`; :meth:`restore` continues from one.
+
+    ``timed`` — charge the probe's estimate and evaluate calls to the
+    tracer/profiler phases and give evaluations wall-clock.
+    ``evaluator`` — the run's engine, whose memo/warm counter deltas
+    from here on are charged to the statistics.  ``name`` labels the
+    run's log records (the specification name).
     """
 
     def __init__(
@@ -387,6 +408,17 @@ class ExploreState:
         self.timed = timed and bool(self.sinks)
         self.evaluator = evaluator
         self.cache_base = cache_counter_snapshot(evaluator)
+        #: Candidates consumed in the enumeration order.
+        self.cursor = cursor
+        #: The anytime budget (an :class:`~repro.resilience.anytime.
+        #: AnytimeBudget`) and the gap of the run it truncated.
+        self.budget = None
+        self.truncation: Optional[OptimalityGap] = None
+        #: The checkpoint journal (a :class:`~repro.resilience.
+        #: checkpoint.CheckpointWriter`) and its snapshot cadence (0
+        #: without a journal).
+        self.journal = None
+        self.every = 0
         self.started = time.perf_counter()
         self.emitter.start(design_space_size, f_max)
         if tracer is not None:
@@ -403,6 +435,63 @@ class ExploreState:
             self.tracer.stop(
                 reason, **fields, candidates=self.stats.candidates_enumerated
             )
+
+    def out_of_budget(self, cost: float) -> bool:
+        """Stop at the candidate of ``cost`` when the budget is spent:
+        its cost bounds everything unexplored.  Checked before
+        :meth:`admit`, so a truncated run's state is exactly the
+        untruncated run's state after a prefix of the order."""
+        reason = self.budget.exhausted(self.stats.estimate_exceeded)
+        if reason is None:
+            return False
+        self.truncation = OptimalityGap(
+            next_cost_bound=cost,
+            flexibility_bound=self.f_max,
+            achieved_flexibility=self.f_cur,
+            reason=reason,
+        )
+        self.stop(taxonomy.BUDGET, budget=reason, next_cost_bound=cost)
+        return True
+
+    def advance(self) -> None:
+        """Move the cursor past one consumed candidate; journal a
+        snapshot when it lands on the cadence."""
+        self.cursor += 1
+        if self.journal is not None and self.cursor % self.every == 0:
+            self.flush()
+
+    def snapshot(self) -> Snapshot:
+        """The state a checkpoint journals (points and events copied)."""
+        stats = self.stats
+        counters = stats.as_dict()
+        del counters["elapsed_seconds"]
+        return Snapshot(
+            self.cursor,
+            self.f_cur,
+            list(self.points),
+            counters,
+            list(stats.events),
+        )
+
+    def restore(self, snapshot) -> None:
+        """Continue from a :class:`Snapshot` (or anything with its
+        fields, such as a loaded checkpoint)."""
+        stats = self.stats
+        for name, value in snapshot.counters.items():
+            if name in _RESTORED_COUNTERS:
+                setattr(stats, name, value)
+        stats.events = list(snapshot.events)
+        self.cursor = snapshot.cursor
+        self.f_cur = snapshot.f_cur
+        self.points = list(snapshot.points)
+
+    def flush(self, completed: bool = False) -> None:
+        """Journal a snapshot.  It is counted *before* it is taken: the
+        M-th record stores ``checkpoints_written == M``, so a run
+        killed after record M and resumed writes the same total as the
+        uninterrupted run."""
+        self.stats.checkpoints_written += 1
+        self.journal.checkpoint(*self.snapshot(), completed=completed)
 
     def admit(self, cost: float) -> bool:
         """The bounds checked before a candidate is counted: the global
@@ -517,7 +606,7 @@ class ExploreState:
         else:
             implementation = probe.evaluate(units, solver_counter=solver_calls)
         # Charged at the step (not summed at the end) so that mid-run
-        # checkpoints journal the exact replay-time counter.
+        # checkpoints journal the exact counter.
         stats.solver_invocations += solver_calls[0]
         f_cur = self.f_cur
         if tracer is not None:
@@ -589,12 +678,10 @@ class ExploreState:
             stats.candidates_enumerated,
         )
 
-    def finish(
-        self, truncation: Optional[OptimalityGap] = None
-    ) -> ExplorationResult:
-        """The final dominance pass, end events and the result;
-        ``truncation`` is the gap of a run a budget cut short
-        (``None`` for a complete run)."""
+    def finish(self) -> ExplorationResult:
+        """The final dominance pass, end events and the result (with
+        the gap of a run the budget cut short)."""
+        truncation = self.truncation
         points = self.points
         # Cost-ordered discovery with strictly increasing flexibility
         # makes the points mutually non-dominated except for one corner
@@ -681,7 +768,6 @@ def explore(
     timing_mode: Optional[str] = None,
     require_units: Optional[Iterable[str]] = None,
     forbid_units: Optional[Iterable[str]] = None,
-    batch_size: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     max_evaluations: Optional[int] = None,
     checkpoint: Optional[str] = None,
@@ -731,13 +817,6 @@ def explore(
         ``keep_ties=True`` every equally-optimal allocation of the same
         cost and flexibility is reported as well — e.g. all $230/f=4
         variants of the case study.
-    batch_size:
-        Candidates per batch of the batched replay (default
-        :data:`repro.parallel.BATCH_SIZE_DEFAULT`), which runs a budget
-        or a checkpoint; the returned Pareto set, statistics and
-        tie-breaking are identical to the serial loop (see
-        :mod:`repro.parallel` and ``docs/parallel.md``).  Ignored by a
-        run that needs none of them.
     deadline_seconds / max_evaluations:
         Anytime budgets (see ``docs/resilience.md``): stop gracefully at
         a candidate boundary when the wall-clock deadline passes or the
@@ -748,10 +827,10 @@ def explore(
         *space*), a budget-truncated result always says it is truncated
         and bounds what was left on the table.
     checkpoint / checkpoint_every:
-        Journal evaluated outcomes and fsync'd replay snapshots (every
-        ``checkpoint_every`` candidates, default
-        :data:`repro.resilience.checkpoint.CHECKPOINT_EVERY_DEFAULT`) to
-        ``checkpoint``;
+        Journal fsync'd snapshots of the search state (every
+        ``checkpoint_every`` consumed candidates, default
+        :data:`repro.resilience.checkpoint.CHECKPOINT_EVERY_DEFAULT`,
+        and at the end) to ``checkpoint``;
         :func:`repro.resilience.resume_explore` continues a killed run
         to an identical result.
     progress / progress_every:
@@ -759,17 +838,18 @@ def explore(
         ``progress`` is called with plain-dictionary lifecycle events
         (``explore_start``, ``incumbent``, ``explore_end``, and — every
         ``progress_every`` enumerated candidates — ``progress``).  The
-        event sequence is identical for serial and batched runs of the
-        same exploration; the CLI and the exploration service
-        (:mod:`repro.service`) both consume this seam.
+        event sequence is identical for plain, budgeted, checkpointed
+        and resumed runs of the same exploration; the CLI and the
+        exploration service (:mod:`repro.service`) both consume this
+        seam.
     tracer:
         An optional :class:`repro.trace.Tracer` collecting deterministic
         span/audit records of the search (see ``docs/observability.md``).
-        Like progress events, trace records are emitted at replay
+        Like progress events, trace records are emitted at candidate
         positions with no wall-clock in fingerprint-relevant fields, so
-        serial, batched and service runs of the same exploration produce
-        byte-identical logical traces.  ``None`` (the default) disables
-        tracing with zero behaviour change.
+        plain, checkpointed and service runs of the same exploration
+        produce byte-identical logical traces.  ``None`` (the default)
+        disables tracing with zero behaviour change.
     engine:
         Candidate-evaluation engine: ``"compiled"`` (default — the
         bitmask kernel of :mod:`repro.compiled` with cross-candidate
@@ -808,46 +888,56 @@ def explore(
     resolved in favour of the first candidate in the deterministic
     enumeration order.
     """
-    options = bound_params(locals())
+    return run_exploration(spec, bound_params(locals()))
+
+
+def run_exploration(
+    spec: SpecificationGraph,
+    options: Mapping[str, Any],
+    resume=None,
+) -> ExplorationResult:
+    """The one EXPLORE driver behind :func:`explore` and
+    :func:`repro.resilience.resume_explore`.
+
+    ``options`` are bound :data:`EXPLORE_PARAMS` (missing ones take
+    their :func:`explore` defaults); ``resume`` is a loaded checkpoint
+    (:class:`repro.resilience.checkpoint.LoadedCheckpoint`) whose
+    snapshot the run continues from.
+    """
+    options = dict(_DEFAULTS, **options)
     validate_bound_options(options)
-    warm_path = warm_store_path(warm_store)
-    emitter = ProgressEmitter(progress, progress_every)
-    if (
-        deadline_seconds is not None
-        or max_evaluations is not None
-        or checkpoint is not None
-    ):
-        # Budgets and checkpoints live in the batched replay
-        # loop, which reproduces this serial loop exactly
-        # (differentially tested).
-        from ..parallel import explore_batched
-
-        return explore_batched(spec, **options)
-
     if not spec.frozen:
         raise ExplorationError("specification must be frozen before explore()")
-    options["warm_store"] = warm_path
+    options["warm_store"] = warm_store_path(options["warm_store"])
+    emitter = ProgressEmitter(options["progress"], options["progress_every"])
+    tracer = options["tracer"]
+    keep_ties = options["keep_ties"]
+    max_candidates = options["max_candidates"]
     evaluator = make_evaluator(
         spec, **bound_params(options, param_names(tag="evaluator"))
     )
     setup = prepare_exploration(
         spec,
-        require_units,
-        forbid_units,
-        max_cost,
-        weighted,
+        options["require_units"],
+        options["forbid_units"],
+        options["max_cost"],
+        options["weighted"],
         evaluator=evaluator,
     )
     required = setup.required
     # Telemetry rides the tracer's phase seam (duck-typed: Telemetry
     # and PhaseProfiler both expose ``.profiler``); kept import-free so
-    # the core never depends on repro.telemetry.
-    profiler = getattr(telemetry, "profiler", None)
+    # the core never depends on repro.telemetry.  The compiled
+    # evaluator charges per-solve binding/timing to it directly when
+    # the state does not time its evaluations.
+    profiler = getattr(options["telemetry"], "profiler", None)
+    if profiler is not None and hasattr(evaluator, "phase_sink"):
+        evaluator.phase_sink = profiler
 
     # Batch-vectorized block kernel (repro.compiled.batch): when the
     # engine offers it and numpy is available, candidate enumeration
     # and the incumbent-independent pre-filters run over uint64 blocks.
-    # With no per-candidate observers the whole replay runs blocked
+    # With no per-candidate observers the whole run is blocked
     # (run_fast); otherwise the loop below consumes the block stream,
     # each candidate with a probe answering from the block arrays.
     # Results are byte-identical either way (differentially tested).
@@ -859,9 +949,9 @@ def explore(
             bool(required),
             required,
             setup.required_cost,
-            use_possible_filter=use_possible_filter,
-            prune_comm=prune_comm,
-            use_estimation=use_estimation,
+            use_possible_filter=options["use_possible_filter"],
+            prune_comm=options["prune_comm"],
+            use_estimation=options["use_estimation"],
             sinks=(tracer, profiler),
         )
     fast = (
@@ -875,43 +965,122 @@ def explore(
         setup.f_max,
         1 << len(setup.extra_names),
         name=spec.name,
-        max_cost=max_cost,
+        max_cost=options["max_cost"],
         max_candidates=max_candidates,
-        use_possible_filter=use_possible_filter,
-        prune_comm=prune_comm,
-        use_estimation=use_estimation,
+        use_possible_filter=options["use_possible_filter"],
+        prune_comm=options["prune_comm"],
+        use_estimation=options["use_estimation"],
         keep_ties=keep_ties,
         emitter=emitter,
         tracer=tracer,
         profiler=profiler,
         timed=not fast,
         evaluator=evaluator,
+        cursor=0 if resume is None else resume.cursor,
     )
+    if resume is not None:
+        state.restore(resume)
+    deadline = options["deadline_seconds"]
+    max_evaluations = options["max_evaluations"]
+    if deadline is not None or max_evaluations is not None:
+        from ..resilience.anytime import AnytimeBudget
+
+        state.budget = AnytimeBudget(deadline, max_evaluations)
+    if options["checkpoint"] is not None:
+        from ..resilience.checkpoint import (
+            CHECKPOINT_EVERY_DEFAULT,
+            CheckpointWriter,
+            header_params,
+        )
+
+        every = options["checkpoint_every"] or CHECKPOINT_EVERY_DEFAULT
+        state.every = every
+        state.journal = CheckpointWriter(
+            options["checkpoint"],
+            spec,
+            header_params(options, checkpoint_every=every),
+            resume_length=None if resume is None else resume.valid_length,
+        )
     logger.info(
-        "explore start: spec=%s design_space=%d f_max=%g serial",
+        "explore start: spec=%s design_space=%d f_max=%g cursor=%d",
         spec.name,
         state.stats.design_space_size,
         state.f_max,
+        state.cursor,
     )
-    if fast:
-        block.run_fast(state)
-    else:
-        if block is not None:
-            stream = block.candidates()
+    try:
+        if fast:
+            block.run_fast(state)
         else:
-            stream = evaluator.enumerator(
-                setup.extra_names, include_empty=bool(required)
-            )
-            if tracer is not None or profiler is not None:
-                stream = _charged_enumeration(stream, (tracer, profiler))
-            stream = zip(stream, itertools.repeat(evaluator))
-        required_cost = setup.required_cost
-        for (extra_cost, extras), probe in stream:
-            cost = required_cost + extra_cost
-            # Preserve the enumerator's frozenset identity when nothing
-            # is required — the compiled engine keys its units->mask
-            # handoff memo on it (a union would copy and defeat it).
-            units = required | extras if required else extras
-            if not (state.admit(cost) and state.step(cost, units, probe)):
-                break
+            _run_eventful(state, evaluator, block, setup, profiler)
+        journal = state.journal
+        # The final snapshot is skipped when a resume reproduced the
+        # journaled end state exactly (no candidate consumed, same
+        # completion), so that resuming a finished run is idempotent:
+        # ``checkpoints_written`` included.
+        completed = state.truncation is None
+        if journal is not None and not (
+            resume is not None
+            and state.cursor == resume.cursor
+            and resume.completed == completed
+        ):
+            state.flush(completed=completed)
+    finally:
+        if state.journal is not None:
+            state.journal.close()
     return state.finish()
+
+
+#: :func:`explore`'s parameter defaults, by name.
+_DEFAULTS = {
+    name: parameter.default
+    for name, parameter in inspect.signature(explore).parameters.items()
+    if name != "spec"
+}
+
+
+def check_cursor(cursor: int, skipped: int) -> None:
+    """Raise unless a resumed enumeration could drop all ``cursor``
+    rows it consumed before (it had only ``skipped``)."""
+    if skipped < cursor:
+        raise CheckpointError(
+            f"checkpoint cursor {cursor} exceeds the enumeration "
+            f"({skipped} candidates); the journal does not belong "
+            f"to this specification"
+        )
+
+
+def _run_eventful(state, evaluator, block, setup, profiler) -> None:
+    """The per-candidate loop: every candidate is admitted and stepped
+    through ``state``, so progress events, trace records, ties and
+    ``max_candidates`` see each one."""
+    required = setup.required
+    tracer = state.tracer
+    if block is not None:
+        stream = block.candidates(skip=state.cursor)
+    else:
+        stream = evaluator.enumerator(
+            setup.extra_names, include_empty=bool(required)
+        )
+        if tracer is not None or profiler is not None:
+            stream = _charged_enumeration(stream, (tracer, profiler))
+        if state.cursor:
+            stream = iter(stream)
+            check_cursor(
+                state.cursor,
+                sum(1 for _ in itertools.islice(stream, state.cursor)),
+            )
+        stream = zip(stream, itertools.repeat(evaluator))
+    required_cost = setup.required_cost
+    budget = state.budget
+    for (extra_cost, extras), probe in stream:
+        cost = required_cost + extra_cost
+        if budget is not None and state.out_of_budget(cost):
+            break
+        # Preserve the enumerator's frozenset identity when nothing
+        # is required — the compiled engine keys its units->mask
+        # handoff memo on it (a union would copy and defeat it).
+        units = required | extras if required else extras
+        if not (state.admit(cost) and state.step(cost, units, probe)):
+            break
+        state.advance()

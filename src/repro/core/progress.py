@@ -5,14 +5,14 @@ CLI prints a live status line, and the exploration service
 (:mod:`repro.service`) fans job progress out to streaming subscribers
 and its metrics registry.  Both consume the same seam — an
 ``explore(progress=...)`` callback invoked with plain-dictionary
-events from *replay positions* of the candidate loop.
+events from positions of the candidate loop.
 
 Determinism contract
 --------------------
-Events are emitted at incumbent-order positions with replay-order data
+Events are emitted at candidate positions with enumeration-order data
 only (counters, incumbent points) and carry **no wall-clock fields**,
-so a serial run and any batched run of the same exploration
-emit byte-identical event sequences — differentially tested in
+so a plain run and any budgeted, checkpointed or resumed run of the
+same exploration emit byte-identical event sequences — differentially tested in
 ``tests/test_progress_events.py``.  Consumers that want timestamps or
 rates (the service does) attach them on receipt.
 
@@ -111,7 +111,7 @@ class ProgressEmitter:
         feasible: int,
         flexibility: float,
     ) -> None:
-        """Called once per enumerated candidate (replay order)."""
+        """Called once per enumerated candidate (enumeration order)."""
         if (
             self._callback is not None
             and self.every is not None

@@ -149,16 +149,13 @@ class ExplorationStats:
         self.feasible_implementations = 0
         #: Wall-clock duration of the exploration.
         self.elapsed_seconds = 0.0
-        #: Always 0: counters of the removed worker pools, kept so
-        #: :meth:`as_dict` keeps its keys (pinned by golden fronts and
-        #: result documents).
+        #: Always 0: counters of the removed worker pools, candidate
+        #: quarantine and outcome cache, kept so :meth:`as_dict` keeps
+        #: its keys (pinned by golden fronts and result documents).
         self.pool_retries = 0
         self.pool_fallbacks = 0
         self.batch_timeouts = 0
-        #: Candidates quarantined after a worker failure (rescued by a
-        #: fault-free re-evaluation — recorded, never dropped).
         self.quarantined = 0
-        #: Cache entries rejected by their integrity checksum.
         self.cache_corruptions = 0
         #: Checkpoint records journaled during the run.
         self.checkpoints_written = 0
@@ -167,9 +164,9 @@ class ExplorationStats:
         #: the warm split of the misses: store hits, store misses,
         #: write-behinds and entries rejected as corrupt.  Diagnostics
         #: only: excluded from :meth:`as_dict` (and thus from every
-        #: byte-identity fingerprint) because batched speculation and
-        #: in-process evaluator interning legitimately change the
-        #: hit/miss split without changing results; read them via
+        #: byte-identity fingerprint) because in-process evaluator
+        #: interning and warm stores legitimately change the hit/miss
+        #: split without changing results; read them via
         #: :meth:`cache_dict` or the result document's ``"cache"`` key.
         self.memo_hits = 0
         self.memo_misses = 0
@@ -181,8 +178,7 @@ class ExplorationStats:
         self.warm_writes = 0
         self.warm_corruptions = 0
         #: Degradation events, newest last: dictionaries with at least a
-        #: ``"kind"`` key (``quarantine``, ``cache_corruption``).
-        #: Surfaced here so a degraded run is never silent.
+        #: ``"kind"`` key.  Journaled with every checkpoint snapshot.
         self.events: List[Dict[str, Any]] = []
 
     def as_dict(self) -> Dict[str, float]:
@@ -190,8 +186,9 @@ class ExplorationStats:
 
         The :attr:`events` log is not a counter and is excluded, and so
         are the memo/warm cache counters (:attr:`CACHE_COUNTERS`):
-        everything here is replay-deterministic — identical for serial,
-        batched and resumed runs — while cache hit/miss splits
+        everything here is deterministic — identical for plain,
+        budgeted, checkpointed and resumed runs — while cache hit/miss
+        splits
         are execution-dependent diagnostics (:meth:`cache_dict`).
         """
         skip = set(self.CACHE_COUNTERS)

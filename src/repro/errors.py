@@ -48,29 +48,6 @@ class SerializationError(ReproError):
     """A document could not be parsed into a model (or vice versa)."""
 
 
-class WorkerError(ReproError):
-    """A candidate-evaluation worker failed."""
-
-
-class TransientWorkerError(WorkerError):
-    """A worker failure that is expected to succeed on retry.
-
-    Raised (or injected by the fault harness) for flaky-infrastructure
-    conditions: spurious resource exhaustion, worker preemption.  The
-    batched explorer quarantines the candidate and rescues it with a
-    fault-free re-evaluation.
-    """
-
-
-class PermanentWorkerError(WorkerError):
-    """A worker failure that retrying cannot fix.
-
-    The batched explorer quarantines the candidate (recorded in the
-    run statistics, never silently dropped) and evaluates it inline as
-    a last resort.
-    """
-
-
 class CheckpointError(ReproError):
     """A checkpoint journal is missing, corrupt, or inconsistent."""
 

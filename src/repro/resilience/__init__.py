@@ -5,26 +5,22 @@ get preempted, and hit flaky hosts.  This package makes the explorer
 return a *valid, bounded* answer under all of that:
 
 * **checkpoint/resume** (:mod:`.checkpoint`, :mod:`.journal`) —
-  ``explore(..., checkpoint=path)`` journals outcomes and replay
-  snapshots to an append-only CRC-checked file; :func:`resume_explore`
+  ``explore(..., checkpoint=path)`` journals snapshots of the search
+  state to an append-only CRC-checked file; :func:`resume_explore`
   continues a killed run to a result fingerprint identical to the
   uninterrupted run;
 * **anytime deadlines** (:mod:`.anytime`) — ``deadline_seconds=`` /
   ``max_evaluations=`` stop gracefully with the best-so-far front, an
   explicit :class:`~repro.core.result.OptimalityGap`, and
   ``completed=False``;
-* **candidate quarantine** (:mod:`repro.parallel.batched`) — a
-  candidate whose evaluation fails with a worker error is quarantined
-  (counted and recorded as an event in ``ExplorationResult.stats``),
-  then rescued by a fault-free re-evaluation — never silently dropped;
 * a **fault-injection harness** (:mod:`.faults`) — deterministic
-  transient/permanent worker errors, delays, cache corruption
-  and process aborts, plus the ``"disk"`` (torn write / ENOSPC /
-  fsync failure) seam for the chaos matrix in ``tests/test_chaos.py``.
+  process aborts at a checkpoint plus the ``"disk"`` (torn write /
+  ENOSPC / fsync failure) seam for the chaos matrix in
+  ``tests/test_chaos.py``.
 
-Submodules are imported lazily (PEP 562) so that low-level users —
-:func:`.faults.install` sets the seam in ``repro.parallel.worker`` —
-never create an import cycle.
+Submodules are imported lazily (PEP 562): :mod:`.checkpoint` imports
+the explorer, which imports this package's :mod:`.anytime` only when a
+run has a budget.
 """
 
 from __future__ import annotations
@@ -40,7 +36,6 @@ __all__ = [
     "LoadedCheckpoint",
     "OptimalityGap",
     "SimulatedCrash",
-    "corrupt_cache_entry",
     "inject",
     "load_checkpoint",
     "maybe_action",
@@ -60,7 +55,6 @@ _LAZY = {
     "resume_explore": ("checkpoint", "resume_explore"),
     "FaultPlan": ("faults", "FaultPlan"),
     "SimulatedCrash": ("faults", "SimulatedCrash"),
-    "corrupt_cache_entry": ("faults", "corrupt_cache_entry"),
     "inject": ("faults", "inject"),
     "maybe_action": ("faults", "maybe_action"),
     "JournalWriter": ("journal", "JournalWriter"),

@@ -51,10 +51,9 @@ class AnytimeBudget:
     def exhausted(self, evaluations_used: int) -> Optional[str]:
         """The truncation reason hit at this point, or ``None``.
 
-        Checked at the top of each candidate's replay, *before* the
-        candidate is consumed — a truncated run's state is therefore
-        always exactly the serial loop's state after a prefix of the
-        candidate sequence.
+        Checked before a candidate is consumed — a truncated run's
+        state is therefore always exactly the untruncated run's state
+        after a prefix of the candidate sequence.
         """
         if (
             self.max_evaluations is not None

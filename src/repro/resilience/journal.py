@@ -12,8 +12,7 @@ stays greppable for post-mortems.
 Durability contract: every record is flushed to the OS on append;
 records written with ``sync=True`` (checkpoints) are additionally
 ``fsync``'d, so a checkpoint acknowledged to the caller survives even
-a machine crash.  Outcome records between two checkpoints may be lost
-on power failure — they are pure cache and are recomputed on resume.
+a machine crash.
 """
 
 from __future__ import annotations
@@ -25,15 +24,7 @@ import zlib
 from typing import Any, Iterator, List, Optional, Tuple
 
 from ..errors import CheckpointError
-
-
-def _faults():
-    """The fault-injection seams (lazy import: avoids a module cycle —
-    :mod:`.faults` is a sibling, but importing it eagerly would load
-    the whole parallel stack for every journal read)."""
-    from . import faults
-
-    return faults
+from . import faults
 
 
 def _canonical(record_type: str, payload: Any) -> str:
@@ -93,13 +84,13 @@ class JournalWriter:
         if self._handle is None:
             raise CheckpointError(f"journal {self.path!r} already closed")
         line = encode_record(record_type, payload)
-        fault = _faults().maybe_action(
+        fault = faults.maybe_action(
             "disk", path=self.path, record_type=record_type
         )
         if fault == "torn":
             self._handle.write(line[: max(1, len(line) // 2)])
             self._handle.flush()
-            raise _faults().SimulatedCrash(
+            raise faults.SimulatedCrash(
                 f"injected torn write to {self.path!r} "
                 f"(record {record_type!r})"
             )

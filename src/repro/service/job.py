@@ -16,7 +16,7 @@ from ..trace import compute_trace_id
 #: explore, the service decides *how*.  ``trace`` is not an ``explore()`` parameter:
 #: it asks the service to record the job's search trace ("spans" or
 #: "audit", see repro.trace) into job-<id>.trace.jsonl, and is stripped
-#: before explore_batched().
+#: before explore().
 SUBMIT_OPTIONS = param_names(tag="job") + ("trace",)
 
 
@@ -91,7 +91,7 @@ class Job:
         #: Full candidate evaluations performed so far (the slice
         #: budget currency).
         self.evaluations = 0
-        #: Candidates replayed so far.
+        #: Candidates consumed so far.
         self.candidates = 0
         #: Checkpoint records written for this job so far.
         self.checkpoints = 0
@@ -101,8 +101,9 @@ class Job:
         #: Whether this job was restored from the ledger by a restart.
         self.recovered = False
         #: Deterministic trace id of the job's specification — the same
-        #: spec explored solo, batched, or under the service carries the
-        #: same id, so traces and job events can be correlated.
+        #: spec explored solo, checkpointed, or under the service
+        #: carries the same id, so traces and job events can be
+        #: correlated.
         self.trace_id = compute_trace_id(spec)
 
     @property

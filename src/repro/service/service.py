@@ -42,12 +42,12 @@ import re
 import time
 from typing import Any, Dict, List, Optional
 
+from ..core.explorer import explore
 from ..core.result import ExplorationResult
 from ..errors import CheckpointError, HangError, OverloadedError, ReproError
 from ..io import job_io
 from ..io.json_io import spec_from_dict, spec_to_dict
 from ..io.result_io import dump_result, load_result
-from ..parallel.batched import explore_batched
 from ..resilience.checkpoint import resume_explore
 from ..resilience.journal import JournalWriter, read_journal
 from ..spec import SpecificationGraph
@@ -57,7 +57,6 @@ from .clock import ManualClock, MonotonicClock, ServiceClock
 from .events import EventBus, Subscription
 from ..trace import Tracer, bridge_trace_metrics, write_trace
 from .job import Job, ServiceError, validate_options
-from .metrics import MetricsRegistry
 from .scheduler import StrideScheduler
 
 logger = logging.getLogger(__name__)
@@ -67,12 +66,12 @@ logger = logging.getLogger(__name__)
 #: enough to amortise the checkpoint fsync.
 SLICE_EVALUATIONS_DEFAULT = 32
 
-#: Default checkpoint cadence (replayed candidates) inside a slice —
+#: Default checkpoint cadence (consumed candidates) inside a slice —
 #: denser than the explore default because slices are short and a kill
 #: should lose little work.
 CHECKPOINT_EVERY_DEFAULT = 32
 
-#: Default cadence (replayed candidates) of per-job ``progress`` events.
+#: Default cadence (enumerated candidates) of per-job ``progress`` events.
 PROGRESS_EVERY_DEFAULT = 64
 
 
@@ -231,10 +230,6 @@ class ExplorationService:
         self.m_checkpoints = m.counter(
             "repro_checkpoints_total", "Checkpoint records journaled"
         )
-        self.m_quarantined = m.counter(
-            "repro_quarantined_total",
-            "Candidates quarantined after repeated worker failures",
-        )
         self.m_wait = m.histogram(
             "repro_wait_seconds",
             "Queue wait time between slices of a job",
@@ -387,11 +382,17 @@ class ExplorationService:
         """Rebuild jobs from the ledger; re-queue every live one."""
         for entry in entries.values():
             spec = spec_from_dict(entry.spec_document)
+            try:
+                options, invalid = validate_options(entry.options), None
+            except ServiceError as error:
+                # Journaled with an option this release no longer has:
+                # the job cannot run as submitted, so it fails (typed).
+                options, invalid = {}, error
             job = Job(
                 entry.job_id,
                 entry.name,
                 spec,
-                entry.options,
+                options,
                 entry.priority,
                 entry.submitted_at,
             )
@@ -412,6 +413,9 @@ class ExplorationService:
                 job.state = "queued"
                 job.recovered = True
                 self.scheduler.add(entry.job_id, entry.priority)
+                if invalid is not None:
+                    self._finish_failed(job, invalid)
+                    continue
                 logger.info(
                     "job %s (%s) recovered from the ledger: "
                     "%d slice(s), %d evaluation(s)",
@@ -592,7 +596,7 @@ class ExplorationService:
                 # the disk): start over — the fresh run rewrites it.
                 pass
         options = {k: v for k, v in job.options.items() if k != "trace"}
-        return explore_batched(
+        return explore(
             job.spec,
             checkpoint=checkpoint,
             checkpoint_every=self.checkpoint_every,
@@ -709,7 +713,6 @@ class ExplorationService:
         evaluations = delta("estimate_exceeded")
         self.m_evaluations.inc(evaluations)
         self.m_checkpoints.inc(delta("checkpoints_written"))
-        self.m_quarantined.inc(delta("quarantined"))
         # Cache counters are per-slice deltas already (they are not
         # journaled across preemptions), so they are charged directly.
         cache = result.stats.cache_dict()

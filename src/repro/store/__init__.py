@@ -19,8 +19,8 @@ across candidates; this package makes that memo durable across
   to the entries it can have touched and drops exactly those (precise
   GC; the conservative whole-spec fallback is the addressing itself).
 
-Wired through ``explore(warm_store=...)``, the batched/parallel
-explorer, checkpoint/resume and the exploration service (named jobs on
+Wired through ``explore(warm_store=...)``, checkpoint/resume and the
+exploration service (named jobs on
 one host share one store).  Warm results are byte-identical to cold —
 differentially tested over the randspec corpus and randomized edit
 chains.  See ``docs/performance.md`` (soundness) and

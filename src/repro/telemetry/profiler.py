@@ -2,9 +2,8 @@
 
 :class:`PhaseProfiler` speaks the same ``charge(phase, seconds)`` /
 ``timed(phase, fn, *args)`` protocol as
-:meth:`repro.trace.Tracer.charge`, so the explorer, the batched replay
-loop and the compiled evaluator feed it through the seam they already
-have — no new instrumentation points, and nothing it records can reach
+:meth:`repro.trace.Tracer.charge`, so the explorer and the compiled
+evaluator feed it through the seam they already have — no new instrumentation points, and nothing it records can reach
 the logical (deterministic) channel.
 
 The hot path is deliberately tiny: one dict lookup, two adds, and a
@@ -104,14 +103,6 @@ class PhaseProfiler:
                 running += count
                 cumulative.append(running)
             histogram.restore(cumulative, total, calls)
-
-    def collector(self) -> Callable[[Any], None]:
-        """A collector callback for ``MetricRegistry.register_collector``."""
-
-        def collect(registry) -> None:
-            self.export(registry)
-
-        return collect
 
 
 __all__ = ["PHASE_BUCKETS", "PhaseProfiler"]

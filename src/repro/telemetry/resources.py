@@ -92,13 +92,5 @@ class ResourceSampler:
         ).set_to(self.samples)
         return snap
 
-    def collector(self) -> Callable[[Any], None]:
-        """A collector callback for ``MetricRegistry.register_collector``."""
-
-        def collect(registry) -> None:
-            self.export(registry)
-
-        return collect
-
 
 __all__ = ["ResourceSampler"]

@@ -9,7 +9,7 @@ phase histograms via the registry's collector hook.
 
 Exploration code only ever touches ``telemetry.profiler`` (duck-typed:
 a bare :class:`PhaseProfiler` also satisfies the seam), which is why
-``repro.core`` and ``repro.parallel`` need no import of this package.
+``repro.core`` needs no import of this package.
 """
 
 from __future__ import annotations

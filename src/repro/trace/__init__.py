@@ -4,8 +4,9 @@ The observability layer of the exploration engine (see
 ``docs/observability.md``):
 
 * :class:`Tracer` — spans over every search phase plus a per-candidate
-  pruning audit trail, emitted at replay positions so serial, batched
-  and service runs of one spec produce byte-identical logical traces;
+  pruning audit trail, emitted at candidate positions so plain,
+  budgeted, checkpointed and service runs of one spec produce
+  byte-identical logical traces;
 * :mod:`repro.trace.export` — JSONL span logs, Chrome trace-event JSON
   (Perfetto-loadable) and a bridge into
   :class:`repro.service.metrics.MetricsRegistry`;

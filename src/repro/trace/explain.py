@@ -22,7 +22,7 @@ and is reported rather than hidden.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..report import format_table
 from . import tracer as taxonomy

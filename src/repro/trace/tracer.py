@@ -1,9 +1,9 @@
 """Deterministic tracing of the EXPLORE search (spans + pruning audit).
 
 A :class:`Tracer` is an optional observation seam threaded through the
-serial loop (:func:`repro.core.explorer.explore`), the batched replay
-(:func:`repro.parallel.explore_batched`) and the exploration service
-(:mod:`repro.service`).  It records, as plain dictionaries:
+explorer (:func:`repro.core.explorer.explore`, with or without budgets
+and checkpoints), :func:`repro.resilience.resume_explore` and the
+exploration service (:mod:`repro.service`).  It records, as plain dictionaries:
 
 * **spans** — one ``explore_start``/``explore_end`` pair framing the
   run, one ``evaluate`` record per fully evaluated candidate (the
@@ -17,11 +17,11 @@ serial loop (:func:`repro.core.explorer.explore`), the batched replay
 
 Determinism contract
 --------------------
-Every record is emitted at the candidate's *replay position* and built
-only from replay-deterministic data, mirroring the
-:class:`repro.core.progress.ProgressEmitter` invariant: serial,
-batched and service-multiplexed runs of the same specification and
-options produce **byte-identical logical traces**.  Wall-clock lives
+Every record is emitted at the candidate's position in the
+enumeration order and built only from deterministic data, mirroring
+the :class:`repro.core.progress.ProgressEmitter` invariant: plain,
+budgeted, checkpointed and service-multiplexed runs of the same
+specification and options produce **byte-identical logical traces**.  Wall-clock lives
 only in the fields named by :data:`WALL_FIELDS` (``t``/``t0``/``t1``
 and the diagnostic ``diag`` payload) plus the trailing
 ``phase_totals`` record; :meth:`Tracer.logical_records` strips them
@@ -124,8 +124,8 @@ def compute_trace_id(spec) -> str:
     """Deterministic trace id of a specification (16 hex chars).
 
     The id hashes only the canonical specification document — not the
-    exploration options — so serial, batched and service runs of the
-    same spec share one id and their events/spans can be joined (the
+    exploration options — so plain, checkpointed and service runs of
+    the same spec share one id and their events/spans can be joined (the
     service stamps it on every job event; see ``docs/formats.md``).
     """
     from ..io.json_io import spec_to_dict
@@ -154,7 +154,7 @@ class Tracer:
 
     The per-candidate hooks (:meth:`prune`, :meth:`evaluate`,
     :meth:`incumbent`, :meth:`stop`) are called by the exploration
-    loops at replay positions; user code normally only constructs the
+    loops at candidate positions; user code normally only constructs the
     tracer, passes it to ``explore(tracer=...)`` and exports the
     records (:mod:`repro.trace.export`).
     """
@@ -266,10 +266,8 @@ class Tracer:
         """Record one full candidate evaluation (binding + timing).
 
         ``t0``/``t1``/``diag`` belong to the wall-clock channel: the
-        serial loop attaches real timings and the solver's phase
-        breakdown, the batched replay leaves them unset (the work
-        happened on a worker) — the logical trace is identical either
-        way.
+        explorer attaches real timings and the solver's phase
+        breakdown; the logical trace never depends on them.
         """
         record: Dict[str, Any] = {
             "type": "evaluate",

@@ -42,7 +42,6 @@ from repro.casestudies import (
 from repro.compiled import MaskAllocationEnumerator, compiled_spec_for
 from repro.compiled import batch
 from repro.core import explore
-from repro.parallel import explore_batched
 from repro.trace import Tracer, trace_fingerprint
 
 requires_numpy = pytest.mark.skipif(
@@ -430,7 +429,6 @@ def test_block_context_gate_without_numpy(monkeypatch):
     evaluator = compiled_evaluator(build_settop_spec())
     context = evaluator.block_context([], False, frozenset(), 0.0)
     assert context is None
-    assert evaluator.block_outcomes([], None, 0.0) is None
 
 
 @requires_numpy
@@ -444,18 +442,21 @@ def test_band_streaming_source_matches(monkeypatch):
 
 
 @requires_numpy
-@pytest.mark.parametrize("batch_size", [None, 1, 5, 32])
-def test_vectorized_vs_scalar_full_contract(monkeypatch, batch_size):
+@pytest.mark.parametrize("every", [None, 1, 5, 32])
+def test_vectorized_vs_scalar_full_contract(monkeypatch, every, tmp_path):
     """Result document, progress events and audit-trace fingerprints
-    are identical with the block kernel on and off — serial and
-    batched."""
+    are identical with the block kernel on and off — plain, and
+    budgeted with a checkpoint journal every ``every`` candidates."""
     spec = build_settop_spec()
     contracts = {}
     for mode in ("1", "0"):
         monkeypatch.setenv("REPRO_VECTORIZE", mode)
         events = []
-        run = explore if batch_size is None else functools.partial(
-            explore_batched, batch_size=batch_size
+        run = explore if every is None else functools.partial(
+            explore,
+            deadline_seconds=1e9,
+            checkpoint=str(tmp_path / "run.ckpt"),
+            checkpoint_every=every,
         )
         result = run(
             spec, engine="compiled", progress=events.append,

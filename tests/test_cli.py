@@ -153,6 +153,26 @@ class TestExplore:
         assert exit_info.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["explore", "trace"])
+    def test_removed_batch_size_flag_is_a_usage_error(
+        self, command, settop_json, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            run([command, settop_json, "--batch-size", "5"])
+        assert exit_info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+    def test_removed_batch_size_flag_is_refused_by_submit(
+        self, settop_json, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            run([
+                "submit", str(tmp_path / "svc"), settop_json,
+                "--batch-size", "5",
+            ])
+        assert exit_info.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
     def test_missing_file_error(self):
         code, _ = run(["explore", "/nonexistent/spec.json"])
         assert code == 1

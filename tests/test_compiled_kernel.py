@@ -17,13 +17,13 @@ import os
 import pytest
 
 from .randspec import random_spec
-from .test_parallel_explore import SEEDS, fingerprint
+from .routes import routes
+from .test_parallel_explore import SEEDS, fingerprint, route_fingerprint
 from repro.casestudies import build_settop_spec, build_tv_decoder_spec
 from repro.compiled import MaskAllocationEnumerator, compiled_spec_for
 from repro.core import DEFAULT_ENGINE, ENGINES, explore
 from repro.core.candidates import AllocationEnumerator
 from repro.errors import ExplorationError
-from repro.parallel import explore_batched
 from repro.trace import Tracer, trace_fingerprint
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -189,15 +189,14 @@ def test_mask_enumerator_masks_match_sets():
         assert cspec.names_of(mask) == units
 
 
-@pytest.mark.parametrize("batch_size", [1, 5, 32])
-def test_batched_compiled_matches_serial_reference(batch_size):
-    """Engine seam composes with the batched replay."""
+@pytest.mark.parametrize("every", [1, 5, 32])
+def test_batched_compiled_matches_serial_reference(every, tmp_path):
+    """The engine seam composes with budgets and checkpoints."""
     spec = build_settop_spec()
-    reference = fingerprint(explore(spec, engine="reference"))
-    observed = fingerprint(
-        explore_batched(spec, engine="compiled", batch_size=batch_size)
-    )
-    assert observed == reference
+    reference = route_fingerprint(explore(spec, engine="reference"))
+    for name, route in routes(tmp_path, every):
+        observed = explore(spec, engine="compiled", **route)
+        assert route_fingerprint(observed) == reference, name
 
 
 def test_engine_survives_checkpoint_resume(tmp_path):

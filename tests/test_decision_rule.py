@@ -8,16 +8,19 @@ properties guard each driver independently of the others:
   brute-force Pareto front over all ``2^n`` allocations;
 * **taxonomy reachability** — on the audit corpus every prune reason
   of :data:`repro.trace.PRUNE_REASONS` and every bound stop is emitted
-  by the serial and batched drivers alike, so no driver lost a branch
-  of the rule.
+  by plain and by budgeted, checkpointed runs alike, so no route lost a
+  branch of the rule.
 """
+
+import os
+import tempfile
 
 import pytest
 
 from .randspec import random_spec
+from .routes import routes
 from repro.compiled import batch
 from repro.core import exhaustive_front, explore
-from repro.parallel import explore_batched
 from repro.trace import PRUNE_REASONS, Tracer
 
 #: The randspec oracle corpus (<= 8 allocatable units each, so the
@@ -84,13 +87,11 @@ class TestOracle:
         assert explore(spec).front() == self.exact(spec)
         assert block_spy == {"run_fast": 1, "candidates": 0}
 
-    @pytest.mark.parametrize("batch_size", [1, 7])
-    def test_batched(self, seed, batch_size):
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_batched(self, seed, every, tmp_path):
         spec = random_spec(seed)
-        result = explore_batched(
-            spec, batch_size=batch_size
-        )
-        assert result.front() == self.exact(spec)
+        for _, route in routes(tmp_path, every):
+            assert explore(spec, **route).front() == self.exact(spec)
 
 
 def emitted_reasons(run):
@@ -114,9 +115,16 @@ def run_serial(spec, tracer, **options):
 
 
 def run_batched(spec, tracer, **options):
-    return explore_batched(
-        spec, batch_size=4, tracer=tracer, **options
-    )
+    """A budgeted, checkpointed run (the route service slices take)."""
+    with tempfile.TemporaryDirectory() as directory:
+        return explore(
+            spec,
+            max_evaluations=10**9,
+            checkpoint=os.path.join(directory, "run.ckpt"),
+            checkpoint_every=4,
+            tracer=tracer,
+            **options,
+        )
 
 
 @pytest.mark.parametrize(

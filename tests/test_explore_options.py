@@ -3,8 +3,8 @@
 The ``explore()`` docstring promises that ``timing_mode`` *overrides*
 the legacy ``check_utilization`` flag, and that unknown modes/backends
 fail fast with :class:`ExplorationError` instead of silently falling
-through — both promises are pinned down here, for the serial loop and
-for the batched replay.
+through — both promises are pinned down here, for plain runs and for
+budgeted, checkpointed runs.
 """
 
 import inspect
@@ -21,9 +21,10 @@ from repro.core import (
 )
 from repro.core import explorer
 from repro.errors import ExplorationError, ReproError
-from repro.parallel import BATCH_SIZE_DEFAULT, EvalParams, explore_batched
 from repro.resilience import checkpoint
 from repro.service import SUBMIT_OPTIONS
+
+from .routes import routes
 
 
 @pytest.fixture(scope="module")
@@ -32,23 +33,22 @@ def settop():
 
 
 class TestTimingModes:
-    """All three documented modes, on the serial loop and the batched
-    replay at several batch sizes."""
+    """All three documented modes, on plain runs and on budgeted,
+    checkpointed runs at several checkpoint cadences."""
 
     @pytest.mark.parametrize("mode", TIMING_MODES)
     @pytest.mark.parametrize(
-        "batch_size",
-        [None, 1, 5, BATCH_SIZE_DEFAULT],
-        ids=lambda size: "serial" if size is None else str(size),
+        "every",
+        [None, 1, 5, 32],
+        ids=lambda every: "serial" if every is None else str(every),
     )
-    def test_every_mode_runs(self, settop, mode, batch_size):
-        serial = explore(settop, timing_mode=mode)
-        assert serial.points
-        if batch_size is not None:
-            batched = explore_batched(
-                settop, timing_mode=mode, batch_size=batch_size
-            )
-            assert batched.front() == serial.front()
+    def test_every_mode_runs(self, settop, mode, every, tmp_path):
+        plain = explore(settop, timing_mode=mode)
+        assert plain.points
+        if every is not None:
+            for _, route in routes(tmp_path, every):
+                observed = explore(settop, timing_mode=mode, **route)
+                assert observed.front() == plain.front()
 
     def test_utilization_is_the_default(self, settop):
         explicit = explore(settop, timing_mode="utilization")
@@ -139,8 +139,9 @@ class TestUnknownOptionErrors:
                 validate_explore_options(backend, mode)
 
     def test_validate_helper_rejects_bad_batch_size(self):
-        with pytest.raises(ExplorationError, match="batch_size"):
-            validate_explore_options("csp", None, batch_size=-3)
+        """``batch_size`` is no longer an option at all."""
+        with pytest.raises(TypeError, match="batch_size"):
+            validate_explore_options("csp", None, batch_size=3)
 
     def test_evaluate_allocation_rejects_unknown_backend(self, settop):
         """The silent CSP fallthrough for unknown backends is gone at
@@ -175,9 +176,6 @@ class TestParameterTable:
         assert len(names) == len(set(names))
         assert {p.role for p in explorer.EXPLORE_PARAMS} == self.ROLES
         assert names == _parameters(explore, "spec")
-        assert set(_parameters(
-            explore_batched, "spec", "cache", "_resume"
-        )) == set(names)
 
     def test_derived_lists(self):
         result = {
@@ -188,17 +186,16 @@ class TestParameterTable:
         }
         frozen = result | {"max_candidates"}
         resumable = frozen | {
-            "batch_size", "checkpoint_every", "deadline_seconds",
+            "checkpoint_every", "deadline_seconds",
             "max_evaluations", "engine", "warm_store",
         }
         assert set(explorer.param_names(explorer.RESULT)) == result
         assert set(checkpoint._FROZEN_PARAMS) == frozen
         assert set(checkpoint._RESUMABLE_PARAMS) == resumable
         assert set(SUBMIT_OPTIONS) == result | {
-            "max_candidates", "batch_size", "engine", "trace",
+            "max_candidates", "engine", "trace",
         }
-        assert set(EvalParams._fields) == {
+        assert set(explorer.param_names(tag="evaluator")) == {
             "util_bound", "check_utilization", "weighted", "backend",
-            "timing_mode", "use_possible_filter", "use_estimation",
-            "prune_comm", "keep_ties", "engine", "warm_store",
+            "timing_mode", "engine", "warm_store",
         }

@@ -4,10 +4,10 @@
 the Fig. 3 flexibility values, the Fig. 4 / Table-of-results Pareto
 fronts of both case studies (with exact allocations, clusters and
 exploration statistics), and the Table 1 mapping counts.  These tests
-compare the *serial and both parallel* exploration backends against the
-snapshots, so any drift in the core loop, the batched replay, or the
-model constants is caught against a fixed reference rather than only
-against each other.
+compare plain runs and budgeted, checkpointed runs against the
+snapshots, so any drift in the core loop, the budget and checkpoint
+handling, or the model constants is caught against a fixed reference
+rather than only against each other.
 """
 
 import json
@@ -22,16 +22,18 @@ from repro.casestudies import (
 )
 from repro.core import explore, flexibility, max_flexibility
 from repro.hgraph import HierarchyIndex
-from repro.parallel import BATCH_SIZE_DEFAULT, explore_batched
+
+from .routes import routes
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: ``None`` runs the serial loop; a size runs the batched replay.
-BATCH_SIZES = [None, 1, 5, BATCH_SIZE_DEFAULT]
+#: ``None`` runs plainly; a cadence runs every budget and checkpoint
+#: route (:func:`tests.routes.routes`) at it.
+CADENCES = [None, 1, 5, 32]
 
 
-def _size_id(batch_size):
-    return "serial" if batch_size is None else str(batch_size)
+def _cadence_id(every):
+    return "serial" if every is None else str(every)
 
 
 def load(name):
@@ -39,12 +41,8 @@ def load(name):
         return json.load(handle)
 
 
-def result_doc(spec, batch_size=None):
+def result_doc(result, spec):
     """The same shape the fixtures were generated with."""
-    if batch_size is None:
-        result = explore(spec)
-    else:
-        result = explore_batched(spec, batch_size=batch_size)
     return {
         "spec": spec.name,
         "max_flexibility_bound": result.max_flexibility_bound,
@@ -65,19 +63,31 @@ def result_doc(spec, batch_size=None):
     }
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=_size_id)
-def test_golden_settop_front(batch_size):
+def assert_golden(spec, every, tmp_path, name):
+    """The plain run equals the fixture; every route equals it except
+    for ``checkpoints_written``."""
+    golden = load(name)
+    if every is None:
+        assert result_doc(explore(spec), spec) == golden
+        return
+    golden["stats"].pop("checkpoints_written")
+    for route_name, route in routes(tmp_path, every):
+        observed = result_doc(explore(spec, **route), spec)
+        observed["stats"].pop("checkpoints_written")
+        assert observed == golden, route_name
+
+
+@pytest.mark.parametrize("every", CADENCES, ids=_cadence_id)
+def test_golden_settop_front(every, tmp_path):
     """The Fig. 4 six-point front, allocation for allocation."""
-    golden = load("settop_front.json")
-    observed = result_doc(build_settop_spec(), batch_size)
-    assert observed == golden
+    assert_golden(build_settop_spec(), every, tmp_path, "settop_front.json")
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=_size_id)
-def test_golden_tv_decoder_front(batch_size):
-    golden = load("tv_decoder_front.json")
-    observed = result_doc(build_tv_decoder_spec(), batch_size)
-    assert observed == golden
+@pytest.mark.parametrize("every", CADENCES, ids=_cadence_id)
+def test_golden_tv_decoder_front(every, tmp_path):
+    assert_golden(
+        build_tv_decoder_spec(), every, tmp_path, "tv_decoder_front.json"
+    )
 
 
 def test_golden_settop_front_matches_paper_numbers():

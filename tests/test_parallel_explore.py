@@ -1,32 +1,30 @@
-"""Differential tests: batched EXPLORE is exactly the serial EXPLORE.
+"""Differential tests: budgeted and checkpointed EXPLORE is plain EXPLORE.
 
-The batched replay (``explore_batched``, which runs every budgeted,
-checkpointed and service-sliced exploration) must return the
-same Pareto front, the same allocations, the same achieved
-flexibilities, the same statistics (minus wall-clock) and the same
-tie-breaking as the serial loop — on every input.  These tests prove
-it differentially over a corpus of seeded random specifications plus
-the paper's case studies, across batch sizes and option combinations.
+Deadlines, evaluation budgets and checkpoint journals run on the same
+driver as a plain ``explore()``.  A budget too large to bind and a
+journal at any cadence must return the same Pareto front, the same
+allocations, the same achieved flexibilities, the same statistics
+(minus wall-clock and ``checkpoints_written``) and the same
+tie-breaking as the plain run — on every input.  These tests prove it
+differentially over a corpus of seeded random specifications plus the
+paper's case studies, across checkpoint cadences and option
+combinations.
 """
 
 import pytest
 
 from .randspec import random_spec
+from .routes import comparable_stats, routes
 from repro.casestudies import build_settop_spec, build_tv_decoder_spec
 from repro.core import explore
-from repro.errors import ExplorationError
-from repro.parallel import (
-    BATCH_SIZE_DEFAULT,
-    EvaluationCache,
-    explore_batched,
-)
+from repro.errors import CheckpointError
 
 #: The differential corpus: deterministic random specifications.
 SEEDS = list(range(30))
 
-#: Batch sizes every differential comparison runs at: one candidate
-#: per batch, a size that splits cost bands, and the default.
-BATCH_SIZES = [1, 5, BATCH_SIZE_DEFAULT]
+#: Checkpoint cadences every differential comparison runs at: a
+#: snapshot per candidate, one that splits cost bands, and a sparse one.
+CADENCES = [1, 5, 32]
 
 
 def fingerprint(result):
@@ -43,36 +41,45 @@ def fingerprint(result):
     return points, stats, result.max_flexibility_bound
 
 
+def route_fingerprint(result):
+    """:func:`fingerprint` without ``checkpoints_written``."""
+    points, _, bound = fingerprint(result)
+    return points, comparable_stats(result), bound
+
+
+def assert_routes_match(spec, tmp_path, every, reference, **options):
+    """Every route reproduces the plain run's ``reference`` result."""
+    expected = route_fingerprint(reference)
+    for name, route in routes(tmp_path, every):
+        observed = route_fingerprint(explore(spec, **route, **options))
+        assert observed == expected, f"{name} diverged at every={every}"
+
+
 @pytest.fixture(scope="module")
-def serial_runs():
-    """Serial reference runs, one per corpus seed (computed once)."""
+def plain_runs():
+    """Plain reference runs, one per corpus seed (computed once)."""
     return {seed: explore(random_spec(seed)) for seed in SEEDS}
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_differential_random_corpus(serial_runs, batch_size):
+@pytest.mark.parametrize("every", CADENCES)
+def test_differential_random_corpus(plain_runs, every, tmp_path):
     """Fronts, flexibility values and stats equal on ~30 random specs."""
     for seed in SEEDS:
-        spec = random_spec(seed)
-        reference = fingerprint(serial_runs[seed])
-        observed = fingerprint(explore_batched(spec, batch_size=batch_size))
-        assert observed == reference, (
-            f"seed {seed} diverged at batch_size={batch_size}"
+        assert_routes_match(
+            random_spec(seed), tmp_path, every, plain_runs[seed]
         )
 
 
-@pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
-def test_differential_batch_sizes(serial_runs, batch_size):
-    """Batch geometry never leaks into the result."""
+@pytest.mark.parametrize("every", [1, 2, 7, 64])
+def test_differential_batch_sizes(plain_runs, every, tmp_path):
+    """The snapshot cadence never leaks into the result."""
     for seed in SEEDS[::5]:
-        spec = random_spec(seed)
-        observed = fingerprint(explore_batched(spec, batch_size=batch_size))
-        assert observed == fingerprint(serial_runs[seed]), (
-            f"seed {seed} diverged at batch_size={batch_size}"
+        assert_routes_match(
+            random_spec(seed), tmp_path, every, plain_runs[seed]
         )
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("every", CADENCES)
 @pytest.mark.parametrize(
     "options",
     [
@@ -89,27 +96,23 @@ def test_differential_batch_sizes(serial_runs, batch_size):
     ],
     ids=lambda d: "-".join(f"{k}" for k in d),
 )
-def test_differential_settop_options(batch_size, options):
-    """Every explore() option combination survives batching."""
+def test_differential_settop_options(every, options, tmp_path):
+    """Every explore() option combination survives budgets and
+    checkpoints."""
     spec = build_settop_spec()
-    reference = fingerprint(explore(spec, **options))
-    observed = fingerprint(
-        explore_batched(spec, batch_size=batch_size, **options)
-    )
-    assert observed == reference
+    reference = explore(spec, **options)
+    assert_routes_match(spec, tmp_path, every, reference, **options)
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_differential_tv_decoder(batch_size):
+@pytest.mark.parametrize("every", CADENCES)
+def test_differential_tv_decoder(every, tmp_path):
     spec = build_tv_decoder_spec()
-    assert fingerprint(
-        explore_batched(spec, batch_size=batch_size)
-    ) == fingerprint(explore(spec))
+    assert_routes_match(spec, tmp_path, every, explore(spec))
 
 
-def test_settop_front_is_the_paper_front():
-    """The serial loop and every batch size reproduce the published
-    six-point front."""
+def test_settop_front_is_the_paper_front(tmp_path):
+    """The plain run and every route reproduce the published six-point
+    front."""
     expected = [
         (100.0, 2.0),
         (120.0, 3.0),
@@ -120,57 +123,37 @@ def test_settop_front_is_the_paper_front():
     ]
     spec = build_settop_spec()
     assert explore(spec).front() == expected
-    for batch_size in BATCH_SIZES:
-        assert explore_batched(spec, batch_size=batch_size).front() == (
-            expected
-        )
+    for every in CADENCES:
+        for _, route in routes(tmp_path, every):
+            assert explore(spec, **route).front() == expected
 
 
-def test_explore_batched_serial_mode_runs_inline():
-    """explore_batched at its defaults equals the serial loop."""
+def test_explore_batched_serial_mode_runs_inline(tmp_path):
+    """A checkpoint at the default cadence equals the plain run."""
     spec = build_tv_decoder_spec()
-    assert fingerprint(explore_batched(spec)) == fingerprint(explore(spec))
-
-
-def test_memo_cache_reuse_across_runs():
-    """A shared cache accelerates repeat runs without changing results."""
-    spec = build_settop_spec()
-    cache = EvaluationCache()
-    first = explore_batched(spec, cache=cache)
-    assert cache.misses > 0
-    hits_before, misses_before = cache.hits, cache.misses
-    second = explore_batched(spec, cache=cache)
-    assert fingerprint(first) == fingerprint(second)
-    # the second run answered every candidate from the memo: hits grew,
-    # no new signature was ever computed
-    assert cache.hits > hits_before
-    assert cache.misses == misses_before
-
-
-def test_memo_cache_bounded():
-    spec = build_tv_decoder_spec()
-    cache = EvaluationCache(max_entries=5)
-    explore_batched(spec, cache=cache)
-    assert len(cache) <= 5
-
-
-def test_default_batch_size_is_sane():
-    assert isinstance(BATCH_SIZE_DEFAULT, int) and BATCH_SIZE_DEFAULT >= 1
+    observed = explore(spec, checkpoint=str(tmp_path / "run.ckpt"))
+    assert route_fingerprint(observed) == route_fingerprint(explore(spec))
 
 
 def test_unknown_parallel_mode_raises():
-    """The worker-pool knobs are gone: passing one fails loudly."""
+    """The worker-pool and batch knobs are gone: passing one fails
+    loudly."""
     spec = build_tv_decoder_spec()
-    for knob in ("parallel", "workers", "batch_timeout", "retry"):
+    for knob in ("parallel", "workers", "batch_timeout", "retry",
+                 "batch_size"):
         with pytest.raises(TypeError, match=knob):
             explore(spec, **{knob: None})
-        with pytest.raises(TypeError, match=knob):
-            explore_batched(spec, **{knob: None})
 
 
-def test_bad_batch_size_raises():
+def test_bad_batch_size_raises(tmp_path):
+    """``batch_size`` is no longer an option, on a fresh run or as a
+    resume override."""
+    from repro.resilience import resume_explore
+
     spec = build_tv_decoder_spec()
-    with pytest.raises(ExplorationError, match="batch_size"):
-        explore(spec, batch_size=0)
-    with pytest.raises(ExplorationError, match="batch_size"):
-        explore_batched(spec, batch_size=0)
+    with pytest.raises(TypeError, match="batch_size"):
+        explore(spec, batch_size=1)
+    path = str(tmp_path / "run.ckpt")
+    explore(spec, checkpoint=path)
+    with pytest.raises(CheckpointError, match="batch_size"):
+        resume_explore(path, batch_size=1)

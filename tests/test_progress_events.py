@@ -2,9 +2,9 @@
 
 The progress callback (:mod:`repro.core.progress`) is the observation
 seam of EXPLORE: the CLI and the exploration service both consume it.
-Its contract is that events carry replay-order data only — no
-wall-clock — so a serial run and any batched run of the same
-exploration emit *identical* event sequences.  These tests extend the
+Its contract is that events carry enumeration-order data only — no
+wall-clock — so a plain run and any budgeted or checkpointed run of
+the same exploration emit *identical* event sequences.  These tests extend the
 PR-1 differential harness to that event stream.
 """
 
@@ -15,16 +15,17 @@ from repro.casestudies import build_settop_spec
 from repro.core import explore
 from repro.core.progress import PROGRESS_EVENT_KINDS, ProgressEmitter
 from repro.errors import ExplorationError
-from repro.parallel import explore_batched
+
+from .routes import routes
 
 #: Subset of the differential corpus (events are verbose; a dozen
 #: seeds already cover feasible/infeasible/truncation variety).
 SEEDS = list(range(12))
 
 
-def collect_events(spec, run=explore, **kwargs):
+def collect_events(spec, **kwargs):
     events = []
-    result = run(spec, progress=events.append, **kwargs)
+    result = explore(spec, progress=events.append, **kwargs)
     return events, result
 
 
@@ -79,21 +80,21 @@ def test_no_cadence_means_lifecycle_only():
     assert not any(e["kind"] == "progress" for e in events)
 
 
-@pytest.mark.parametrize("batch_size", [1, 5, 32])
-def test_differential_event_sequences(batch_size):
-    """Serial and batched runs emit byte-identical event streams."""
+@pytest.mark.parametrize("every", [1, 5, 32])
+def test_differential_event_sequences(every, tmp_path):
+    """Plain, budgeted and checkpointed runs emit byte-identical event
+    streams."""
     for seed in SEEDS:
         spec = random_spec(seed)
         reference, _ = collect_events(spec, progress_every=3)
-        observed, _ = collect_events(
-            spec, explore_batched, progress_every=3, batch_size=batch_size
-        )
-        assert observed == reference, (
-            f"seed {seed} diverged at batch_size={batch_size}"
-        )
+        for name, route in routes(tmp_path, every):
+            observed, _ = collect_events(spec, progress_every=3, **route)
+            assert observed == reference, (
+                f"seed {seed} diverged on {name} at every={every}"
+            )
 
 
-def test_differential_event_sequences_options():
+def test_differential_event_sequences_options(tmp_path):
     """Option combinations keep the streams identical too."""
     for options in (
         dict(keep_ties=True),
@@ -102,11 +103,11 @@ def test_differential_event_sequences_options():
     ):
         spec = random_spec(5)
         reference, _ = collect_events(spec, progress_every=2, **options)
-        observed, _ = collect_events(
-            spec, explore_batched, progress_every=2, batch_size=3,
-            **options,
-        )
-        assert observed == reference, f"diverged with {options}"
+        for name, route in routes(tmp_path, 3):
+            observed, _ = collect_events(
+                spec, progress_every=2, **route, **options
+            )
+            assert observed == reference, f"{name} diverged with {options}"
 
 
 def test_tracer_does_not_perturb_events():

@@ -1,9 +1,9 @@
 """Tests of the resilience runtime: journal, checkpoint/resume, anytime
 budgets, and the optimality-gap semantics.
 
-The fault-injection side (worker kills, retries, quarantine, cache
-corruption) lives in ``tests/test_faults.py``; the large seeded
-kill/resume differential corpus lives in ``tests/test_robustness.py``.
+The fault-injection harness is tested in ``tests/test_faults.py`` and
+``tests/test_chaos.py``; the large seeded kill/resume differential
+corpus lives in ``tests/test_robustness.py``.
 """
 
 import json
@@ -196,8 +196,7 @@ class TestCheckpointing:
         store = str(tmp_path / "store")
         explore(
             settop, checkpoint=path, max_cost=430, keep_ties=True,
-            require_units=["muP2"], batch_size=8,
-            warm_store=store,
+            require_units=["muP2"], warm_store=store,
         )
         records, _ = read_journal(path)
         record_type, header = records[0]
@@ -205,8 +204,8 @@ class TestCheckpointing:
         params = dict(header["params"])
         assert params.pop("warm_store") == store
         assert json.dumps(params, sort_keys=True) == (
-            '{"backend": "csp", "batch_size": 8, '
-            '"check_utilization": true, "checkpoint_every": 64, '
+            '{"backend": "csp", '
+            '"check_utilization": true, "checkpoint_every": 4096, '
             '"deadline_seconds": null, "engine": null, '
             '"forbid_units": null, "keep_ties": true, '
             '"max_candidates": null, "max_cost": 430, '
@@ -234,7 +233,6 @@ class TestCheckpointing:
         assert loaded.completed
         assert loaded.params["checkpoint_every"] == 64
         assert loaded.cursor > 0
-        assert len(loaded.cache) > 0
 
     def test_resume_of_finished_run_is_idempotent(self, settop, tmp_path):
         path = str(tmp_path / "run.ckpt")
@@ -270,14 +268,16 @@ class TestCheckpointing:
     ):
         path = str(tmp_path / "run.ckpt")
         result = explore(settop, checkpoint=path, checkpoint_every=64)
-        resumed = resume_explore(path, batch_size=5)
+        resumed = resume_explore(
+            path, engine="reference", checkpoint_every=5
+        )
         assert fingerprint(resumed) == fingerprint(result)
         assert resumed.front() == settop_full.front()
 
     def test_legacy_pool_keys_in_header_resume(self, settop, tmp_path):
-        """Journals written before the worker pools were removed carry
-        their keys in the header: such a journal still resumes to the
-        uninterrupted run, but the keys are no longer overrides."""
+        """A header carrying the keys of removed options (the worker
+        pools') still resumes to the uninterrupted run, but the keys
+        are no longer overrides."""
         from repro.resilience.journal import encode_record
 
         reference = explore(
@@ -312,9 +312,9 @@ class TestCheckpointing:
             resume_explore(path, parallel="thread")
 
     def test_null_shard_key_in_header_resumes(self, settop, tmp_path):
-        """Journals of unsharded runs written while sharded
-        exploration existed carry ``"shard": null``: they still load
-        and resume to the uninterrupted run."""
+        """A header carrying ``"shard": null`` (as unsharded runs
+        wrote while sharded exploration existed) still loads and
+        resumes to the uninterrupted run."""
         from repro.resilience.journal import encode_record
 
         reference = explore(settop)
@@ -336,14 +336,15 @@ class TestCheckpointing:
     def test_shard_journal_is_refused(self):
         """A journal of one shard holds the front of a slice of the
         allocation space: resuming it must fail loudly rather than
-        present that front as the answer for the whole space."""
+        present that front as the answer for the whole space.  Every
+        shard journal is a version 1 journal, which is refused."""
         path = os.path.join(
             os.path.dirname(__file__), "golden", "journals",
             "tv_decoder-shard-000.checkpoint",
         )
-        with pytest.raises(CheckpointError, match="shard"):
+        with pytest.raises(CheckpointError, match="version 1"):
             load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="shard"):
+        with pytest.raises(CheckpointError, match="version 1"):
             resume_explore(path)
 
     def test_checkpoint_cursor_must_fit_the_spec(self, settop, tmp_path):

@@ -119,7 +119,8 @@ class TestMonotonicity:
 # Kill/resume robustness: a checkpointed exploration killed at an
 # arbitrary point and resumed must reproduce the uninterrupted run's
 # result fingerprint exactly — over a seeded corpus of random
-# specifications, several batch sizes, and both case studies.
+# specifications, several checkpoint cadences, both case studies and
+# every way the driver can run.
 # ---------------------------------------------------------------------------
 
 from repro.casestudies import build_tv_decoder_spec  # noqa: E402
@@ -128,20 +129,46 @@ from repro.resilience import (  # noqa: E402
     SimulatedCrash,
     inject,
     resume_explore,
+    verify_gap,
 )
+from repro.trace import Tracer  # noqa: E402
 
 from .test_resilience import fingerprint  # noqa: E402
 
 RESUME_SEEDS = range(30)
 
+#: Case studies with the cadence their kill tests checkpoint at.
+CASES = {
+    "settop": (build_settop_spec, 1024),
+    "tv": (build_tv_decoder_spec, 16),
+}
 
-def _run_killed_and_resume(
-    spec, tmp_path, batch_size, kill_at, every, label
-):
+
+@pytest.fixture(params=["fast", "eventful", "compiled", "reference"])
+def driver(request, monkeypatch):
+    """The ``explore()``/``resume_explore()`` keywords of one way to
+    drive a run: the block kernel's fast path, its per-candidate path
+    (an audit tracer observes every candidate), the compiled engine
+    without the block kernel (the no-numpy route) and the reference
+    engine.  Called once per run: a tracer observes one session."""
+    name = request.param
+    if name == "compiled":
+        monkeypatch.setenv("REPRO_VECTORIZE", "0")
+
+    def options():
+        if name == "eventful":
+            return {"tracer": Tracer(level="audit")}
+        if name == "reference":
+            return {"engine": "reference"}
+        return {}
+
+    return options
+
+
+def _run_killed_and_resume(spec, tmp_path, kill_at, every, label):
     """Reference vs killed-at-checkpoint-``kill_at``-then-resumed runs."""
     reference = explore(
         spec,
-        batch_size=batch_size,
         checkpoint=str(tmp_path / f"{label}-ref.ckpt"),
         checkpoint_every=every,
     )
@@ -149,10 +176,7 @@ def _run_killed_and_resume(
     crashed = False
     try:
         with inject(FaultPlan(schedule={"checkpoint": {kill_at: "abort"}})):
-            explore(
-                spec, batch_size=batch_size, checkpoint=killed,
-                checkpoint_every=every,
-            )
+            explore(spec, checkpoint=killed, checkpoint_every=every)
     except SimulatedCrash:
         crashed = True
     # small specs may finish before checkpoint ``kill_at``; resume then
@@ -167,23 +191,25 @@ class TestKillResumeCorpus:
     def test_seeded_specs_serial(self, seed, tmp_path):
         spec = random_spec(seed)
         reference, resumed, _ = _run_killed_and_resume(
-            spec, tmp_path, None, kill_at=2, every=8, label="s"
+            spec, tmp_path, kill_at=2, every=8, label="s"
         )
         assert fingerprint(resumed) == fingerprint(reference)
 
     @pytest.mark.parametrize("seed", RESUME_SEEDS)
     def test_seeded_specs_batch5(self, seed, tmp_path):
+        """A snapshot every 5 candidates, killed at the second."""
         spec = random_spec(seed)
         reference, resumed, _ = _run_killed_and_resume(
-            spec, tmp_path, 5, kill_at=2, every=8, label="b5"
+            spec, tmp_path, kill_at=2, every=5, label="b5"
         )
         assert fingerprint(resumed) == fingerprint(reference)
 
     @pytest.mark.parametrize("seed", [0, 7, 13, 21, 29])
     def test_seeded_specs_batch1(self, seed, tmp_path):
+        """A snapshot per candidate, killed at the second."""
         spec = random_spec(seed)
         reference, resumed, _ = _run_killed_and_resume(
-            spec, tmp_path, 1, kill_at=2, every=8, label="b1"
+            spec, tmp_path, kill_at=2, every=1, label="b1"
         )
         assert fingerprint(resumed) == fingerprint(reference)
 
@@ -193,10 +219,9 @@ class TestKillResumeCorpus:
     ):
         """The set-top case study, killed at every snapshot in turn."""
         reference, resumed, crashed = _run_killed_and_resume(
-            settop, tmp_path, None, kill_at=kill_at, every=1024,
-            label="settop",
+            settop, tmp_path, kill_at=kill_at, every=1024, label="settop",
         )
-        assert crashed  # 8154 replayed candidates -> 8+ checkpoints
+        assert crashed  # 8154 consumed candidates -> 8 snapshots
         assert fingerprint(resumed) == fingerprint(reference)
         assert resumed.front() == [
             (100.0, 2.0), (120.0, 3.0), (230.0, 4.0),
@@ -207,11 +232,43 @@ class TestKillResumeCorpus:
     def test_tv_decoder_killed_at_every_checkpoint(self, kill_at, tmp_path):
         spec = build_tv_decoder_spec()
         reference, resumed, crashed = _run_killed_and_resume(
-            spec, tmp_path, None, kill_at=kill_at, every=48,
-            label="tv",
+            spec, tmp_path, kill_at=kill_at, every=48, label="tv",
         )
         assert crashed
         assert fingerprint(resumed) == fingerprint(reference)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_killed_at_every_checkpoint_on_every_driver(
+        self, case, driver, tmp_path
+    ):
+        """Each driver, killed at each of its snapshots in turn (the
+        final one included), resumes to its uninterrupted result."""
+        build, every = CASES[case]
+        spec = build()
+        reference = explore(
+            spec,
+            checkpoint=str(tmp_path / "ref.ckpt"),
+            checkpoint_every=every,
+            **driver(),
+        )
+        snapshots = reference.stats.checkpoints_written
+        assert snapshots > 2
+        for kill_at in range(1, snapshots + 1):
+            killed = str(tmp_path / f"killed-{kill_at}.ckpt")
+            with pytest.raises(SimulatedCrash):
+                with inject(
+                    FaultPlan(schedule={"checkpoint": {kill_at: "abort"}})
+                ):
+                    explore(
+                        spec,
+                        checkpoint=killed,
+                        checkpoint_every=every,
+                        **driver(),
+                    )
+            resumed = resume_explore(killed, **driver())
+            assert fingerprint(resumed) == fingerprint(reference), kill_at
+            assert verify_gap(resumed, reference) == []
+
 
     def test_double_kill_then_resume(self, settop, tmp_path):
         """Killed, resumed, killed again, resumed again — still exact."""
@@ -273,3 +330,43 @@ class TestKillResumeCorpus:
         assert proc.returncode == 9, proc.stderr
         resumed = resume_explore(killed)
         assert fingerprint(resumed) == fingerprint(reference)
+
+
+def _truncation(result):
+    """A truncated run's fingerprint and gap."""
+    gap = result.gap
+    return fingerprint(result), gap and (
+        gap.next_cost_bound,
+        gap.flexibility_bound,
+        gap.achieved_flexibility,
+        gap.reason,
+    )
+
+
+@pytest.fixture(scope="module")
+def reference_sweeps():
+    """Per case study, the reference engine's plain run at every
+    ``max_evaluations`` from 0 to one past its evaluations."""
+    sweeps = {}
+    for case, (build, _) in CASES.items():
+        full = explore(build(), engine="reference")
+        sweeps[case] = [
+            _truncation(
+                explore(build(), engine="reference", max_evaluations=budget)
+            )
+            for budget in range(full.stats.estimate_exceeded + 2)
+        ]
+    return sweeps
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_max_evaluations_sweep_on_every_driver(case, driver, reference_sweeps):
+    """Every evaluation budget gives each driver the same truncated
+    result (or the completed one), with a sound gap."""
+    spec = CASES[case][0]()
+    full = explore(spec, **driver())
+    for budget, expected in enumerate(reference_sweeps[case]):
+        truncated = explore(spec, max_evaluations=budget, **driver())
+        assert _truncation(truncated) == expected, budget
+        assert verify_gap(truncated, full) == []
+    assert truncated.completed

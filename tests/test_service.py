@@ -261,3 +261,42 @@ def test_shard_option_is_refused(tmp_path):
     with make_service(tmp_path) as service:
         with pytest.raises(ServiceError, match="shard"):
             service.submit(random_spec(0), options={"shard": shard})
+
+
+def test_batch_size_option_is_refused(tmp_path):
+    """``batch_size`` is no longer an explore() option: a submission
+    naming it is refused with a typed error."""
+    with make_service(tmp_path) as service:
+        with pytest.raises(ServiceError, match="batch_size"):
+            service.submit(random_spec(0), options={"batch_size": 8})
+
+
+def test_recovered_job_with_removed_option_fails_typed(tmp_path):
+    """A ledger written while ``batch_size`` was an option: on restart
+    the job fails with a typed error (its options cannot run), the
+    other job still completes, and the service stays up."""
+    from repro.io.json_io import spec_to_dict
+
+    spec = random_spec(0)
+    service = make_service(tmp_path)
+    good = service.submit(spec)
+    service._ledger.append(
+        "job",
+        job_io.job_payload(
+            "j0001", "legacy", 1.0, spec_to_dict(spec),
+            {"batch_size": 8}, 0.0,
+        ),
+        sync=True,
+    )
+    service.close()
+
+    with make_service(tmp_path) as restarted:
+        legacy = restarted.job("j0001")
+        assert legacy.state == "failed"
+        assert "ServiceError" in legacy.error
+        assert "batch_size" in legacy.error
+        restarted.run()
+        assert restarted.job(good.job_id).state == "completed"
+        assert fingerprint(restarted.result(good.job_id)) == fingerprint(
+            explore(spec)
+        )

@@ -164,21 +164,29 @@ class TestServiceAdmission:
 
 
 class TestSliceWatchdog:
-    def test_wedged_slice_becomes_a_typed_hung_failure(self, tmp_path):
-        from repro.resilience.faults import FaultPlan, inject
+    def test_wedged_slice_becomes_a_typed_hung_failure(
+        self, tmp_path, monkeypatch
+    ):
+        import time
 
-        # One injected 1.5s evaluation delay against a 0.2s slice
-        # budget: the watchdog preempts the slice, the job fails with a
-        # typed HangError, and the service (not the wedged thread)
-        # stays in control.
-        plan = FaultPlan(
-            schedule={"worker": {1: "delay"}}, delay_seconds=1.5
-        )
+        from repro.core.explorer import ExploreState
+
+        # One 1.5s evaluation against a 0.2s slice budget: the watchdog
+        # preempts the slice, the job fails with a typed HangError, and
+        # the service (not the wedged thread) stays in control.
+        bind = ExploreState.bind
+        delays = [1.5]
+
+        def wedged(self, *args, **kwargs):
+            if delays:
+                time.sleep(delays.pop())
+            return bind(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExploreState, "bind", wedged)
         with make_service(tmp_path, slice_timeout=0.2) as service:
             job = service.submit(random_spec(3))
             with service.subscribe(kinds=["hung"]) as events:
-                with inject(plan):
-                    service.run()
+                service.run()
                 hung_events = events.drain()
             assert job.state == "failed"
             assert "watchdog budget" in job.error

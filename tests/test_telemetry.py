@@ -10,14 +10,13 @@ grammar with no name collisions.
 
 import io
 import json
-import os
 
 import pytest
 
 from repro.casestudies import build_settop_spec
 from repro.cli import main as cli_main
 from repro.core import explore
-from repro.io import dump_spec, job_io
+from repro.io import job_io
 from repro.service import ExplorationService, MetricError
 from repro.store import open_store
 from repro.telemetry import (

@@ -4,9 +4,9 @@ The telemetry plane (resource sampler + phase profiler + metric
 registry) lives strictly on the wall-clock side of the determinism
 seam, so attaching it must change *nothing* observable: the result
 document, the progress-event stream and the logical trace fingerprint
-are byte-identical with telemetry on vs off — across the serial loop,
-the batched replay and the exploration service, over a 12-seed random
-corpus plus the settop case study.
+are byte-identical with telemetry on vs off — across plain runs,
+budgeted and checkpointed runs and the exploration service, over a
+12-seed random corpus plus the settop case study.
 """
 
 import json
@@ -17,7 +17,6 @@ from .randspec import random_spec
 from repro.casestudies import build_settop_spec
 from repro.core import explore
 from repro.io.result_io import result_to_dict
-from repro.parallel import explore_batched
 from repro.service import ExplorationService
 from repro.telemetry import PhaseProfiler, Telemetry
 from repro.trace import Tracer, trace_fingerprint
@@ -48,11 +47,11 @@ def strip_events(events):
     return stripped
 
 
-def observed_run(spec, telemetry, run=explore, **kwargs):
+def observed_run(spec, telemetry, **kwargs):
     """One run's (result doc, stripped events, trace fingerprint)."""
     events = []
     tracer = Tracer(level="audit", trace_id="differential")
-    result = run(
+    result = explore(
         spec,
         progress=events.append,
         progress_every=3,
@@ -76,11 +75,17 @@ def test_serial_differential(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_batched_differential(seed):
+def test_batched_differential(seed, tmp_path):
+    """The same on a budgeted run journaling every 4 candidates."""
     spec = random_spec(seed)
-    off = observed_run(spec, None, explore_batched, batch_size=4)
-    on = observed_run(spec, Telemetry(), explore_batched, batch_size=4)
-    assert on == off, f"seed {seed}: telemetry changed the batched run"
+    budgeted = dict(deadline_seconds=1e9, checkpoint_every=4)
+    off = observed_run(
+        spec, None, checkpoint=str(tmp_path / "off.ckpt"), **budgeted
+    )
+    on = observed_run(
+        spec, Telemetry(), checkpoint=str(tmp_path / "on.ckpt"), **budgeted
+    )
+    assert on == off, f"seed {seed}: telemetry changed the budgeted run"
 
 
 def test_bare_profiler_satisfies_the_seam():

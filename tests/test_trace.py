@@ -2,8 +2,8 @@
 
 The tracer (:mod:`repro.trace`) extends the PR-1/PR-3 determinism
 contract to full search introspection: every logical record is emitted
-at replay positions from outcome-derivable data only, so a serial run,
-any batched run, and a preempted service job produce
+at candidate positions from deterministic data only, so a plain run,
+any budgeted or checkpointed run, and a preempted service job produce
 byte-identical logical traces.  The audit trail must also be complete
 enough to *reconstruct* the paper's search statistics from the trace
 alone, and attaching a tracer must not change the exploration at all.
@@ -14,10 +14,10 @@ import json
 import pytest
 
 from .randspec import random_spec
+from .routes import routes
 from repro.casestudies import build_settop_spec
 from repro.core import explore
 from repro.errors import TraceError
-from repro.parallel import explore_batched
 from repro.service.metrics import MetricsRegistry
 from repro.trace import (
     PRUNE_REASONS,
@@ -41,33 +41,33 @@ from repro.trace import (
 SEEDS = list(range(12))
 
 
-def collect(spec, level="audit", run=explore, **kwargs):
+def collect(spec, level="audit", **kwargs):
     tracer = Tracer(level=level, trace_id=compute_trace_id(spec))
-    result = run(spec, tracer=tracer, **kwargs)
+    result = explore(spec, tracer=tracer, **kwargs)
     return tracer, result
 
 
 # ---------------------------------------------------------------------------
-# Determinism: serial == batched == service
+# Determinism: plain == budgeted == checkpointed == service
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("batch_size", [1, 5, 32])
-def test_differential_logical_traces(batch_size):
-    """Serial and batched runs leave byte-identical logical traces."""
+@pytest.mark.parametrize("every", [1, 5, 32])
+def test_differential_logical_traces(every, tmp_path):
+    """Plain, budgeted and checkpointed runs leave byte-identical
+    logical traces."""
     for seed in SEEDS:
         spec = random_spec(seed)
         reference, _ = collect(spec)
-        observed, _ = collect(
-            spec, run=explore_batched, batch_size=batch_size
-        )
-        assert observed.logical_records() == reference.logical_records(), (
-            f"seed {seed} diverged at batch_size={batch_size}"
-        )
-        assert observed.fingerprint() == reference.fingerprint()
+        for name, route in routes(tmp_path, every):
+            observed, _ = collect(spec, **route)
+            assert (
+                observed.logical_records() == reference.logical_records()
+            ), f"seed {seed} diverged on {name} at every={every}"
+            assert observed.fingerprint() == reference.fingerprint()
 
 
-def test_differential_logical_traces_options():
+def test_differential_logical_traces_options(tmp_path):
     """Option combinations keep the traces identical too."""
     for options in (
         dict(keep_ties=True),
@@ -77,12 +77,11 @@ def test_differential_logical_traces_options():
     ):
         spec = random_spec(5)
         reference, _ = collect(spec, **options)
-        observed, _ = collect(
-            spec, run=explore_batched, batch_size=3, **options
-        )
-        assert observed.fingerprint() == reference.fingerprint(), (
-            f"diverged with {options}"
-        )
+        for name, route in routes(tmp_path, 3):
+            observed, _ = collect(spec, **route, **options)
+            assert observed.fingerprint() == reference.fingerprint(), (
+                f"{name} diverged with {options}"
+            )
 
 
 def test_service_trace_matches_solo(tmp_path):

@@ -23,7 +23,6 @@ from repro.core import explore
 from repro.errors import ExplorationError
 from repro.io import spec_from_dict, spec_to_dict
 from repro.io.result_io import dumps_result, loads_result, result_to_dict
-from repro.parallel import explore_batched
 from repro.resilience import resume_explore
 from repro.resilience.journal import _parse_line, encode_record
 from repro.service import ExplorationService
@@ -58,9 +57,9 @@ def canonical(result, ignore=()):
     return json.dumps(document, sort_keys=True)
 
 
-def run(spec, warm_store=None, run_with=explore, **options):
+def run(spec, warm_store=None, **options):
     tracer = Tracer(level="audit")
-    result = run_with(
+    result = explore(
         fresh(spec), warm_store=warm_store, tracer=tracer, **options
     )
     return result, trace_fingerprint(tracer.all_records())
@@ -375,20 +374,25 @@ class TestWiring:
         assert store.writes == filling.stats.warm_writes
 
     def test_batched_replay_uses_the_store(self, tmp_path):
+        """A budgeted, checkpointed run reads and fills the store."""
         spec = build_settop_spec()
         store_path = str(tmp_path / "ws")
-        batched = dict(run_with=explore_batched, batch_size=5)
-        cold, cold_trace = run(spec, **batched)
-        filling, _trace = run(spec, warm_store=store_path, **batched)
+        budgeted = dict(
+            max_evaluations=10**9,
+            checkpoint=str(tmp_path / "run.ckpt"),
+            checkpoint_every=5,
+        )
+        cold, cold_trace = run(spec, **budgeted)
+        filling, _trace = run(spec, warm_store=store_path, **budgeted)
         _reset_stores()
-        warm, warm_trace = run(spec, warm_store=store_path, **batched)
+        warm, warm_trace = run(spec, warm_store=store_path, **budgeted)
         assert canonical(cold) == canonical(filling) == canonical(warm)
         assert cold_trace == warm_trace
         assert warm.stats.warm_hits > 0
 
     def test_checkpoint_resume_records_the_store(self, tmp_path):
-        """The store path rides the checkpoint header like the batch
-        size: a resumed run keeps warming, and the result is
+        """The store path rides the checkpoint header like the engine:
+        a resumed run keeps warming, and the result is
         identical to an uninterrupted cold run."""
         spec = build_settop_spec()
         store_path = str(tmp_path / "ws")

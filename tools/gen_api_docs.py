@@ -30,7 +30,6 @@ PACKAGES = [
     "repro.core",
     "repro.compiled",
     "repro.store",
-    "repro.parallel",
     "repro.resilience",
     "repro.supervision",
     "repro.service",
@@ -73,18 +72,17 @@ Segment layout and invalidation rules: `docs/formats.md`.
 
 ### `explore()` resilience parameters
 
-Passing any of these routes the run through the batched replay loop,
-which returns **identical** results to the serial loop (Pareto set,
-statistics except `elapsed_seconds`, tie-breaking); see
-`docs/parallel.md` and `docs/resilience.md`:
+These run on the same driver as a plain run and change nothing but
+what they say (Pareto set, statistics except `elapsed_seconds` and
+`checkpoints_written`, tie-breaking are identical); see
+`docs/resilience.md`:
 
 | parameter | default | meaning |
 |---|---|---|
-| `batch_size` | `32` | candidates per batch of the batched replay (sizes it; does not route a run there by itself) |
 | `deadline_seconds` | `None` | wall-clock budget; on expiry return the best-so-far front with `completed=False` and an `OptimalityGap` |
 | `max_evaluations` | `None` | budget on binding-solver evaluations, same graceful truncation |
 | `checkpoint` | `None` | path of an append-only CRC-journaled checkpoint file enabling `resume_explore()` |
-| `checkpoint_every` | `64` | candidates between fsync'd snapshots when checkpointing |
+| `checkpoint_every` | `4096` | consumed candidates between fsync'd snapshots when checkpointing |
 """,
     "repro.resilience": """\
 ### Guarantees
@@ -96,9 +94,9 @@ statistics except `elapsed_seconds`, tie-breaking); see
   `gap.next_cost_bound` equals the full run's front below that cost,
   and nothing exceeds `gap.flexibility_bound` — checked by
   `verify_gap()`.
-* Degradation (quarantined candidates, cache corruption) is never
-  silent: counters on `ExplorationStats` and a structured
-  `stats.events` log.
+* Journal faults are never silent: a torn tail is discarded on load,
+  a failed write or fsync raises `CheckpointError`, and a journal of
+  an unsupported version is refused with a `CheckpointError` naming it.
 
 See `docs/resilience.md` for the journal format and the resume-identity
 argument.
@@ -122,8 +120,8 @@ metric-name reference.
 ### The determinism contract
 
 A tracer attached to `explore(tracer=...)` records the search's
-logical history at replay positions from outcome-derivable data only,
-so serial, batched thread/process, and preempted-service runs of the
+logical history at candidate positions from deterministic data only,
+so plain, budgeted, checkpointed and preempted-service runs of the
 same exploration produce **byte-identical** logical traces
 (`trace_fingerprint` hashes exactly that view; wall-clock lives in the
 separate `t`/`t0`/`t1`/`diag`/`phase_totals` channel).  Tracing is
