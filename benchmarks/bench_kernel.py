@@ -11,8 +11,9 @@ pareto, from the tracer's phase accounting) to
 
 When numpy is importable the compiled engine runs its block-vectorized
 kernel (:mod:`repro.compiled.batch`); each record then also carries a
-warm scalar-vs-vectorized comparison (``REPRO_VECTORIZE=0`` forces the
-pure-stdlib scalar kernel on the same spec) and the full run asserts
+warm scalar-vs-vectorized comparison (hiding numpy from
+:mod:`repro.compiled.batch` forces the pure-stdlib scalar kernel on
+the same spec) and the full run asserts
 the vectorized kernel's >= 3x target on the "large" synthetic.
 
 Usage::
@@ -40,6 +41,7 @@ from repro.casestudies import (
     build_settop_spec,
     synthetic_spec,
 )
+from repro.compiled import batch
 from repro.compiled.batch import active_numpy, numpy_version
 from repro.core import explore
 from repro.report import format_table
@@ -98,20 +100,15 @@ VECTORIZED_SPEEDUP_TARGET = 3.0
 
 @contextlib.contextmanager
 def _vectorize(enabled):
-    """Force the block kernel on/off via ``REPRO_VECTORIZE``; ``None``
-    leaves the environment untouched."""
-    if enabled is None:
-        yield
-        return
-    before = os.environ.get("REPRO_VECTORIZE")
-    os.environ["REPRO_VECTORIZE"] = "1" if enabled else "0"
+    """Force the block kernel off (``False``) by hiding numpy from
+    :mod:`repro.compiled.batch`; ``None`` or ``True`` leaves it on."""
+    numpy = batch._np
+    if enabled is False:
+        batch._np = None
     try:
         yield
     finally:
-        if before is None:
-            os.environ.pop("REPRO_VECTORIZE", None)
-        else:
-            os.environ["REPRO_VECTORIZE"] = before
+        batch._np = numpy
 
 
 def fingerprint(result):

@@ -6,8 +6,8 @@ with cross-candidate memoization keyed by relevance projections
 (:class:`CompiledEvaluator`).  When numpy is importable the optional
 block-vectorized layer (:mod:`repro.compiled.batch`) additionally runs
 enumeration and the cheap checks as uint64 bit-plane kernels over
-thousands of candidates per call (:func:`active_numpy` says whether it
-is on; ``REPRO_VECTORIZE=0`` forces it off).  It is the default
+thousands of candidates per call (:func:`active_numpy` says whether
+numpy imported; nothing else turns the layer off).  It is the default
 engine; the reference pipeline remains available as
 ``engine="reference"`` and the two are differentially tested to
 produce identical fronts, statistics, progress events and logical

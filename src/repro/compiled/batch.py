@@ -23,9 +23,9 @@ per-candidate to per-block:
   estimate projections of a block.
 
 numpy is an *optional* accelerator: the import is guarded, every entry
-point returns ``None`` when numpy is unavailable (or disabled via
-``REPRO_VECTORIZE=0``), and callers fall back to the scalar kernel —
-results are byte-identical either way (differentially tested).
+point returns ``None`` when numpy is unavailable, and callers fall back
+to the scalar kernel — results are byte-identical either way
+(differentially tested).
 
 Exactness of the materialized order
 -----------------------------------
@@ -65,8 +65,7 @@ of the order at any window size.
 from __future__ import annotations
 
 import logging
-import os
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterator, List, Optional, Tuple
 
 from .enumerate import MaskAllocationEnumerator
 from .spec import CompiledSpec
@@ -90,22 +89,12 @@ MATERIALIZE_MAX_BITS_DEFAULT = 20
 
 
 def active_numpy():
-    """numpy, or ``None`` when absent or disabled (``REPRO_VECTORIZE=0``).
-
-    Read at call time so tests (and operators) can flip the gate
-    without reimporting; ``REPRO_VECTORIZE=0`` forces the scalar
-    kernel, any other value (or unset) enables vectorization whenever
-    numpy imports.
-    """
-    if _np is None:
-        return None
-    if os.environ.get("REPRO_VECTORIZE", "1") == "0":
-        return None
+    """numpy, or ``None`` when it does not import (no block kernel)."""
     return _np
 
 
 def numpy_version() -> Optional[str]:
-    """The installed numpy version string, or ``None`` (gate-independent)."""
+    """The installed numpy version string, or ``None``."""
     return None if _np is None else str(_np.__version__)
 
 
@@ -506,16 +495,10 @@ def _estimate_rows(kernel: BlockKernel, masks, alive, weighted: bool):
 class BlockContext:
     """Blocked candidate stream + pre-filter state for one EXPLORE run.
 
-    Two ways to drive the exploration state
-    (:class:`repro.core.explorer.ExploreState`), both byte-identical to
-    the scalar loop:
-
-    * :meth:`run_fast` — vectorized scans skip to the next candidate
-      whose estimate beats the incumbent (used when nothing observes
-      per-candidate events);
-    * :meth:`candidates` — ``(cost, extras)`` pairs, each with a probe
-      answering the pre-filter checks from the block arrays, for
-      traced/observed runs.
+    :meth:`run_fast` drives the exploration state
+    (:class:`repro.core.explorer.ExploreState`) over it, byte-identical
+    to the per-candidate loop with or without observers, ties,
+    candidate caps, budgets and checkpoints.
     """
 
     def __init__(
@@ -591,62 +574,41 @@ class BlockContext:
         self._charge("estimate", self.clock() - t0)
         return possible, comm, alive, estimates
 
-    def _materialise_units(self, extras_mask: int) -> FrozenSet[str]:
-        """The candidate's unit set, with the mask handed off by
-        identity so the scalar evaluator skips re-encoding it."""
-        extras = self.cs.names_of(extras_mask)
-        units = self.required | extras if self.required else extras
-        self.cs._enum_memo = (units, extras_mask | int(self.required_mask))
-        return units
-
-    # -- eventful mode --------------------------------------------------
-    def candidates(
-        self, skip: int = 0
-    ) -> Iterator[Tuple[Tuple[float, FrozenSet[str]], "_RowProbe"]]:
-        """The scalar enumerator's ``(cost, extras)`` stream from row
-        ``skip`` on, each candidate paired with a probe answering its
-        pre-filter checks from the block arrays."""
-        cs = self.cs
-        names_of = cs.names_of
-        evaluator = self.evaluator
-        for ecosts, emasks in self._blocks(skip):
-            possible, comm, _, estimates = self._checks(
-                emasks | self.required_mask
-            )
-            for cost, mask, ok, pruned, estimate in zip(
-                ecosts.tolist(),
-                emasks.tolist(),
-                possible.tolist(),
-                comm.tolist(),
-                estimates.tolist(),
-            ):
-                extras = names_of(mask)
-                cs._enum_memo = (extras, mask)
-                probe = _RowProbe(evaluator, ok, pruned, estimate)
-                yield (cost, extras), probe
-
-    # -- fast mode ------------------------------------------------------
+    # -- the driver -----------------------------------------------------
     def run_fast(self, state) -> None:
         """Drive an :class:`~repro.core.explorer.ExploreState` over whole
-        blocks (no per-candidate observers: no tracer, inactive progress
-        emitter, no ``keep_ties``/``max_candidates``).
+        blocks, starting at the state's cursor.
 
-        A vectorized scan finds the next survivor whose estimate beats
-        ``f_cur``; the rows skipped on the way are charged to the
-        statistics in bulk, exactly as the scalar loop would count them,
-        and the survivor is bound through the state.  The run starts at
-        the state's cursor.  The anytime budget, which only a bind or
-        the clock can spend, is checked before each block and after
-        each bind; bulk counts are split at the checkpoint cadence, so
-        snapshots land on the same candidates as in the scalar loop.
+        Vectorized scans skip the rows the rule drops without touching
+        any state: not possible, useless communication, or an estimate
+        below ``f_cur`` (or equal to it without ``keep_ties``).  They
+        are counted in bulk, split at the checkpoint and progress
+        cadences, so snapshots and ``progress`` events land on the same
+        candidates as in the per-candidate loop.  Every other row goes
+        through :meth:`~repro.core.explorer.ExploreState.admit` and
+        ``step`` with a :class:`_RowProbe` answering from the block
+        arrays: a survivor whose estimate beats ``f_cur`` (or reaches it
+        under ``keep_ties``), the first row over ``max_cost``, the row
+        past ``max_candidates``, every row once ``f_cur >= f_max`` and
+        every row under an audit tracer.  The anytime budget, which
+        only a bind or the clock can spend, is checked before each
+        block and after each stepped row.
         """
         np = _np
         stats = state.stats
-        f_max = state.f_max
-        max_cost = state.max_cost
+        emitter = state.emitter
         budget = state.budget
         every = state.every  # 0 without a checkpoint journal
+        progress_every = (emitter.every or 0) if emitter.active else 0
+        f_max = state.f_max
+        keep_ties = state.keep_ties
+        audit = state.audit
+        admit, step, advance = state.admit, state.step, state.advance
         evaluator = self.evaluator
+        cs = self.cs
+        names_of = cs.names_of
+        required = self.required
+        required_mask = int(self.required_mask)
         use_filter = self.use_possible_filter
         use_comm = self.prune_comm
         use_est = self.use_estimation
@@ -654,92 +616,124 @@ class BlockContext:
             tot = self.required_cost + ecosts
             if budget is not None and state.out_of_budget(float(tot[0])):
                 return
-            if state.f_cur >= f_max:
-                return
-            limit = len(ecosts)
-            over_budget = False
-            if max_cost is not None:
-                over = np.nonzero(tot > max_cost)[0]
+            # Row ``limit`` ends the run: the first over ``max_cost`` or
+            # the one past ``max_candidates``.
+            limit = len(tot)
+            if state.max_cost is not None:
+                over = np.flatnonzero(tot > state.max_cost)
                 if len(over):
                     limit = int(over[0])
-                    over_budget = True
-                    if limit == 0:
-                        return
-            full = emasks[:limit] | self.required_mask
-            possible, comm, alive, estimates = self._checks(full)
+            if state.max_candidates is not None:
+                left = state.max_candidates - stats.candidates_enumerated
+                limit = min(limit, max(left, 0))
+            possible, comm, alive, estimates = self._checks(
+                emasks[:limit] | self.required_mask
+            )
+            survivors = np.flatnonzero(alive)
             # Rows [0, counted) have been charged to the statistics.
             counted = 0
 
-            def count(row: int) -> None:
-                nonlocal counted
-                stats.candidates_enumerated += row - counted
-                if use_filter:
-                    stats.possible_allocations += int(
-                        np.count_nonzero(possible[counted:row])
-                    )
-                if use_comm:
-                    stats.pruned_comm += int(
-                        np.count_nonzero(comm[counted:row])
-                    )
-                if use_est:
-                    stats.estimates_computed += int(
-                        np.count_nonzero(alive[counted:row])
-                    )
-                counted = row
-
             def consume_to(row: int) -> None:
-                """Count rows up to ``row`` and move the cursor past
-                them, snapshotting at each multiple of the cadence."""
+                """Count the skipped rows up to ``row`` in bulk and move
+                the cursor past them, emitting progress events and
+                snapshots at their cadences."""
+                nonlocal counted
                 while counted < row:
                     end = row
                     if every:
-                        end = min(row, counted + every - state.cursor % every)
+                        end = min(end, counted + every - state.cursor % every)
+                    if progress_every:
+                        end = min(
+                            end,
+                            counted
+                            + progress_every
+                            - stats.candidates_enumerated % progress_every,
+                        )
+                    stats.candidates_enumerated += end - counted
+                    if use_filter:
+                        stats.possible_allocations += int(
+                            np.count_nonzero(possible[counted:end])
+                        )
+                    if use_comm:
+                        stats.pruned_comm += int(
+                            np.count_nonzero(comm[counted:end])
+                        )
+                    if use_est:
+                        stats.estimates_computed += int(
+                            np.count_nonzero(alive[counted:end])
+                        )
                     state.cursor += end - counted
-                    count(end)
+                    counted = end
+                    if progress_every:
+                        emitter.candidate(
+                            stats.candidates_enumerated,
+                            stats.estimate_exceeded,
+                            stats.feasible_implementations,
+                            state.f_cur,
+                        )
                     if every and state.cursor % every == 0:
                         state.flush()
 
-            stopped = last = False
-            survivors = np.nonzero(alive)[0]
-            position = 0
-            while position < len(survivors):
-                if use_est:
-                    passing = np.nonzero(
-                        estimates[survivors[position:]] > state.f_cur
-                    )[0]
-                    if not len(passing):
-                        break
-                    position += int(passing[0])
-                row = int(survivors[position])
-                position += 1
-                consume_to(row)
-                count(row + 1)
-                state.bind(
-                    float(tot[row]),
-                    self._materialise_units(int(emasks[row])),
-                    float(estimates[row]) if use_est else None,
-                    evaluator,
+            def stepped(start: int):
+                """The rows from ``start`` on that go through the rule
+                at the current incumbent, as Python values."""
+                if state.f_cur >= f_max and not keep_ties:
+                    rows = np.arange(start, min(start + 1, limit))
+                elif audit or state.f_cur >= f_max:
+                    rows = np.arange(start, limit)
+                else:
+                    rows = survivors[np.searchsorted(survivors, start):]
+                    if use_est:
+                        passing = estimates[rows]
+                        rows = rows[
+                            passing >= state.f_cur
+                            if keep_ties
+                            else passing > state.f_cur
+                        ]
+                return zip(
+                    rows.tolist(),
+                    tot[rows].tolist(),
+                    emasks[rows].tolist(),
+                    possible[rows].tolist(),
+                    comm[rows].tolist(),
+                    estimates[rows].tolist(),
                 )
-                state.advance()
-                last = row + 1 == len(ecosts)
-                if (
-                    budget is not None
-                    and not last
-                    and state.out_of_budget(float(tot[row + 1]))
-                ):
-                    return
-                if state.f_cur >= f_max:
-                    stopped = True
-                    break
-            if stopped:
-                # The scalar loop stops at the *next* candidate before
-                # counting it; past a block's last row the next block
-                # decides (a spent budget truncates there first).
-                if budget is None or not last:
-                    return
-                continue
+
+            f_cur = state.f_cur
+            rows = stepped(0)
+            while rows is not None:
+                pending, rows = rows, None
+                for row, cost, mask, ok, pruned, estimate in pending:
+                    if counted < row:
+                        consume_to(row)
+                    # The mask is handed off by identity, so the
+                    # evaluator skips re-encoding the unit set.
+                    extras = names_of(mask)
+                    units = required | extras if required else extras
+                    cs._enum_memo = (units, mask | required_mask)
+                    probe = _RowProbe(evaluator, ok, pruned, estimate)
+                    if not (admit(cost) and step(cost, units, probe)):
+                        return
+                    advance()
+                    counted = row + 1
+                    if (
+                        budget is not None
+                        and counted < len(tot)
+                        and state.out_of_budget(float(tot[counted]))
+                    ):
+                        return
+                    if not audit and state.f_cur != f_cur:
+                        # The rows left to step change with the incumbent.
+                        f_cur = state.f_cur
+                        rows = stepped(counted)
+                        break
             consume_to(limit)
-            if over_budget:
+            if limit < len(tot):
+                # admit or step stops the run here, before reading the
+                # units or a probe.
+                cost = float(tot[limit])
+                if state.admit(cost):
+                    state.step(cost, None, None)
                 return
 
 
@@ -806,10 +800,10 @@ def make_block_context(
     block_rows: int = BLOCK_ROWS,
 ) -> Optional[BlockContext]:
     """A :class:`BlockContext` for one run, or ``None`` when the
-    vectorized kernel cannot serve it (numpy absent or disabled, more
-    than 64 unit bits, nothing to enumerate, or a negative-cost unit —
-    the heap stream is only globally cost-sorted for costs >= 0)."""
-    if active_numpy() is None:
+    vectorized kernel cannot serve it (numpy absent, more than 64 unit
+    bits, nothing to enumerate, or a negative-cost unit — the heap
+    stream is only globally cost-sorted for costs >= 0)."""
+    if _np is None:
         return None
     cs = evaluator.cs
     if not 0 < cs.unit_count <= 64:

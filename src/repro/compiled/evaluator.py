@@ -202,12 +202,6 @@ class CompiledEvaluator:
         self.warm_misses = 0
         self.warm_writes = 0
         self.warm_corruptions = 0
-        #: Optional wall-clock sink (``charge(phase, seconds)`` — a
-        #: :class:`repro.telemetry.PhaseProfiler`): when set and no
-        #: ``detail`` dict is requested, per-solve binding/timing
-        #: wall-clock is charged here.  Pure observation — verdicts and
-        #: results are unaffected.
-        self.phase_sink = None
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -294,8 +288,7 @@ class CompiledEvaluator:
         # ``outcome_cache``; the solver counter charges once per
         # *distinct* selection per candidate, cache hit or not.
         outcome: Dict[int, Verdict] = {}
-        sink = None if detail is not None else self.phase_sink
-        timed = detail is not None or sink is not None
+        timed = detail is not None
         clock = time.perf_counter
         comm_tops = cs.comm_tops_of(usable)
         links_of: Dict[int, int] = {}
@@ -342,23 +335,17 @@ class CompiledEvaluator:
                         hits += 1
                         computed = False
                     if timed:
-                        elapsed = clock() - t0 - (
+                        detail["binding_seconds"] += clock() - t0 - (
                             verdict.timing_seconds if computed else 0.0
                         )
-                        if detail is not None:
-                            detail["binding_seconds"] += elapsed
-                            detail["timing_seconds"] += verdict.timing_seconds
-                            detail["timing_checks"] += verdict.timing_checks
-                            detail["timing_rejections"] += (
-                                verdict.timing_rejections
-                            )
-                            deltas = verdict.deltas
-                            for i in range(5):
-                                acc[i] += deltas[i]
-                        else:
-                            sink.charge("binding", elapsed)
-                            if verdict.timing_checks:
-                                sink.charge("timing", verdict.timing_seconds)
+                        detail["timing_seconds"] += verdict.timing_seconds
+                        detail["timing_checks"] += verdict.timing_checks
+                        detail["timing_rejections"] += (
+                            verdict.timing_rejections
+                        )
+                        deltas = verdict.deltas
+                        for i in range(5):
+                            acc[i] += deltas[i]
                     outcome[info.mask] = verdict
                 if verdict is _IMPLIED:
                     record = _CoverRecord(

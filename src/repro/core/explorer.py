@@ -352,8 +352,9 @@ class ExploreState:
     cost bounds, checked before the candidate is counted) and then
     :meth:`step` (count it and decide it); either returning ``False``
     ends the run, and :meth:`advance` then moves the :attr:`cursor`
-    past the consumed candidate.  The block kernel's fast mode counts
-    the rows it skips itself and calls :meth:`bind` for each survivor.
+    past the consumed candidate.  The block kernel steps only the rows
+    whose fate depends on the incumbent or a bound; it counts the rows
+    the rule drops unseen (and moves the cursor past them) in bulk.
     :meth:`finish` builds the result.
 
     The cursor counts the candidates consumed in the deterministic
@@ -361,8 +362,10 @@ class ExploreState:
     :meth:`flush` journals a :meth:`snapshot` at every multiple of
     :attr:`every`; :meth:`restore` continues from one.
 
-    ``timed`` — charge the probe's estimate and evaluate calls to the
-    tracer/profiler phases and give evaluations wall-clock.
+    With a tracer or profiler attached, the probe's estimate and
+    evaluate calls are charged to their phases and evaluations get
+    wall-clock.
+
     ``evaluator`` — the run's engine, whose memo/warm counter deltas
     from here on are charged to the statistics.  ``name`` labels the
     run's log records (the specification name).
@@ -383,7 +386,6 @@ class ExploreState:
         emitter: Optional[ProgressEmitter] = None,
         tracer=None,
         profiler=None,
-        timed: bool = False,
         evaluator=None,
         f_cur: float = 0.0,
         points: Optional[List] = None,
@@ -405,7 +407,7 @@ class ExploreState:
         self.tracer = tracer
         self.audit = tracer is not None and tracer.audit
         self.sinks = tuple(s for s in (tracer, profiler) if s is not None)
-        self.timed = timed and bool(self.sinks)
+        self.timed = bool(self.sinks)
         self.evaluator = evaluator
         self.cache_base = cache_counter_snapshot(evaluator)
         #: Candidates consumed in the enumeration order.
@@ -911,8 +913,6 @@ def run_exploration(
     options["warm_store"] = warm_store_path(options["warm_store"])
     emitter = ProgressEmitter(options["progress"], options["progress_every"])
     tracer = options["tracer"]
-    keep_ties = options["keep_ties"]
-    max_candidates = options["max_candidates"]
     evaluator = make_evaluator(
         spec, **bound_params(options, param_names(tag="evaluator"))
     )
@@ -927,20 +927,16 @@ def run_exploration(
     required = setup.required
     # Telemetry rides the tracer's phase seam (duck-typed: Telemetry
     # and PhaseProfiler both expose ``.profiler``); kept import-free so
-    # the core never depends on repro.telemetry.  The compiled
-    # evaluator charges per-solve binding/timing to it directly when
-    # the state does not time its evaluations.
+    # the core never depends on repro.telemetry.
     profiler = getattr(options["telemetry"], "profiler", None)
-    if profiler is not None and hasattr(evaluator, "phase_sink"):
-        evaluator.phase_sink = profiler
 
-    # Batch-vectorized block kernel (repro.compiled.batch): when the
-    # engine offers it and numpy is available, candidate enumeration
-    # and the incumbent-independent pre-filters run over uint64 blocks.
-    # With no per-candidate observers the whole run is blocked
-    # (run_fast); otherwise the loop below consumes the block stream,
-    # each candidate with a probe answering from the block arrays.
-    # Results are byte-identical either way (differentially tested).
+    # The block kernel (repro.compiled.batch) drives the run when the
+    # engine offers it and numpy is available: candidate enumeration
+    # and the incumbent-independent pre-filters run over uint64 blocks,
+    # and only the rows the rule must see are stepped through the
+    # state.  Otherwise the per-candidate loop below runs.  Results,
+    # progress events and logical traces are byte-identical either way
+    # (differentially tested).
     block_factory = getattr(evaluator, "block_context", None)
     block = None
     if block_factory is not None:
@@ -954,27 +950,19 @@ def run_exploration(
             use_estimation=options["use_estimation"],
             sinks=(tracer, profiler),
         )
-    fast = (
-        block is not None
-        and tracer is None
-        and not emitter.active
-        and not keep_ties
-        and max_candidates is None
-    )
     state = ExploreState(
         setup.f_max,
         1 << len(setup.extra_names),
         name=spec.name,
         max_cost=options["max_cost"],
-        max_candidates=max_candidates,
+        max_candidates=options["max_candidates"],
         use_possible_filter=options["use_possible_filter"],
         prune_comm=options["prune_comm"],
         use_estimation=options["use_estimation"],
-        keep_ties=keep_ties,
+        keep_ties=options["keep_ties"],
         emitter=emitter,
         tracer=tracer,
         profiler=profiler,
-        timed=not fast,
         evaluator=evaluator,
         cursor=0 if resume is None else resume.cursor,
     )
@@ -1009,10 +997,10 @@ def run_exploration(
         state.cursor,
     )
     try:
-        if fast:
+        if block is not None:
             block.run_fast(state)
         else:
-            _run_eventful(state, evaluator, block, setup, profiler)
+            _run_candidates(state, evaluator, setup, profiler)
         journal = state.journal
         # The final snapshot is skipped when a resume reproduced the
         # journaled end state exactly (no candidate consumed, same
@@ -1050,30 +1038,26 @@ def check_cursor(cursor: int, skipped: int) -> None:
         )
 
 
-def _run_eventful(state, evaluator, block, setup, profiler) -> None:
-    """The per-candidate loop: every candidate is admitted and stepped
-    through ``state``, so progress events, trace records, ties and
-    ``max_candidates`` see each one."""
+def _run_candidates(state, evaluator, setup, profiler) -> None:
+    """The per-candidate loop, for engines without a block kernel:
+    every candidate of the evaluator's enumerator is admitted and
+    stepped through ``state``, the evaluator answering as the probe."""
     required = setup.required
     tracer = state.tracer
-    if block is not None:
-        stream = block.candidates(skip=state.cursor)
-    else:
-        stream = evaluator.enumerator(
-            setup.extra_names, include_empty=bool(required)
+    stream = evaluator.enumerator(
+        setup.extra_names, include_empty=bool(required)
+    )
+    if tracer is not None or profiler is not None:
+        stream = _charged_enumeration(stream, (tracer, profiler))
+    if state.cursor:
+        stream = iter(stream)
+        check_cursor(
+            state.cursor,
+            sum(1 for _ in itertools.islice(stream, state.cursor)),
         )
-        if tracer is not None or profiler is not None:
-            stream = _charged_enumeration(stream, (tracer, profiler))
-        if state.cursor:
-            stream = iter(stream)
-            check_cursor(
-                state.cursor,
-                sum(1 for _ in itertools.islice(stream, state.cursor)),
-            )
-        stream = zip(stream, itertools.repeat(evaluator))
     required_cost = setup.required_cost
     budget = state.budget
-    for (extra_cost, extras), probe in stream:
+    for extra_cost, extras in stream:
         cost = required_cost + extra_cost
         if budget is not None and state.out_of_budget(cost):
             break
@@ -1081,6 +1065,6 @@ def _run_eventful(state, evaluator, block, setup, profiler) -> None:
         # is required — the compiled engine keys its units->mask
         # handoff memo on it (a union would copy and defeat it).
         units = required | extras if required else extras
-        if not (state.admit(cost) and state.step(cost, units, probe)):
+        if not (state.admit(cost) and state.step(cost, units, evaluator)):
             break
         state.advance()

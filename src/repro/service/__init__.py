@@ -21,14 +21,12 @@ from .metrics import (
 )
 from .scheduler import STRIDE_SCALE, SchedulerError, StrideScheduler
 from .service import (
-    CHECKPOINT_EVERY_DEFAULT,
     PROGRESS_EVERY_DEFAULT,
     SLICE_EVALUATIONS_DEFAULT,
     ExplorationService,
 )
 
 __all__ = [
-    "CHECKPOINT_EVERY_DEFAULT",
     "Counter",
     "EventBus",
     "ExplorationService",

@@ -66,11 +66,6 @@ logger = logging.getLogger(__name__)
 #: enough to amortise the checkpoint fsync.
 SLICE_EVALUATIONS_DEFAULT = 32
 
-#: Default checkpoint cadence (consumed candidates) inside a slice —
-#: denser than the explore default because slices are short and a kill
-#: should lose little work.
-CHECKPOINT_EVERY_DEFAULT = 32
-
 #: Default cadence (enumerated candidates) of per-job ``progress`` events.
 PROGRESS_EVERY_DEFAULT = 64
 
@@ -82,7 +77,6 @@ class ExplorationService:
         self,
         directory: str,
         slice_evaluations: int = SLICE_EVALUATIONS_DEFAULT,
-        checkpoint_every: int = CHECKPOINT_EVERY_DEFAULT,
         progress_every: Optional[int] = PROGRESS_EVERY_DEFAULT,
         clock: Optional[ServiceClock] = None,
         aging_rate: float = 0.0,
@@ -117,7 +111,6 @@ class ExplorationService:
             else warm_store
         )
         self.slice_evaluations = slice_evaluations
-        self.checkpoint_every = checkpoint_every
         self.progress_every = progress_every
         #: Admission control: the runnable queue is bounded at
         #: ``max_queued`` with an explicit overload policy ("reject"
@@ -599,7 +592,6 @@ class ExplorationService:
         return explore(
             job.spec,
             checkpoint=checkpoint,
-            checkpoint_every=self.checkpoint_every,
             max_evaluations=budget,
             progress=forward,
             progress_every=self.progress_every,
@@ -840,7 +832,6 @@ class ExplorationService:
 
 
 __all__ = [
-    "CHECKPOINT_EVERY_DEFAULT",
     "ExplorationService",
     "ManualClock",
     "PROGRESS_EVERY_DEFAULT",

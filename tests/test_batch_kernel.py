@@ -17,10 +17,10 @@ and logical traces.  These tests prove it at three levels:
   the windowed materialized source yields the heap stream row for row
   at every block size and tie-keys only the prefix EXPLORE reads;
 * ``explore()`` results, event streams and trace fingerprints are
-  identical with the block kernel on, forced off
-  (``REPRO_VECTORIZE=0``), with numpy absent (import-path fallback),
-  on the band-streaming source (materialization threshold 0) and at
-  any block size — serially and batched.
+  identical with the block kernel on and with numpy absent (the
+  import-path fallback), on the band-streaming source
+  (materialization threshold 0) and at any block size — serially and
+  batched.
 """
 
 import functools
@@ -320,7 +320,6 @@ def test_materialized_source_stays_lazy(monkeypatch):
         return tie_keys(masks, n)
 
     monkeypatch.setattr(batch, "_tie_keys", spy)
-    monkeypatch.setenv("REPRO_VECTORIZE", "1")
     spec = _synthetic(5)
     assert len(spec.units.names()) == 18
     explore(spec)
@@ -331,24 +330,22 @@ def test_materialized_source_stays_lazy(monkeypatch):
 @pytest.fixture
 def sized_blocks(monkeypatch):
     """Set the block size of every block context ``explore`` builds;
-    records which block driver ran."""
-    monkeypatch.setenv("REPRO_VECTORIZE", "1")
-    seen = {"rows": None, "run_fast": 0, "candidates": 0}
+    counts the runs of the block driver."""
+    seen = {"rows": None, "run_fast": 0}
     make = batch.make_block_context
 
     def sized(*args, **kwargs):
         return make(*args, block_rows=seen["rows"], **kwargs)
 
     monkeypatch.setattr(batch, "make_block_context", sized)
-    for name in ("run_fast", "candidates"):
-        original = getattr(batch.BlockContext, name)
+    original = batch.BlockContext.run_fast
 
-        def spy(self, *args, _name=name, _original=original, **kwargs):
-            assert self.block_rows == seen["rows"]
-            seen[_name] += 1
-            return _original(self, *args, **kwargs)
+    def spy(self, *args, **kwargs):
+        assert self.block_rows == seen["rows"]
+        seen["run_fast"] += 1
+        return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(batch.BlockContext, name, spy)
+    monkeypatch.setattr(batch.BlockContext, "run_fast", spy)
     return seen
 
 
@@ -359,30 +356,34 @@ def sized_blocks(monkeypatch):
     ids=["settop", "tv_decoder", "synthetic-15"],
 )
 def test_results_do_not_depend_on_block_size(build, sized_blocks):
-    """Result documents, statistics, progress events and audit traces
-    are identical at block sizes 1, 7 and ``BLOCK_ROWS``, through both
-    ``run_fast`` and ``candidates()``."""
+    """Result documents, statistics, progress events and span and
+    audit traces are identical at block sizes 1, 7 and ``BLOCK_ROWS``,
+    plain, with ties kept and with a candidate cap."""
     spec = build()
     contracts = {}
     for rows in (1, 7, batch.BLOCK_ROWS):
         sized_blocks["rows"] = rows
-        fast = fingerprint(explore(spec, engine="compiled"))
-        events = []
-        eventful = explore(
-            spec, engine="compiled", progress=events.append,
-            progress_every=25,
-        )
-        tracer = Tracer(level="audit")
-        traced = explore(spec, engine="compiled", tracer=tracer)
-        contracts[rows] = (
-            fast,
-            fingerprint(eventful),
-            events,
-            fingerprint(traced),
-            trace_fingerprint(tracer.all_records()),
-        )
-    assert sized_blocks["run_fast"] == 3
-    assert sized_blocks["candidates"] == 6
+        contract = []
+        for options in ({}, {"keep_ties": True}, {"max_candidates": 5}):
+            plain = fingerprint(explore(spec, engine="compiled", **options))
+            events = []
+            spans = Tracer(level="spans")
+            eventful = explore(
+                spec, engine="compiled", progress=events.append,
+                progress_every=25, tracer=spans, **options,
+            )
+            audit = Tracer(level="audit")
+            traced = explore(spec, engine="compiled", tracer=audit, **options)
+            contract.append((
+                plain,
+                fingerprint(eventful),
+                events,
+                trace_fingerprint(spans.all_records()),
+                fingerprint(traced),
+                trace_fingerprint(audit.all_records()),
+            ))
+        contracts[rows] = contract
+    assert sized_blocks["run_fast"] == 27
     assert contracts[1] == contracts[7] == contracts[batch.BLOCK_ROWS]
 
 
@@ -415,7 +416,7 @@ def test_explore_with_numpy_absent(monkeypatch):
 
 
 def test_explore_with_vectorize_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
+    monkeypatch.setattr(batch, "_np", None)
     assert batch.active_numpy() is None
     spec = build_tv_decoder_spec()
     observed = fingerprint(explore(spec, engine="compiled"))
@@ -449,8 +450,9 @@ def test_vectorized_vs_scalar_full_contract(monkeypatch, every, tmp_path):
     budgeted with a checkpoint journal every ``every`` candidates."""
     spec = build_settop_spec()
     contracts = {}
+    numpy = batch._np
     for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_VECTORIZE", mode)
+        monkeypatch.setattr(batch, "_np", numpy if mode == "1" else None)
         events = []
         run = explore if every is None else functools.partial(
             explore,
@@ -475,11 +477,12 @@ def test_vectorized_vs_scalar_full_contract(monkeypatch, every, tmp_path):
 @requires_numpy
 def test_vectorized_corpus_differential(monkeypatch):
     """Vectorized == scalar over the random corpus end to end."""
+    numpy = batch._np
     for seed in SEEDS[::5]:
         spec = random_spec(seed)
-        monkeypatch.setenv("REPRO_VECTORIZE", "1")
+        monkeypatch.setattr(batch, "_np", numpy)
         vectorized = fingerprint(explore(spec, engine="compiled"))
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
+        monkeypatch.setattr(batch, "_np", None)
         scalar = fingerprint(explore(spec, engine="compiled"))
         assert vectorized == scalar, f"seed {seed} diverged"
 

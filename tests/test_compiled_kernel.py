@@ -24,6 +24,7 @@ from repro.compiled import MaskAllocationEnumerator, compiled_spec_for
 from repro.core import DEFAULT_ENGINE, ENGINES, explore
 from repro.core.candidates import AllocationEnumerator
 from repro.errors import ExplorationError
+from repro.resilience import read_journal
 from repro.trace import Tracer, trace_fingerprint
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -59,6 +60,38 @@ def test_differential_random_corpus(reference_runs):
         )
 
 
+def observe(spec, engine, tmp_path, options):
+    """Everything one option set shows: the result fingerprint of a
+    plain, an observed and an audited run, the checkpoint snapshots
+    (with ``checkpoint_every``), the progress events and the span and
+    audit trace fingerprints."""
+    options = dict(options, engine=engine)
+    journal = None
+    if "checkpoint_every" in options:
+        journal = str(tmp_path / f"{engine}.ckpt")
+        options["checkpoint"] = journal
+    plain = fingerprint(explore(spec, **options))
+    # The header names the engine; the snapshots must not differ.
+    snapshots = journal and read_journal(journal)[0][1:]
+    events = []
+    spans = Tracer(level="spans")
+    observed = fingerprint(
+        explore(spec, progress=events.append, progress_every=7,
+                tracer=spans, **options)
+    )
+    audit = Tracer(level="audit")
+    audited = fingerprint(explore(spec, tracer=audit, **options))
+    return (
+        plain,
+        snapshots,
+        observed,
+        events,
+        trace_fingerprint(spans.all_records()),
+        audited,
+        trace_fingerprint(audit.all_records()),
+    )
+
+
 @pytest.mark.parametrize(
     "options",
     [
@@ -72,15 +105,24 @@ def test_differential_random_corpus(reference_runs):
         dict(max_cost=300.0),
         dict(require_units=["muP2"], forbid_units=["A1"]),
         dict(backend="sat", max_candidates=150),
+        dict(max_candidates=0),
+        dict(max_candidates=5),
+        dict(max_candidates=37),
+        dict(max_evaluations=0),
+        dict(max_evaluations=3),
+        # A snapshot per candidate is an fsync per candidate: capped.
+        dict(keep_ties=True, checkpoint_every=1, max_candidates=400),
+        dict(keep_ties=True, checkpoint_every=7),
+        dict(keep_ties=True, checkpoint_every=64),
     ],
     ids=lambda d: "-".join(f"{k}" for k in d),
 )
-def test_differential_settop_options(options):
-    """Every explore() option combination survives compilation."""
+def test_differential_settop_options(options, tmp_path):
+    """Every explore() option combination survives compilation, with
+    and without observers."""
     spec = build_settop_spec()
-    reference = fingerprint(explore(spec, engine="reference", **options))
-    observed = fingerprint(explore(spec, engine="compiled", **options))
-    assert observed == reference
+    reference = observe(spec, "reference", tmp_path, options)
+    assert observe(spec, "compiled", tmp_path, options) == reference
 
 
 @pytest.mark.parametrize("engine", ["compiled", "reference"])
@@ -153,16 +195,28 @@ def test_trace_fingerprints_identical(level):
     assert fingerprints["compiled"] == fingerprints["reference"]
 
 
-def test_trace_fingerprints_identical_random(reference_runs):
+#: The option sets of :func:`test_trace_fingerprints_identical_random`.
+RANDOM_OPTIONS = (
+    {},
+    dict(keep_ties=True),
+    dict(max_candidates=0),
+    dict(max_candidates=5),
+    dict(max_candidates=37),
+    dict(max_evaluations=0),
+    dict(max_evaluations=3),
+    dict(keep_ties=True, checkpoint_every=1),
+    dict(keep_ties=True, checkpoint_every=7),
+    dict(keep_ties=True, checkpoint_every=64),
+)
+
+
+def test_trace_fingerprints_identical_random(tmp_path):
     for seed in SEEDS[::7]:
-        fingerprints = {}
-        for engine in ENGINES:
-            tracer = Tracer(level="audit")
-            explore(random_spec(seed), engine=engine, tracer=tracer)
-            fingerprints[engine] = trace_fingerprint(tracer.all_records())
-        assert fingerprints["compiled"] == fingerprints["reference"], (
-            f"seed {seed} logical traces diverged"
-        )
+        spec = random_spec(seed)
+        for options in RANDOM_OPTIONS:
+            reference = observe(spec, "reference", tmp_path, options)
+            observed = observe(spec, "compiled", tmp_path, options)
+            assert observed == reference, f"seed {seed} {options} diverged"
 
 
 def test_mask_enumerator_matches_reference_order():

@@ -48,16 +48,15 @@ needs_numpy = pytest.mark.skipif(
 
 @pytest.fixture
 def block_spy(monkeypatch):
-    """Count which of the block kernel's two drivers ran."""
-    calls = {"run_fast": 0, "candidates": 0}
-    for name in calls:
-        original = getattr(batch.BlockContext, name)
+    """Count the runs of the block driver."""
+    calls = {"run_fast": 0}
+    original = batch.BlockContext.run_fast
 
-        def spy(self, *args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(self, *args, **kwargs)
+    def spy(self, *args, **kwargs):
+        calls["run_fast"] += 1
+        return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(batch.BlockContext, name, spy)
+    monkeypatch.setattr(batch.BlockContext, "run_fast", spy)
     return calls
 
 
@@ -69,7 +68,7 @@ class TestOracle:
         return [p.point for p in exhaustive_front(spec)]
 
     def test_serial_scalar(self, seed, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
+        monkeypatch.setattr(batch, "_np", None)
         spec = random_spec(seed)
         assert explore(spec).front() == self.exact(spec)
 
@@ -79,13 +78,13 @@ class TestOracle:
         events = []
         result = explore(spec, progress=events.append)
         assert result.front() == self.exact(spec)
-        assert block_spy == {"run_fast": 0, "candidates": 1}
+        assert block_spy == {"run_fast": 1}
 
     @needs_numpy
     def test_block_run_fast(self, seed, block_spy):
         spec = random_spec(seed)
         assert explore(spec).front() == self.exact(spec)
-        assert block_spy == {"run_fast": 1, "candidates": 0}
+        assert block_spy == {"run_fast": 1}
 
     @pytest.mark.parametrize("every", [1, 7])
     def test_batched(self, seed, every, tmp_path):
@@ -139,3 +138,53 @@ def test_every_reason_is_reachable(run, stops):
     seen = emitted_reasons(run)
     missing = (set(PRUNE_REASONS) | set(stops)) - seen
     assert not missing, f"{run.__name__} never emits {sorted(missing)}"
+
+
+#: Every kind of observed or bounded run, as ``explore()`` keywords
+#: (``tmp`` is the run's scratch directory).
+OBSERVED_RUNS = {
+    "progress": lambda tmp: dict(progress=lambda event: None,
+                                 progress_every=3),
+    "spans": lambda tmp: dict(tracer=Tracer(level="spans")),
+    "audit": lambda tmp: dict(tracer=Tracer(level="audit")),
+    "keep_ties": lambda tmp: dict(keep_ties=True),
+    "max_candidates": lambda tmp: dict(max_candidates=5),
+    "budgeted": lambda tmp: dict(deadline_seconds=1e9, max_evaluations=2),
+    "checkpointed": lambda tmp: dict(
+        checkpoint=os.path.join(tmp, "run.ckpt"), checkpoint_every=3
+    ),
+}
+
+
+@needs_numpy
+@pytest.mark.parametrize("kind", sorted(OBSERVED_RUNS))
+def test_observed_runs_take_the_block_driver(kind, block_spy, tmp_path):
+    """Observers, ties, candidate caps, budgets and checkpoints all run
+    on ``run_fast``; no run of the compiled engine leaves it."""
+    spec = random_spec(3)
+    explore(spec, **OBSERVED_RUNS[kind](str(tmp_path)))
+    assert block_spy == {"run_fast": 1}
+
+
+@needs_numpy
+def test_resumed_run_takes_the_block_driver(block_spy, tmp_path):
+    from repro.resilience import resume_explore
+
+    path = str(tmp_path / "run.ckpt")
+    result = explore(random_spec(3), checkpoint=path, max_evaluations=1)
+    assert not result.completed
+    resume_explore(path, progress=lambda event: None, max_evaluations=None)
+    assert block_spy == {"run_fast": 2}
+
+
+@needs_numpy
+def test_service_slices_take_the_block_driver(block_spy, tmp_path):
+    """A service slice forwards progress events and journals its state,
+    and still runs on the block driver."""
+    from repro.service import ExplorationService
+
+    service = ExplorationService(str(tmp_path), slice_evaluations=2)
+    service.submit(random_spec(3))
+    slices = service.run()
+    assert slices > 1
+    assert block_spy == {"run_fast": slices}

@@ -124,6 +124,7 @@ class TestMonotonicity:
 # ---------------------------------------------------------------------------
 
 from repro.casestudies import build_tv_decoder_spec  # noqa: E402
+from repro.compiled import batch  # noqa: E402
 from repro.resilience import (  # noqa: E402
     FaultPlan,
     SimulatedCrash,
@@ -147,13 +148,13 @@ CASES = {
 @pytest.fixture(params=["fast", "eventful", "compiled", "reference"])
 def driver(request, monkeypatch):
     """The ``explore()``/``resume_explore()`` keywords of one way to
-    drive a run: the block kernel's fast path, its per-candidate path
+    drive a run: the block driver, the block driver stepping every row
     (an audit tracer observes every candidate), the compiled engine
     without the block kernel (the no-numpy route) and the reference
     engine.  Called once per run: a tracer observes one session."""
     name = request.param
     if name == "compiled":
-        monkeypatch.setenv("REPRO_VECTORIZE", "0")
+        monkeypatch.setattr(batch, "_np", None)
 
     def options():
         if name == "eventful":
