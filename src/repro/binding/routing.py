@@ -48,11 +48,6 @@ class Router:
         self._cache: Dict[str, FrozenSet[str]] = {}
 
     @property
-    def present_nodes(self) -> FrozenSet[str]:
-        """Top-level nodes available under the allocation."""
-        return self._present
-
-    @property
     def comm_nodes(self) -> FrozenSet[str]:
         """Available top-level communication nodes."""
         return self._comm

@@ -801,15 +801,10 @@ def make_block_context(
 ) -> Optional[BlockContext]:
     """A :class:`BlockContext` for one run, or ``None`` when the
     vectorized kernel cannot serve it (numpy absent, more than 64 unit
-    bits, nothing to enumerate, or a negative-cost unit — the heap
-    stream is only globally cost-sorted for costs >= 0)."""
+    bits, or nothing to enumerate)."""
     if _np is None:
         return None
-    cs = evaluator.cs
-    if not 0 < cs.unit_count <= 64:
-        return None
-    catalog = cs.spec.units
-    if any(catalog.unit(n).cost < 0 for n in extra_names):
+    if not 0 < evaluator.cs.unit_count <= 64:
         return None
     return BlockContext(
         evaluator,

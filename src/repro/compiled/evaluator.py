@@ -232,9 +232,9 @@ class CompiledEvaluator:
     ):
         """A batch-vectorized exploration context
         (:class:`repro.compiled.batch.BlockContext`), or ``None`` when
-        the vectorized kernel cannot serve this run (numpy absent or
-        disabled, >64 unit bits, negative-cost units) — callers then
-        use the scalar enumerator/check path, with identical results."""
+        the vectorized kernel cannot serve this run (numpy absent,
+        >64 unit bits, nothing to enumerate) — callers then use the
+        scalar enumerator/check path, with identical results."""
         from .batch import make_block_context
 
         return make_block_context(

@@ -46,11 +46,9 @@ from typing import (
     Tuple,
 )
 
-from ..boolexpr import Expr
 from ..errors import CheckpointError, ExplorationError
 from ..spec import SpecificationGraph
 from ..timing import PAPER_UTILIZATION_BOUND
-from .candidates import possible_allocation_expr
 from .estimate import estimate_flexibility
 from .evaluation import (
     BINDING_BACKENDS,
@@ -96,8 +94,6 @@ class ExplorationSetup(NamedTuple):
     extra_names: List[str]
     #: Total cost of the required units.
     required_cost: float
-    #: The possible-resource-allocation boolean equation.
-    possible: Expr
     #: Global flexibility upper bound (the stop condition).
     f_max: float
 
@@ -250,9 +246,7 @@ def prepare_exploration(
     """Validate the specification/constraints and precompute run inputs.
 
     ``evaluator`` — when given, the engine evaluator computes ``f_max``
-    (both engines agree on every estimate, differentially tested); the
-    possible-allocation expression is cached on the specification
-    either way, so repeated preparations stop recompiling it.
+    (both engines agree on every estimate, differentially tested).
     """
     if not spec.frozen:
         raise ExplorationError("specification must be frozen before explore()")
@@ -279,7 +273,6 @@ def prepare_exploration(
             "specification has zero-cost units; pass max_cost to bound "
             "the enumeration"
         )
-    possible = possible_allocation_expr(spec)
     required_cost = spec.units.total_cost(required)
     all_usable = set(spec.units.names()) - forbidden
     if evaluator is not None:
@@ -287,7 +280,7 @@ def prepare_exploration(
     else:
         f_max = estimate_flexibility(spec, all_usable, weighted)
     return ExplorationSetup(
-        required, forbidden, extra_names, required_cost, possible, f_max
+        required, forbidden, extra_names, required_cost, f_max
     )
 
 

@@ -204,12 +204,6 @@ class ExplorationStats:
         :meth:`as_dict` for why they live outside the fingerprint)."""
         return {name: getattr(self, name) for name in self.CACHE_COUNTERS}
 
-    def record_event(self, kind: str, **fields: Any) -> None:
-        """Append a degradation event (``kind`` plus free-form fields)."""
-        event = {"kind": kind}
-        event.update(fields)
-        self.events.append(event)
-
     def __repr__(self) -> str:
         return (
             "ExplorationStats("

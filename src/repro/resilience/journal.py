@@ -21,7 +21,7 @@ import errno
 import json
 import os
 import zlib
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..errors import CheckpointError
 from . import faults
@@ -185,9 +185,3 @@ def _parse_line(line: bytes) -> Optional[Tuple[str, Any]]:
     if zlib.crc32(canonical) != document.get("c"):
         return None
     return record_type, document["p"]
-
-
-def iter_records(path: str) -> Iterator[Tuple[str, Any]]:
-    """Iterate the valid records of a journal (see :func:`read_journal`)."""
-    records, _ = read_journal(path)
-    return iter(records)

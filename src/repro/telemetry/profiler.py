@@ -8,9 +8,7 @@ the logical (deterministic) channel.
 
 The hot path is deliberately tiny: one dict lookup, two adds, and a
 single bisect-indexed bucket increment per charge (the service
-histogram's cumulative view is materialised only at export).  Measured
-overhead stays inside the telemetry budget of
-``benchmarks/bench_telemetry.py``.
+histogram's cumulative view is materialised only at export).
 
 Charges are lock-free: each field update is a single GIL-atomic list
 operation, so concurrent charging from several threads can at worst

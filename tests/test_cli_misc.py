@@ -1,16 +1,10 @@
 """CLI parser surface and tooling smoke tests."""
 
-import io
-import runpy
-import sys
-from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser
-
-TOOLS_DIR = Path(__file__).resolve().parent.parent / "tools"
 
 
 class TestParserSurface:
@@ -38,19 +32,6 @@ class TestParserSurface:
 
 
 class TestTools:
-    def test_collect_results_runs(self):
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            with pytest.raises(SystemExit) as excinfo:
-                runpy.run_path(
-                    str(TOOLS_DIR / "collect_results.py"),
-                    run_name="__main__",
-                )
-            assert excinfo.value.code == 0
-        text = buffer.getvalue()
-        assert "MATCH" in text
-        assert "binding attempted" in text
-
     def test_api_docs_up_to_date_sections(self):
         """docs/api.md exists and lists every subpackage section."""
         api = (

@@ -19,8 +19,12 @@ import pytest
 from .randspec import random_spec
 from .routes import routes
 from .test_parallel_explore import SEEDS, fingerprint, route_fingerprint
-from repro.casestudies import build_settop_spec, build_tv_decoder_spec
-from repro.compiled import MaskAllocationEnumerator, compiled_spec_for
+from repro.casestudies import (
+    build_automotive_spec,
+    build_settop_spec,
+    build_tv_decoder_spec,
+)
+from repro.compiled import MaskAllocationEnumerator, batch, compiled_spec_for
 from repro.core import DEFAULT_ENGINE, ENGINES, explore
 from repro.core.candidates import AllocationEnumerator
 from repro.errors import ExplorationError
@@ -169,6 +173,19 @@ def test_differential_tv_decoder():
     assert fingerprint(explore(spec, engine="compiled")) == fingerprint(
         explore(spec, engine="reference")
     )
+
+
+@pytest.mark.parametrize(
+    "build", [build_settop_spec, build_automotive_spec],
+    ids=["settop", "automotive"],
+)
+def test_case_study_engines_identical(build, monkeypatch):
+    """Both case studies: the compiled engine, with and without the
+    block kernel, reproduces the reference fronts and statistics."""
+    reference = fingerprint(explore(build(), engine="reference"))
+    assert fingerprint(explore(build(), engine="compiled")) == reference
+    monkeypatch.setattr(batch, "_np", None)
+    assert fingerprint(explore(build(), engine="compiled")) == reference
 
 
 def test_progress_event_streams_identical():

@@ -67,6 +67,10 @@ class TestOracle:
     def exact(self, spec):
         return [p.point for p in exhaustive_front(spec)]
 
+    def test_reference(self, seed):
+        spec = random_spec(seed)
+        assert explore(spec, engine="reference").front() == self.exact(spec)
+
     def test_serial_scalar(self, seed, monkeypatch):
         monkeypatch.setattr(batch, "_np", None)
         spec = random_spec(seed)

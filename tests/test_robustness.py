@@ -123,7 +123,10 @@ class TestMonotonicity:
 # every way the driver can run.
 # ---------------------------------------------------------------------------
 
-from repro.casestudies import build_tv_decoder_spec  # noqa: E402
+from repro.casestudies import (  # noqa: E402
+    build_tv_decoder_spec,
+    synthetic_spec,
+)
 from repro.compiled import batch  # noqa: E402
 from repro.resilience import (  # noqa: E402
     FaultPlan,
@@ -211,6 +214,17 @@ class TestKillResumeCorpus:
         spec = random_spec(seed)
         reference, resumed, _ = _run_killed_and_resume(
             spec, tmp_path, kill_at=2, every=1, label="b1"
+        )
+        assert fingerprint(resumed) == fingerprint(reference)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_synthetic_specs(self, seed, tmp_path):
+        spec = synthetic_spec(
+            n_apps=2, interfaces_per_app=2, alternatives=2,
+            n_procs=2, n_accels=2, seed=seed,
+        )
+        reference, resumed, _ = _run_killed_and_resume(
+            spec, tmp_path, kill_at=2, every=8, label="syn"
         )
         assert fingerprint(resumed) == fingerprint(reference)
 

@@ -54,6 +54,18 @@ def test_sixteen_jobs_exact(tmp_path):
         assert service.metrics.get("repro_jobs_completed_total").value == 16
 
 
+def test_settop_sliced_drain_exact(tmp_path):
+    """The set-top case study chopped into checkpoint-preempted slices
+    completes with the solo front."""
+    spec = build_settop_spec()
+    with make_service(tmp_path, slice_evaluations=16) as service:
+        job = service.submit(spec)
+        service.run()
+        assert job.state == "completed", job.error
+        assert job.preemptions > 0
+        assert fingerprint(job.result) == fingerprint(explore(spec))
+
+
 def test_crash_recovery_resumes_exact(tmp_path):
     """A service abandoned mid-run resumes every job to exact fronts."""
     specs = {f"j{i:04d}": random_spec(i + 40) for i in range(4)}

@@ -88,6 +88,21 @@ def test_batched_differential(seed, tmp_path):
     assert on == off, f"seed {seed}: telemetry changed the budgeted run"
 
 
+def test_settop_differential(tmp_path):
+    """Full telemetry on the set-top case study, plain and budgeted
+    with a checkpoint journal."""
+    spec = build_settop_spec()
+    assert observed_run(spec, Telemetry()) == observed_run(spec, None)
+    budgeted = dict(deadline_seconds=1e9)
+    off = observed_run(
+        spec, None, checkpoint=str(tmp_path / "off.ckpt"), **budgeted
+    )
+    on = observed_run(
+        spec, Telemetry(), checkpoint=str(tmp_path / "on.ckpt"), **budgeted
+    )
+    assert on == off
+
+
 def test_bare_profiler_satisfies_the_seam():
     """A PhaseProfiler alone (no registry/sampler) is also accepted."""
     spec = build_settop_spec()

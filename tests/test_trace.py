@@ -141,25 +141,27 @@ def test_service_rejects_bad_trace_option(tmp_path):
 
 
 def test_tracing_changes_nothing():
-    """Tracing on/off: identical fronts, stats and progress events."""
+    """Tracing on/off, at every level: identical fronts, allocations,
+    stats and progress events."""
+
+    def outcome(result):
+        stats = result.stats.as_dict()
+        stats.pop("elapsed_seconds")
+        return [(sorted(p.units), p.point) for p in result.points], stats
+
     spec = build_settop_spec()
     plain_events = []
     plain = explore(spec, progress=plain_events.append, progress_every=50)
-    traced_events = []
-    tracer = Tracer(level="audit")
-    traced = explore(
-        spec,
-        progress=traced_events.append,
-        progress_every=50,
-        tracer=tracer,
-    )
-    assert traced.front() == plain.front()
-    assert traced_events == plain_events
-    assert (
-        traced.stats.candidates_enumerated
-        == plain.stats.candidates_enumerated
-    )
-    assert traced.stats.estimate_exceeded == plain.stats.estimate_exceeded
+    for level in ("spans", "audit"):
+        traced_events = []
+        traced = explore(
+            spec,
+            progress=traced_events.append,
+            progress_every=50,
+            tracer=Tracer(level=level),
+        )
+        assert outcome(traced) == outcome(plain), level
+        assert traced_events == plain_events, level
 
 
 def test_wall_clock_stays_out_of_the_logical_trace():

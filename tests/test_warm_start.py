@@ -18,7 +18,11 @@ import pytest
 
 from .randspec import random_spec
 from repro.analysis import with_latency, with_unit_costs
-from repro.casestudies import build_settop_spec, build_tv_decoder_spec
+from repro.casestudies import (
+    build_settop_spec,
+    build_tv_decoder_spec,
+    synthetic_spec,
+)
 from repro.core import explore
 from repro.errors import ExplorationError
 from repro.io import spec_from_dict, spec_to_dict
@@ -65,6 +69,29 @@ def run(spec, warm_store=None, **options):
     return result, trace_fingerprint(tracer.all_records())
 
 
+def edit_and_rerun(spec, tmp_path, **options):
+    """INCR's scenario: fill a store from ``spec``, bump its first
+    mapping's latency, invalidate, then explore the edit cold and warm.
+    Returns the invalidation report and the cold and warm results."""
+    store_path = str(tmp_path / "ws")
+    run(spec, warm_store=store_path, **options)
+    mapping = spec_to_dict(spec)["mappings"][0]
+    pair = (mapping["process"], mapping["resource"])
+    patched = with_latency(spec, {pair: mapping["latency"] + 1})
+    report = invalidate(open_store(store_path), spec, patched)
+    assert report["kind"] == "local"
+    _reset_stores()
+    cold, cold_trace = run(patched, **options)
+    _reset_stores()
+    warm, warm_trace = run(patched, warm_store=store_path, **options)
+    assert canonical(warm) == canonical(cold)
+    assert warm_trace == cold_trace
+    assert warm.stats.warm_hits + warm.stats.warm_misses == (
+        cold.stats.memo_misses
+    )
+    return report, cold, warm
+
+
 class TestCaseStudies:
     @pytest.mark.parametrize(
         "build", [build_settop_spec, build_tv_decoder_spec]
@@ -85,27 +112,12 @@ class TestCaseStudies:
         assert warm.stats.warm_corruptions == 0
 
     def test_single_latency_edit_reuses_almost_everything(self, tmp_path):
-        spec = build_settop_spec()
-        store_path = str(tmp_path / "ws")
-        run(spec, warm_store=store_path)
-
-        mapping = spec_to_dict(spec)["mappings"][0]
-        pair = (mapping["process"], mapping["resource"])
-        patched = with_latency(spec, {pair: mapping["latency"] + 1})
-        report = invalidate(
-            open_store(store_path), spec, patched, diff_specs(spec, patched)
-        )
-        assert report["kind"] == "local"
-        assert report["invalidated"] >= 1
-
-        _reset_stores()
-        cold, cold_trace = run(patched)
-        _reset_stores()
-        warm, warm_trace = run(patched, warm_store=store_path)
-        assert canonical(cold) == canonical(warm)
-        assert cold_trace == warm_trace
-        # the edit is local: nearly all verdicts replay from the store
-        assert warm.stats.warm_hits > warm.stats.warm_misses
+        report, cold, warm = edit_and_rerun(build_settop_spec(), tmp_path)
+        # the edit is local: 2 of the 85 solved verdicts are recomputed,
+        # a re-solve speedup of at least 5x
+        assert report["invalidated"] == 2
+        assert (cold.stats.memo_misses, warm.stats.warm_misses) == (85, 2)
+        assert cold.stats.memo_misses >= 5 * warm.stats.warm_misses
 
     def test_cost_edit_keeps_every_verdict(self, tmp_path):
         spec = build_settop_spec()
@@ -304,6 +316,38 @@ class TestFailureModes:
             explore(build_settop_spec(), warm_store=123)
         with pytest.raises(ExplorationError):
             explore(build_settop_spec(), warm_store="")
+
+
+class TestIncrementalResolve:
+    """INCR beyond set-top's default timing: verdicts a single-latency
+    edit leaves to recompute."""
+
+    @pytest.mark.parametrize(
+        "build, options, invalidated, solved, recomputed",
+        [
+            # full-spec-pinned schedule keys: the edit misses everything
+            (build_settop_spec, {"timing_mode": "schedule"}, 2, 94, 94),
+            (build_tv_decoder_spec, {}, 19, 19, 19),
+            (
+                lambda: synthetic_spec(
+                    n_apps=4, interfaces_per_app=2, alternatives=3,
+                    n_procs=2, n_accels=4,
+                ),
+                {},
+                79,
+                452,
+                79,
+            ),
+        ],
+        ids=["settop_schedule", "tv_decoder", "medium_synthetic"],
+    )
+    def test_edit_counts(
+        self, build, options, invalidated, solved, recomputed, tmp_path
+    ):
+        report, cold, warm = edit_and_rerun(build(), tmp_path, **options)
+        assert report["invalidated"] == invalidated
+        assert cold.stats.memo_misses == solved
+        assert warm.stats.warm_misses == recomputed
 
 
 class TestDecodedVerdicts:

@@ -110,7 +110,6 @@ argument.
 | `ExplorationService(dir)` | always instrumented: `service.metrics` is the unified `MetricRegistry`, exported to `DIR/metrics.json` + `DIR/metrics.prom` |
 | `repro top DIR` | live job/metric dashboard over a service directory |
 | `repro telemetry dump\\|diff` | re-validated snapshot export and per-series deltas |
-| `tools/bench_trend.py` | perf-trend ledger over committed `BENCH_*.json` (`--check` gates CI) |
 
 Telemetry lives strictly on the wall-clock side of the determinism
 seam; see `docs/observability.md` for the two-channel story and the
